@@ -70,24 +70,12 @@ def ingest_degree_records(path) -> list[DegreeRecord]:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The ranges and inputs a caller can set; every other range is a
+    constant beside the claim that reads it."""
+
     rho_direct_max: int = 60
     rho_induct_max: int = 10_000
-    rho_spots: tuple[int, ...] = (10**6,)
     psl2_max_q: int = 10_000
-    lie_max_rank: int = 12
-    lie_max_q: int = 32
-    situation_ns: tuple[int, ...] = (9, 10, 11, 12)
-    situation_max_dk: int = 6
-    part3_trials: int = 500
-    part3_ns: tuple[int, ...] = (9, 10, 11)
-    part3_seed: int = 20260810
-    poly_exhaustive_max_d: int = 16
-    poly_brute_max_d: int = 10
-    nd_bound_max_d: int = 30
-    hook_sum_max_n: int = 12
-    tableaux_max_n: int = 8
-    branching_max_n: int = 10
-    witness_qs: tuple[int, ...] = (2, 3, 4, 5)
     torus_table: str | None = None
     degrees_path: str | None = None
     jobs: int = 1
@@ -108,23 +96,28 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 # claim checks
 
+HOOK_SUM_MAX_N = 12
+TABLEAUX_MAX_N = 8
+BRANCHING_MAX_N = 10
+
+
 def _check_hook_sum(cfg: RunConfig):
-    bad = [n for n in range(1, cfg.hook_sum_max_n + 1)
+    bad = [n for n in range(1, HOOK_SUM_MAX_N + 1)
            if sum(partitions.hook_degree(lam) ** 2
                   for lam in partitions.partitions_of(n)) != factorial(n)]
-    return (FAIL if bad else PASS), [f"n=1..{cfg.hook_sum_max_n}", f"failures={bad}"]
+    return (FAIL if bad else PASS), [f"n=1..{HOOK_SUM_MAX_N}", f"failures={bad}"]
 
 
 def _check_hook_tableaux(cfg: RunConfig):
-    bad = [lam for n in range(1, cfg.tableaux_max_n + 1)
+    bad = [lam for n in range(1, TABLEAUX_MAX_N + 1)
            for lam in partitions.partitions_of(n)
            if partitions.hook_degree(lam) != partitions.standard_tableaux_count(lam)]
-    return (FAIL if bad else PASS), [f"n=1..{cfg.tableaux_max_n}", f"failures={len(bad)}"]
+    return (FAIL if bad else PASS), [f"n=1..{TABLEAUX_MAX_N}", f"failures={len(bad)}"]
 
 
 def _check_branching(cfg: RunConfig):
     bad = []
-    for n in range(1, cfg.branching_max_n + 1):
+    for n in range(1, BRANCHING_MAX_N + 1):
         for lam in partitions.partitions_of(n):
             addable, removable = partitions.boundary_nodes(lam)
             up = sum(partitions.hook_degree(partitions.add_node(lam, node))
@@ -136,7 +129,7 @@ def _check_branching(cfg: RunConfig):
                            for node in removable)
                 if down != partitions.hook_degree(lam):
                     bad.append(("down", lam))
-    return (FAIL if bad else PASS), [f"n<={cfg.branching_max_n}", f"failures={len(bad)}"]
+    return (FAIL if bad else PASS), [f"n<={BRANCHING_MAX_N}", f"failures={len(bad)}"]
 
 
 def _check_rho_direct(cfg: RunConfig):
@@ -145,32 +138,40 @@ def _check_rho_direct(cfg: RunConfig):
     return (FAIL if bad else PASS), [f"n=7..{cfg.rho_direct_max}", f"failures={bad}"]
 
 
+RHO_SPOTS = (10**6,)
+
+
 def _check_rho_induction(cfg: RunConfig):
     try:
         report = symalt.verify_rho_growth(cfg.rho_direct_max, cfg.rho_induct_max,
-                                          cfg.rho_spots)
+                                          RHO_SPOTS)
     except PrecisionCapError as exc:
         return INCONCLUSIVE, [str(exc)]
     status = PASS if not report.induction_failures else FAIL
     return status, [
         f"induction n=75..{cfg.rho_induct_max}",
-        f"spots={list(cfg.rho_spots)}",
+        f"spots={list(RHO_SPOTS)}",
         f"failures={report.induction_failures}",
         f"uncovered_band={report.uncovered}",
     ]
 
 
+LIE_MAX_RANK = 12
+LIE_MAX_Q = 32
+
+
 def _check_lie_38(cfg: RunConfig):
+    max_q = min(cfg.psl2_max_q, LIE_MAX_Q)
     bad = []
     count = 0
-    for gid in lie.iter_simple_ids(cfg.lie_max_rank, cfg.lie_max_q):
+    for gid in lie.iter_simple_ids(LIE_MAX_RANK, max_q):
         if gid.family == "A" and gid.rank == 1:
             continue
         count += 1
         if not lie.verify_lie_38(gid):
             bad.append(f"{gid.family}:{gid.rank}:{gid.q}")
     return (FAIL if bad else PASS), [
-        f"rank<={cfg.lie_max_rank}", f"q<={cfg.lie_max_q}",
+        f"rank<={LIE_MAX_RANK}", f"q<={max_q}",
         f"groups={count}", f"exceptions={bad}"]
 
 
@@ -226,30 +227,35 @@ def _check_euler_tail(cfg: RunConfig):
     return (FAIL if bad else PASS), ["q=2..10", "terms=40", f"failures={bad}"]
 
 
+POLY_BRUTE_MAX_D = 10
+POLY_EXHAUSTIVE_MAX_D = 16
+ND_BOUND_MAX_D = 30
+
+
 def _check_srim_table(cfg: RunConfig):
     expected = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 5, 7: 9}
     bad = [d for d, v in expected.items() if gf2poly.count_self_reciprocal(d) != v]
     if gf2poly.count_self_reciprocal(8) < 16:
         bad.append(8)
-    for d in range(1, cfg.poly_brute_max_d + 1):
+    for d in range(1, POLY_BRUTE_MAX_D + 1):
         if gf2poly.count_self_reciprocal(d) != gf2poly.count_self_reciprocal(d, "brute_force"):
             bad.append(("brute", d))
     return (FAIL if bad else PASS), [
         "table d=1..7 plus d=8 lower bound",
-        f"brute force d<={cfg.poly_brute_max_d}", f"failures={bad}"]
+        f"brute force d<={POLY_BRUTE_MAX_D}", f"failures={bad}"]
 
 
 def _check_nd_counts(cfg: RunConfig):
     bad = []
-    for d in range(1, cfg.poly_exhaustive_max_d + 1):
+    for d in range(1, POLY_EXHAUSTIVE_MAX_D + 1):
         if gf2poly.count_irreducible_monic(d) != sum(1 for _ in gf2poly.irreducible_polys(d)):
             bad.append(("count", d))
-    for d in range(3, cfg.nd_bound_max_d + 1):
+    for d in range(3, ND_BOUND_MAX_D + 1):
         if not 4 * d * gf2poly.count_irreducible_monic(d) >= 3 * 2**d:
             bad.append(("bound", d))
     return (FAIL if bad else PASS), [
-        f"exhaustive d<={cfg.poly_exhaustive_max_d}",
-        f"lower bound d=3..{cfg.nd_bound_max_d}", f"failures={bad}"]
+        f"exhaustive d<={POLY_EXHAUSTIVE_MAX_D}",
+        f"lower bound d=3..{ND_BOUND_MAX_D}", f"failures={bad}"]
 
 
 def _check_seitz_untwisted(cfg: RunConfig):
@@ -276,20 +282,29 @@ def _check_seitz_twisted(cfg: RunConfig):
                     f"missing={missing}", f"failures={bad}"]
 
 
+PART3_TRIALS = 500
+PART3_NS = (9, 10, 11)
+PART3_SEED = 20260810
+
+
 def _check_part3(cfg: RunConfig):
     import random
 
-    rng = random.Random(cfg.part3_seed)
+    rng = random.Random(PART3_SEED)
     bad = 0
-    for _ in range(cfg.part3_trials):
-        n = rng.choice(cfg.part3_ns)
+    for _ in range(PART3_TRIALS):
+        n = rng.choice(PART3_NS)
         shape = lie.random_shape(rng, n, 3)
         deg = lie.semisimple_degree(shape)
         order = lie.shape_ambient_order(shape)
         if deg >= 9 * (1 << (n * (n - 1))) or order <= 2 * deg * deg:
             bad += 1
     return (FAIL if bad else PASS), [
-        f"trials={cfg.part3_trials}", f"ns={list(cfg.part3_ns)}", f"failures={bad}"]
+        f"trials={PART3_TRIALS}", f"ns={list(PART3_NS)}", f"failures={bad}"]
+
+
+SITUATION_NS = (9, 10, 11, 12)
+SITUATION_MAX_DK = 6
 
 
 def _check_situations(cfg: RunConfig):
@@ -298,19 +313,23 @@ def _check_situations(cfg: RunConfig):
     counts = {s: 0 for s in lie.SITUATIONS}
     bad = []
     for shape, i, j, situation in lie.iter_situation_instances(
-            ns=cfg.situation_ns, max_dk=cfg.situation_max_dk):
+            ns=SITUATION_NS, max_dk=SITUATION_MAX_DK):
         ratio = lie.situation_ratio(shape, i, j, situation)
         counts[situation] += 1
         threshold = low_iv if situation == "iv" else low
         if not ratio > threshold:
             bad.append((str(shape), i, j, situation, str(ratio)))
-    return (FAIL if bad else PASS), [
-        f"ns={list(cfg.situation_ns)}", f"instances={counts}", f"failures={bad}"]
+    # a situation with no instance is a part of the range left unchecked
+    return (FAIL if bad or not all(counts.values()) else PASS), [
+        f"ns={list(SITUATION_NS)}", f"instances={counts}", f"failures={bad}"]
+
+
+WITNESS_QS = (2, 3, 4, 5)
 
 
 def _check_equality_family(cfg: RunConfig):
     bad = []
-    for q in cfg.witness_qs:
+    for q in WITNESS_QS:
         group = groupengine.build_example_group("isaacs_K", q)
         d = q * (q - 1) if q > 2 else 2
         if group.order != q**3 * (q - 1):
@@ -321,26 +340,26 @@ def _check_equality_family(cfg: RunConfig):
             bad.append((q, "degree multiplicity"))
         rep = groupengine.gagola_analyze(group, table)
         if not (rep.is_gagola and rep.character_degree == d
-                and rep.minimal_normal_order == q):
+                and rep.has_unique_minimal_normal and rep.minimal_normal_order == q):
             bad.append((q, "gagola"))
         dec = bounds.e_of(group.order, d)
         if dec.e != q or bounds.verify_e4_bound(dec).slack != 0:
             bad.append((q, "extremal"))
         if not group.is_solvable():
             bad.append((q, "solvable"))
-    return (FAIL if bad else PASS), [f"q={list(cfg.witness_qs)}", f"failures={bad}"]
+    return (FAIL if bad else PASS), [f"q={list(WITNESS_QS)}", f"failures={bad}"]
 
 
 def _check_gagola_arithmetic(cfg: RunConfig):
     bad = []
-    for q in cfg.witness_qs:
+    for q in WITNESS_QS:
         group = groupengine.build_example_group("isaacs_K", q)
         p = prime_power(q)[0]
         d = q * (q - 1) if q > 2 else 2
         rep = bounds.gagola_arithmetic(group.order, d, q, p, p_part(group.order, p))
         if not (rep.all_pass and rep.order_is_extremal and rep.n_equals_e):
             bad.append(q)
-    return (FAIL if bad else PASS), [f"q={list(cfg.witness_qs)}", f"failures={bad}"]
+    return (FAIL if bad else PASS), [f"q={list(WITNESS_QS)}", f"failures={bad}"]
 
 
 def _check_composition(cfg: RunConfig):
@@ -444,11 +463,19 @@ def _exit_code(reports: list[VerificationReport]) -> int:
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "max_n", None) is not None:
+        if not 7 <= args.max_n <= symalt.MAX_N:
+            raise SystemExit(f"configuration error: --max-n {args.max_n} "
+                             f"outside 7..{symalt.MAX_N}")
         cfg = replace(cfg, rho_direct_max=args.max_n)
     if getattr(args, "induct_max", None) is not None:
+        if args.induct_max < 75:
+            raise SystemExit(f"configuration error: --induct-max "
+                             f"{args.induct_max} is below 75")
         cfg = replace(cfg, rho_induct_max=args.induct_max)
     if getattr(args, "max_q", None) is not None:
-        cfg = replace(cfg, psl2_max_q=args.max_q, lie_max_q=min(args.max_q, 32))
+        if args.max_q < 5:
+            raise SystemExit(f"configuration error: --max-q {args.max_q} is below 5")
+        cfg = replace(cfg, psl2_max_q=args.max_q)
     if getattr(args, "torus_table", None):
         if not Path(args.torus_table).is_file():
             raise SystemExit(f"configuration error: torus table "
@@ -499,7 +526,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "e-of":
-        dec = bounds.e_of(args.order, args.degree)
+        try:
+            dec = bounds.e_of(args.order, args.degree)
+        except ValueError as exc:
+            raise SystemExit(f"input error: {exc}") from None
         print(f"|G| = {dec.order} = {dec.d} * ({dec.d} + {dec.e}), e = {dec.e}")
         if dec.e > 1:
             rep = bounds.verify_e4_bound(dec)

@@ -22,6 +22,7 @@ from ..degrees import DegreeMultiset
 from ..errors import ResourceLimitError
 from ..exactmath import factorize, is_prime
 from .cyclotomic import Cyc
+from .field import poly_divmod, poly_trim
 from .table import GroupTable
 
 DIXON_MAX_ORDER = 5000
@@ -70,24 +71,9 @@ def _echelon_columns(b: np.ndarray, ell: int) -> tuple[np.ndarray, list[int]]:
     return rref[: len(pivots)].T, pivots
 
 
-def _poly_trim(p: list[int]) -> list[int]:
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
 def _poly_mul_mod(a: list[int], b: list[int], modpoly: list[int], ell: int) -> list[int]:
     conv = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-    conv %= ell
-    out = conv.tolist()
-    dm = len(modpoly) - 1
-    inv_lead = pow(modpoly[-1], -1, ell)
-    for shift in range(len(out) - 1 - dm, -1, -1):
-        coef = out[shift + dm] * inv_lead % ell
-        if coef:
-            for i in range(dm + 1):
-                out[shift + i] = (out[shift + i] - coef * modpoly[i]) % ell
-    return _poly_trim(out[:dm] if dm else [0])
+    return poly_divmod(conv.tolist(), modpoly, ell)[1]
 
 
 def _poly_pow_mod(base: list[int], e: int, modpoly: list[int], ell: int) -> list[int]:
@@ -102,56 +88,19 @@ def _poly_pow_mod(base: list[int], e: int, modpoly: list[int], ell: int) -> list
 
 
 def _poly_gcd(a: list[int], b: list[int], ell: int) -> list[int]:
-    a = _poly_trim([x % ell for x in a])
-    b = _poly_trim([x % ell for x in b])
+    a = poly_trim([x % ell for x in a])
+    b = poly_trim([x % ell for x in b])
     while b != [0]:
-        a, b = b, _poly_rem(a, b, ell)
+        a, b = b, poly_divmod(a, b, ell)[1]
     inv = pow(a[-1], -1, ell)
     return [x * inv % ell for x in a]
 
 
-def _poly_rem(a: list[int], b: list[int], ell: int) -> list[int]:
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], -1, ell)
-    while len(a) - 1 >= db and a != [0]:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        coef = a[-1] * inv_lead % ell
-        shift = len(a) - 1 - db
-        for i in range(db + 1):
-            a[shift + i] = (a[shift + i] - coef * b[i]) % ell
-        a.pop()
-        a = a if a else [0]
-    return _poly_trim(a)
-
-
 def _poly_lcm(a: list[int], b: list[int], ell: int) -> list[int]:
-    g = _poly_gcd(a, b, ell)
-    quo = _poly_quo(a, g, ell)
+    quo = poly_divmod(a, _poly_gcd(a, b, ell), ell)[0]
     conv = np.convolve(np.asarray(quo, dtype=np.int64),
                        np.asarray(b, dtype=np.int64)) % ell
-    return _poly_trim(conv.tolist())
-
-
-def _poly_quo(a: list[int], b: list[int], ell: int) -> list[int]:
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], -1, ell)
-    quo = [0] * max(len(a) - db, 1)
-    while len(a) - 1 >= db and a != [0]:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        coef = a[-1] * inv_lead % ell
-        shift = len(a) - 1 - db
-        quo[shift] = coef
-        for i in range(db + 1):
-            a[shift + i] = (a[shift + i] - coef * b[i]) % ell
-        a.pop()
-        a = a if a else [0]
-    return _poly_trim(quo)
+    return poly_trim(conv.tolist())
 
 
 def _minpoly(mat: np.ndarray, ell: int) -> list[int]:
@@ -202,7 +151,7 @@ def _solve_dependency(krylov: list[np.ndarray], ell: int) -> list[int]:
         if pc == len(coeffs):
             raise AssertionError("inconsistent Krylov dependency")
         coeffs[pc] = int(rref[r, -1])
-    return _poly_trim(coeffs + [1])
+    return poly_trim(coeffs + [1])
 
 
 def _roots(poly: list[int], ell: int, rng: random.Random) -> list[int]:
@@ -220,11 +169,11 @@ def _roots(poly: list[int], ell: int, rng: random.Random) -> list[int]:
         while True:
             shift = rng.randrange(ell)
             h = _poly_pow_mod([shift, 1], (ell - 1) // 2, p, ell)
-            h = _poly_trim([(c - (1 if i == 0 else 0)) % ell
-                            for i, c in enumerate(h)])
+            h = poly_trim([(c - (1 if i == 0 else 0)) % ell
+                           for i, c in enumerate(h)])
             g = _poly_gcd(h, p, ell)
             if 0 < len(g) - 1 < deg:
-                return split(g) + split(_poly_quo(p, g, ell))
+                return split(g) + split(poly_divmod(p, g, ell)[0])
 
     return sorted(split(linear_part))
 

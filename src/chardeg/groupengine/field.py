@@ -8,6 +8,7 @@ covers every matrix group this package constructs.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 
 from ..exactmath import prime_power
@@ -15,33 +16,39 @@ from ..exactmath import prime_power
 MAX_ORDER = 81
 
 
-def _poly_mul_mod_p(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+def poly_trim(a: list[int]) -> list[int]:
+    """Drop zero leading coefficients in place, keeping [0] for zero."""
+    while len(a) > 1 and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b over GF(p).
+
+    Coefficients run from the constant term up; b needs a nonzero leading
+    coefficient.  Both results are trimmed, with [0] for zero.
+    """
+    rem = [x % p for x in a]
+    db = len(b) - 1
+    inv_lead = pow(b[-1], -1, p)
+    quo = [0] * max(len(rem) - db, 1)
+    for shift in range(len(rem) - 1 - db, -1, -1):
+        coef = rem[shift + db] * inv_lead % p
+        if coef:
+            quo[shift] = coef
+            for i in range(db + 1):
+                rem[shift + i] = (rem[shift + i] - coef * b[i]) % p
+    return poly_trim(quo), poly_trim(rem[:db] or [0])
+
+
+def _poly_mul_mod_p(a: tuple[int, ...], b: tuple[int, ...], p: int) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] = (out[i + j] + x * y) % p
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _poly_mod(a: list[int], f: tuple[int, ...], p: int) -> tuple[int, ...]:
-    a = list(a)
-    df = len(f) - 1
-    inv_lead = pow(f[-1], -1, p)
-    while len(a) - 1 >= df and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        factor = a[-1] * inv_lead % p
-        shift = len(a) - 1 - df
-        for i, c in enumerate(f):
-            a[shift + i] = (a[shift + i] - factor * c) % p
-        a.pop()
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return tuple(a)
+    return out
 
 
 def _find_irreducible(p: int, a: int) -> tuple[int, ...]:
@@ -65,8 +72,7 @@ def _find_irreducible(p: int, a: int) -> tuple[int, ...]:
                     g.append(gc % p)
                     gc //= p
                 g.append(1)
-                rem = _poly_mod(list(f), tuple(g), p)
-                if not any(rem):
+                if poly_divmod(f, g, p)[1] == [0]:
                     reducible = True
                     break
             if reducible:
@@ -99,7 +105,7 @@ class GF:
                 row = []
                 for y in range(q):
                     prod = _poly_mul_mod_p(tuple(decode[x]), tuple(decode[y]), p)
-                    row.append(self._encode(_poly_mod(list(prod), modulus, p)))
+                    row.append(self._encode(poly_divmod(prod, modulus, p)[1]))
                 mul.append(row)
             self._mul = mul
         self._neg = [self.sub(0, x) for x in range(q)]

@@ -16,13 +16,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from pathlib import Path
 from typing import Iterator
 
 from . import gf2poly
 from .errors import ExcludedCaseError
-from .exactmath import GREATER, factorize, p_part, pow_compare, prime_power
+from .exactmath import GREATER, factorize, is_prime_power, p_part, pow_compare, prime_power
 
 FAMILIES = (
     "A", "2A", "B", "C", "D", "2D",
@@ -98,31 +98,31 @@ def _order_parts(gid: SimpleGroupId) -> tuple[int, list[int], int]:
     fam, n, q = gid.family, gid.rank, gid.q
     if fam == "A":
         return q ** (n * (n + 1) // 2), [q**i - 1 for i in range(2, n + 2)], \
-            _gcd(n + 1, q - 1)
+            gcd(n + 1, q - 1)
     if fam == "2A":
         return q ** (n * (n + 1) // 2), \
-            [q**i - (-1) ** i for i in range(2, n + 2)], _gcd(n + 1, q + 1)
+            [q**i - (-1) ** i for i in range(2, n + 2)], gcd(n + 1, q + 1)
     if fam in ("B", "C"):
-        return q ** (n * n), [q ** (2 * i) - 1 for i in range(1, n + 1)], _gcd(2, q - 1)
+        return q ** (n * n), [q ** (2 * i) - 1 for i in range(1, n + 1)], gcd(2, q - 1)
     if fam == "D":
         return q ** (n * (n - 1)), \
-            [q**n - 1] + [q ** (2 * i) - 1 for i in range(1, n)], _gcd(4, q**n - 1)
+            [q**n - 1] + [q ** (2 * i) - 1 for i in range(1, n)], gcd(4, q**n - 1)
     if fam == "2D":
         return q ** (n * (n - 1)), \
-            [q**n + 1] + [q ** (2 * i) - 1 for i in range(1, n)], _gcd(4, q**n + 1)
+            [q**n + 1] + [q ** (2 * i) - 1 for i in range(1, n)], gcd(4, q**n + 1)
     if fam == "G2":
         return q**6, [q**6 - 1, q**2 - 1], 1
     if fam == "F4":
         return q**24, [q**12 - 1, q**8 - 1, q**6 - 1, q**2 - 1], 1
     if fam == "E6":
         return q**36, [q**12 - 1, q**9 - 1, q**8 - 1, q**6 - 1, q**5 - 1, q**2 - 1], \
-            _gcd(3, q - 1)
+            gcd(3, q - 1)
     if fam == "2E6":
         return q**36, [q**12 - 1, q**9 + 1, q**8 - 1, q**6 - 1, q**5 + 1, q**2 - 1], \
-            _gcd(3, q + 1)
+            gcd(3, q + 1)
     if fam == "E7":
         return q**63, [q**18 - 1, q**14 - 1, q**12 - 1, q**10 - 1, q**8 - 1,
-                       q**6 - 1, q**2 - 1], _gcd(2, q - 1)
+                       q**6 - 1, q**2 - 1], gcd(2, q - 1)
     if fam == "E8":
         return q**120, [q**30 - 1, q**24 - 1, q**20 - 1, q**18 - 1, q**14 - 1,
                         q**12 - 1, q**8 - 1, q**2 - 1], 1
@@ -135,12 +135,6 @@ def _order_parts(gid: SimpleGroupId) -> tuple[int, list[int], int]:
     if fam == "3D4":
         return q**12, [q**8 + q**4 + 1, q**6 - 1, q**2 - 1], 1
     raise AssertionError(fam)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def simply_connected_order(gid: SimpleGroupId) -> int:
@@ -174,14 +168,7 @@ def verify_lie_38(gid: SimpleGroupId) -> bool:
 
 
 def prime_powers_up_to(limit: int) -> list[int]:
-    out = []
-    for q in range(2, limit + 1):
-        try:
-            prime_power(q)
-            out.append(q)
-        except ValueError:
-            pass
-    return out
+    return [q for q in range(2, limit + 1) if is_prime_power(q)]
 
 
 def iter_simple_ids(max_rank: int, max_q: int) -> Iterator[SimpleGroupId]:

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from math import factorial
 
 from .degrees import DegreeMultiset
-from .errors import PrecisionCapError, ResourceLimitError
-from .exactmath import RatInterval, root_interval, sqrt_interval
+from .errors import ResourceLimitError
+from .exactmath import RatInterval, interval_gt, root_interval, sqrt_interval
 from .partitions import add_node, boundary_nodes, conjugate, hook_degree, partitions_of
 
 MAX_N = 60
@@ -119,23 +119,6 @@ def rho_witness(n: int) -> tuple[int, ...]:
     return _rho_entry(n)[1]
 
 
-def _gt_pow_3_8(make_interval, n: int, cap_bits: int = 4096) -> bool:
-    """Decide LHS > (n+1)**(3/8) for a positive interval-valued LHS.
-
-    Cross-exponentiation: the inequality holds iff lo(LHS)**8 > (n+1)**3.
-    """
-    target = (n + 1) ** 3
-    bits = 32
-    while bits <= cap_bits:
-        iv = make_interval(bits)
-        if iv.lo > 0 and iv.lo**8 > target:
-            return True
-        if iv.hi <= 0 or iv.hi**8 <= target:
-            return False
-        bits *= 2
-    raise PrecisionCapError(f"inconclusive at precision cap for n = {n}")
-
-
 def _induction_inequalities(n: int) -> tuple[bool, bool, bool]:
     """The three growth inequalities at n, each decided exactly.
 
@@ -158,11 +141,10 @@ def _induction_inequalities(n: int) -> tuple[bool, bool, bool]:
         num = RatInterval.point(n + 2) - sqrt_interval(2 * n + 2, bits) - s2n * inv38
         return num / s2n
 
-    return (
-        _gt_pow_3_8(lhs1, n),
-        _gt_pow_3_8(lhs2, n),
-        _gt_pow_3_8(lhs3, n),
-    )
+    def rhs(bits):
+        return root_interval((n + 1) ** 3, 8, bits)
+
+    return interval_gt(lhs1, rhs), interval_gt(lhs2, rhs), interval_gt(lhs3, rhs)
 
 
 @dataclass

@@ -1,15 +1,13 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line
-with its runtime against the stated budget.  Every assertion is exact; no
-floating point enters any verified comparison."""
+with its runtime against the stated budget.  Criteria 01-11 run the claim
+definitions of `chardeg verify-all` at their default ranges.  Every
+assertion is exact; no floating point enters any verified comparison."""
 
 import time
-from fractions import Fraction
 from math import factorial
 
-import pytest
-
-from chardeg import bounds, gf2poly, groupengine, lie, partitions, psl2, symalt
-from chardeg.exactmath import GREATER, p_part, pow_compare, prime_power
+from chardeg import cli, groupengine, symalt
+from chardeg.exactmath import GREATER, pow_compare
 
 
 class Criterion:
@@ -34,159 +32,67 @@ class Criterion:
         return False
 
 
-@pytest.fixture(scope="module")
-def witness_tables():
-    out = {}
-    for q in (2, 3, 4, 5):
-        group = groupengine.build_example_group("isaacs_K", q)
-        out[q] = (group, groupengine.dixon_character_table(group))
-    return out
+def _criterion(number, description, budget_seconds, *claims):
+    """Run the CLI's own definition of each claim within the budget."""
+    with Criterion(number, description, budget_seconds):
+        reports = cli.run_claims(list(claims), cli.RunConfig())
+        assert all(r.status == cli.PASS for r in reports), \
+            [r.to_json() for r in reports if r.status != cli.PASS]
 
 
 def test_criterion_01_hook_formula_identity():
-    with Criterion(1, "hook-length degree identities", 10):
-        for n in range(1, 13):
-            total = sum(partitions.hook_degree(lam) ** 2
-                        for lam in partitions.partitions_of(n))
-            assert total == factorial(n), n
-        for n in range(1, 9):
-            for lam in partitions.partitions_of(n):
-                assert partitions.hook_degree(lam) == \
-                    partitions.standard_tableaux_count(lam), lam
+    _criterion(1, "hook-length degree identities", 10,
+               "sec2/hook-sum-squares", "sec2/hook-vs-tableaux")
 
 
 def test_criterion_02_alternating_degree_growth():
-    with Criterion(2, "extendible alternating degree growth", 300):
-        report = symalt.verify_rho_growth(60, 10_000, spot_checks=(10**6,))
-        assert [n for n, ok in report.direct if not ok] == []
-        assert len(report.direct) == 54  # n = 7..60
-        assert report.induction_failures == []
-        assert all(all(oks) for _, oks in report.spot)
-        assert report.all_pass
+    _criterion(2, "extendible alternating degree growth", 300,
+               "thm2.1/rho-direct", "thm2.1/rho-induction")
 
 
 def test_criterion_03_lie_type_steinberg_growth():
-    with Criterion(3, "Steinberg eighth power vs order cubed", 30):
-        count = 0
-        for gid in lie.iter_simple_ids(max_rank=12, max_q=32):
-            if gid.family == "A" and gid.rank == 1:
-                continue
-            assert lie.verify_lie_38(gid), gid
-            count += 1
-        assert count > 1000
+    _criterion(3, "Steinberg eighth power vs order cubed", 30, "thm2.1/lie-38")
 
 
 def test_criterion_04_psl2_degree_lists():
-    with Criterion(4, "two-dimensional linear group degree data", 60):
-        for q in lie.prime_powers_up_to(10_000):
-            if q >= 4:
-                assert psl2.psl2_degrees(q).sum_squares == psl2.psl2_order(q), q
-        for f in range(3, 21):
-            witness = psl2.extendible_witness_even(2**f)
-            assert witness.degree in (2**f - 1, 2**f + 1)
-            for k in range(1, f + 1):
-                assert psl2.field_invariance(witness, k), (f, k)
-        for q in lie.prime_powers_up_to(10_000):
-            if q >= 5 and q % 2 == 1:
-                assert psl2.theta2_stabilizer_odd(q).all_pass, q
+    _criterion(4, "two-dimensional linear group degree data", 60,
+               "sec5-6/psl2-degree-sums", "lem5.1/extendible-witness",
+               "lem6.2/theta2-stabilizer")
 
 
 def test_criterion_05_two_sided_bounds():
-    with Criterion(5, "epsilon and two-sided order bounds", 120):
-        for q in lie.prime_powers_up_to(10_000):
-            if q < 5:
-                continue
-            ds = psl2.psl2_degrees(q)
-            rep = bounds.simple_bound_report(ds)
-            assert bounds.epsilon_of(ds) > 1, q
-            assert rep.gt_2b2 and rep.lt_2e2 and rep.chain_ok, q
-        for n in range(5, 21):
-            assert bounds.epsilon_of(symalt.an_degrees(n)) > 1, n
+    _criterion(5, "epsilon and two-sided order bounds", 120,
+               "thm3.1/epsilon-psl2", "thm3.1/epsilon-an")
 
 
 def test_criterion_06_infinite_product_bound():
-    with Criterion(6, "tail product lower bound", 1):
-        for q in range(2, 11):
-            assert lie.euler_tail_lower(q, 2, 40) > Fraction(9, 16), q
+    _criterion(6, "tail product lower bound", 1, "lem3.2/euler-tail")
 
 
 def test_criterion_07_polynomial_counts():
-    with Criterion(7, "irreducible and self-reciprocal counts", 120):
-        expected = [1, 1, 1, 2, 3, 5, 9]
-        assert [gf2poly.count_self_reciprocal(d) for d in range(1, 8)] == expected
-        assert gf2poly.count_self_reciprocal(8) >= 16
-        for d in range(1, 11):
-            assert gf2poly.count_self_reciprocal(d, "formula") == \
-                gf2poly.count_self_reciprocal(d, "brute_force"), d
-        for d in range(1, 17):
-            assert gf2poly.count_irreducible_monic(d) == \
-                sum(1 for _ in gf2poly.irreducible_polys(d)), d
-        for d in range(3, 31):
-            assert 4 * d * gf2poly.count_irreducible_monic(d) >= 3 * 2**d, d
+    _criterion(7, "irreducible and self-reciprocal counts", 120,
+               "lem3.3/srim-table", "sec3/nd-counts")
 
 
 def test_criterion_08_few_factor_degree_bound():
-    with Criterion(8, "few-factor semisimple degree bound", 60):
-        import random
-        rng = random.Random(20260810)
-        for _ in range(500):
-            n = rng.choice((9, 10, 11))
-            shape = lie.random_shape(rng, n, 3)
-            degree = lie.semisimple_degree(shape)
-            order = lie.ambient_order(shape.ambient, shape.n)
-            assert degree < 9 * (1 << (n * (n - 1))), shape
-            assert order > 2 * degree * degree, shape
+    _criterion(8, "few-factor semisimple degree bound", 60, "sec3/part3-r-le-3")
 
 
 def test_criterion_09_situation_ratios():
-    with Criterion(9, "merge-move degree ratios", 300):
-        low = Fraction(81, 320)
-        low_iv = Fraction(81, 272)
-        counts = {s: 0 for s in lie.SITUATIONS}
-        for shape, i, j, situation in lie.iter_situation_instances(
-                ns=(9, 10, 11, 12), max_dk=6):
-            ratio = lie.situation_ratio(shape, i, j, situation)
-            counts[situation] += 1
-            if situation == "iv":
-                assert ratio > low_iv, (shape, i, j, situation, ratio)
-            else:
-                assert ratio > low, (shape, i, j, situation, ratio)
-        assert all(counts[s] > 0 for s in lie.SITUATIONS), counts
-        print(f"    situation instances: {counts}")
+    _criterion(9, "merge-move degree ratios", 300, "sec3/part4-situations")
 
 
 def test_criterion_10_minimal_torus_bound():
-    with Criterion(10, "minimal-torus degree bound, untwisted split list", 10):
-        for gid in lie.seitz_ids(twisted=False):
-            report = lie.seitz_check(gid)
-            assert report.passes_2b2, gid
-        # twisted families run only from a supplied torus table (see the CLI);
-        # they are out of scope for this criterion
+    _criterion(10, "minimal-torus degree bound, untwisted split list", 10,
+               "sec3/seitz-untwisted")
 
 
-def test_criterion_11_equality_family(witness_tables):
-    with Criterion(11, "extremal family of order q^3(q-1)", 120):
-        for q, (group, table) in witness_tables.items():
-            p = prime_power(q)[0]
-            d = q * (q - 1) if q > 2 else 2
-            assert group.order == q**3 * (q - 1), q
-            assert table.degree_multiset().multiplicity(d) == 1, q
-            rep = groupengine.gagola_analyze(group, table)
-            assert rep.is_gagola and rep.character_degree == d, q
-            assert rep.has_unique_minimal_normal, q
-            assert rep.minimal_normal_order == q, q
-            dec = bounds.e_of(group.order, d)
-            assert dec.e == q, q
-            if dec.e > 1:
-                assert bounds.verify_e4_bound(dec).slack == 0, q
-            arith = bounds.gagola_arithmetic(group.order, d, q, p,
-                                             p_part(group.order, p))
-            assert arith.all_pass, q
-            assert arith.order_is_extremal and arith.n_equals_e, q
-            assert group.is_solvable(), q
+def test_criterion_11_equality_family():
+    _criterion(11, "extremal family of order q^3(q-1)", 120,
+               "thm7.2/equality-family", "lem7.1/gagola-arithmetic")
 
 
-def test_criterion_12_character_table_oracle(witness_tables):
+def test_criterion_12_character_table_oracle():
     with Criterion(12, "character table oracle soundness", 180):
         groups = [
             groupengine.cyclic_group(12),
@@ -206,12 +112,8 @@ def test_criterion_12_character_table_oracle(witness_tables):
             groupengine.build_example_group("heisenberg", 5),
             groupengine.build_example_group("heisenberg", 7),
             groupengine.build_galois_twisted_group(4),
-        ]
+        ] + [groupengine.build_example_group("isaacs_K", q) for q in (3, 4, 5)]
         tables = [groupengine.dixon_character_table(g) for g in groups]
-        for q in (3, 4, 5):
-            group, table = witness_tables[q]
-            groups.append(group)
-            tables.append(table)
         assert len(groups) == 20
         for group, table in zip(groups, tables):
             assert group.order <= 500

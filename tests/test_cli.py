@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -80,6 +81,34 @@ def test_seitz_with_shipped_table(capsys):
 def test_missing_torus_table_aborts_before_running():
     with pytest.raises(SystemExit, match="configuration error"):
         cli.main(["seitz", "--torus-table", "/nonexistent/torus.json"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["rho", "--max-n", "61"],
+    ["rho", "--max-n", "6"],
+    ["rho", "--induct-max", "74"],
+    ["psl2", "--max-q", "4"],
+    ["e-of", "55", "6"],
+    ["e-of", "54", "0"],
+])
+def test_bad_input_aborts_before_running(argv):
+    with pytest.raises(SystemExit, match="error: "):
+        cli.main(argv)
+
+
+def test_tracer_hook_points_resolve():
+    # perfbench/tracer.py wraps these names; a rename breaks every traced run
+    path = Path(__file__).parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    hooks = [(modname, attr)
+             for table in (tracer.CLI_ENTRY_POINTS, tracer.CLI_GENERATORS)
+             for modname, attrs in table.items() for attr in attrs]
+    hooks += [("symalt", attr) for attr in ("partitions_of", "sqrt_interval", "root_interval")]
+    missing = [f"{modname}.{attr}" for modname, attr in hooks
+               if not hasattr(importlib.import_module(f"chardeg.{modname}"), attr)]
+    assert missing == []
 
 
 def test_epsilon_with_bad_degrees_file_fails(tmp_path, capsys):

@@ -97,6 +97,12 @@ def test_lie_38_holds_on_moderate_grid():
     assert checked > 100
 
 
+def test_lie_38_claim_range_holds_over_a_thousand_groups():
+    # rank <= 12, q <= 32 is the range of the thm2.1/lie-38 claim
+    assert sum(1 for gid in iter_simple_ids(12, 32)
+               if not (gid.family == "A" and gid.rank == 1)) > 1000
+
+
 def test_seitz_untwisted_examples():
     rep = seitz_check(SimpleGroupId("A", 9, 3), 2**9)  # 10-dimensional over GF(3)
     assert rep.passes_2b2
