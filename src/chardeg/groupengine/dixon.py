@@ -225,10 +225,6 @@ class CharacterTable:
     def degree_multiset(self) -> DegreeMultiset:
         return DegreeMultiset.from_degrees(self.degrees)
 
-    def inverse_class_map(self) -> list[int]:
-        class_of = self.group.class_of()
-        return [class_of[self.group.inverse(rep)] for rep in self.class_reps]
-
     def _coeff_array(self) -> np.ndarray:
         """(characters, classes, m) array of raw cyclotomic coefficients."""
         k, m = self.num_classes, self.exponent
@@ -260,9 +256,15 @@ class CharacterTable:
                          weights: np.ndarray) -> np.ndarray:
         """R[s, t, u] = sum_c w_c * sum_{a+b = u mod m} left[s,c,a] right[t,c,b].
 
-        Computed exactly in float64 matrix products (all intermediate sums
-        stay far below 2**53 for the group orders in scope).
+        Computed in float64 matrix products, which are exact because every
+        term is non-negative and the largest sum is below 2**53.
         """
+        if (left < 0).any() or (right < 0).any():
+            raise AssertionError("folded products need non-negative coefficients")
+        bound = (int(weights.sum()) * int(left.sum(axis=2).max())
+                 * int(right.sum(axis=2).max()))
+        if bound >= 2**53:
+            raise AssertionError("folded products would not be exact in float64")
         s_count, k, m = left.shape
         t_count = right.shape[0]
         lw = (left * weights[np.newaxis, :, np.newaxis]).astype(np.float64)
@@ -311,18 +313,17 @@ class CharacterTable:
         return [int(count) for count in (reduced != 0).any(axis=2).sum(axis=1)]
 
 
-def _class_matrix(group: GroupTable, classes, class_of, i: int, ell: int) -> np.ndarray:
+def _class_matrix(group: GroupTable, classes, class_of: np.ndarray, i: int,
+                  ell: int) -> np.ndarray:
     """Matrix of the i-th class sum acting on central characters:
-    entry (j, l) counts pairs (x in C_i, y in C_j) with x y = fixed z in C_l."""
+    entry (j, l) counts the x in C_i with x^-1 z_l in C_j, that is the pairs
+    (x in C_i, y in C_j) with x y = z_l for the representative z_l of C_l."""
     k = len(classes)
+    reps = [c[0] for c in classes]
+    hits = class_of[group.table[np.ix_(group.inverses[classes[i]], reps)]]
     counts = np.zeros((k, k), dtype=np.int64)
-    for j in range(k):
-        for x in classes[i]:
-            for y in classes[j]:
-                counts[j, class_of[group.mult(x, y)]] += 1
-    sizes = np.array([len(c) for c in classes], dtype=np.int64)
-    assert (counts % sizes[np.newaxis, :] == 0).all()
-    return (counts // sizes[np.newaxis, :]) % ell
+    np.add.at(counts, (hits, np.arange(k)), 1)
+    return counts % ell
 
 
 def dixon_character_table(group: GroupTable) -> CharacterTable:
@@ -330,7 +331,7 @@ def dixon_character_table(group: GroupTable) -> CharacterTable:
         raise ResourceLimitError(
             f"character tables limited to order {DIXON_MAX_ORDER}")
     classes = group.conjugacy_classes()
-    class_of = group.class_of()
+    class_of = np.array(group.class_of())
     k = len(classes)
     sizes = [len(c) for c in classes]
     reps = [c[0] for c in classes]
@@ -340,13 +341,10 @@ def dixon_character_table(group: GroupTable) -> CharacterTable:
 
     # simultaneous eigenvectors of the class matrices
     blocks = [_echelon_columns(np.eye(k, dtype=np.int64), ell)]
-    matrices: dict[int, np.ndarray] = {}
     for i in range(1, k):
         if all(b.shape[1] == 1 for b, _ in blocks):
             break
-        if i not in matrices:
-            matrices[i] = _class_matrix(group, classes, class_of, i, ell)
-        mat = matrices[i]
+        mat = _class_matrix(group, classes, class_of, i, ell)
         new_blocks = []
         for basis, pivots in blocks:
             dim = basis.shape[1]

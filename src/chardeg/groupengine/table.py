@@ -1,32 +1,32 @@
-"""Explicit small groups: breadth-first closure of a generating set, the
-multiplication table interface, conjugacy classes, normal subgroup machinery,
+"""Explicit small groups: breadth-first closure of a generating set into a
+dense multiplication table, conjugacy classes, normal subgroup machinery,
 and derived series."""
 
 from __future__ import annotations
 
 from math import gcd
 
+import numpy as np
+
 from ..errors import ResourceLimitError
 
-MAX_ELEMENTS = 5000
+MAX_ELEMENTS = 5000  # below 2**15, so element indices fit the int16 table
 
 
 class GroupTable:
-    """A closed list of group elements with index-based multiplication.
+    """A closed list of group elements with its Cayley table.
 
-    Index 0 is the identity.  Products are computed through the element
-    representation and memoized, so no full Cayley table is materialized
-    unless actually visited.
+    Index 0 is the identity.  table[i, j] is the index of
+    elements[i] * elements[j]; close_group fills it once, so every product
+    and inverse is a lookup and no element is multiplied afterwards.
     """
 
-    def __init__(self, elements, generator_indices):
+    def __init__(self, elements, generator_indices, table: np.ndarray):
         self.elements = list(elements)
-        self._index = {g: i for i, g in enumerate(self.elements)}
-        if len(self._index) != len(self.elements):
-            raise ValueError("duplicate elements")
         self.generators = list(generator_indices)
-        self._mult: dict[tuple[int, int], int] = {}
-        self._inv: list[int | None] = [None] * len(self.elements)
+        self.table = table
+        # each row holds the identity exactly once, in the inverse's column
+        self.inverses = table.argmin(axis=1)
         self._classes = None
         self._orders: list[int | None] = [None] * len(self.elements)
 
@@ -37,23 +37,11 @@ class GroupTable:
     def order(self) -> int:
         return len(self.elements)
 
-    def index_of(self, element) -> int:
-        return self._index[element]
-
     def mult(self, i: int, j: int) -> int:
-        key = (i, j)
-        out = self._mult.get(key)
-        if out is None:
-            out = self._index[self.elements[i] * self.elements[j]]
-            self._mult[key] = out
-        return out
+        return int(self.table[i, j])
 
     def inverse(self, i: int) -> int:
-        out = self._inv[i]
-        if out is None:
-            out = self._index[self.elements[i].inverse()]
-            self._inv[i] = out
-        return out
+        return int(self.inverses[i])
 
     def conjugate(self, i: int, by: int) -> int:
         return self.mult(self.inverse(by), self.mult(i, by))
@@ -124,10 +112,6 @@ class GroupTable:
             frontier = nxt
         return frozenset(members)
 
-    def is_normal(self, members: frozenset[int]) -> bool:
-        return all(self.conjugate(x, g) in members
-                   for x in members for g in self.generators)
-
     def minimal_normal_subgroups(self) -> list[frozenset[int]]:
         """Minimal elements among the normal closures of nontrivial classes.
 
@@ -145,14 +129,12 @@ class GroupTable:
 
     def derived_subgroup(self, members: frozenset[int] | None = None) -> frozenset[int]:
         """Commutator subgroup of the given subgroup (whole group if None)."""
-        pool = sorted(members) if members is not None else range(len(self.elements))
-        commutators = set()
-        for x in pool:
-            for y in pool:
-                c = self.mult(self.mult(self.inverse(x), self.inverse(y)),
-                              self.mult(x, y))
-                commutators.add(c)
-        return self.subgroup_generated(commutators)
+        pool = (np.arange(len(self.elements)) if members is None
+                else np.array(sorted(members)))
+        xy = self.table[np.ix_(pool, pool)]
+        # x^-1 y^-1 x y = (y x)^-1 (x y), and (y x) is the transpose of (x y)
+        commutators = self.table[self.inverses[xy.T], xy]
+        return self.subgroup_generated(np.unique(commutators).tolist())
 
     def derived_series(self) -> list[frozenset[int]]:
         series = [frozenset(range(len(self.elements)))]
@@ -167,7 +149,8 @@ class GroupTable:
 
 
 def close_group(generators, limit: int = MAX_ELEMENTS) -> GroupTable:
-    """Breadth-first closure of a generating set under multiplication.
+    """Breadth-first closure of a generating set under multiplication, and
+    its Cayley table.
 
     All generators must share one representation kind; matrix generators
     must be invertible.  Raises ResourceLimitError when the closure exceeds
@@ -185,22 +168,32 @@ def close_group(generators, limit: int = MAX_ELEMENTS) -> GroupTable:
             raise ValueError(f"singular matrix generator {g!r}")
         if hasattr(g, "mat") and not g.mat.is_invertible():
             raise ValueError(f"singular matrix generator {g!r}")
+    if limit > MAX_ELEMENTS:
+        raise ValueError(f"closure limit exceeds {MAX_ELEMENTS}")
     identity = first.identity_like()
     elements = [identity]
     index = {identity: 0}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in index:
-                    if len(elements) >= limit:
-                        raise ResourceLimitError(
-                            f"closure exceeded {limit} elements")
-                    index[y] = len(elements)
-                    elements.append(y)
-                    nxt.append(y)
-        frontier = nxt
+    right = [[] for _ in gens]  # right[k][x] is the index of x * gens[k]
+    parent = [None]  # parent[y] = (x, k) with y = x * gens[k], x < y
+    # visiting in index order walks the breadth-first frontiers in turn
+    for x, elt in enumerate(elements):
+        for k, g in enumerate(gens):
+            y = elt * g
+            out = index.get(y)
+            if out is None:
+                if len(elements) >= limit:
+                    raise ResourceLimitError(f"closure exceeded {limit} elements")
+                out = index[y] = len(elements)
+                elements.append(y)
+                parent.append((x, k))
+            right[k].append(out)
+    n = len(elements)
+    right_arr = np.array(right, dtype=np.int16)
+    # row y of cols is column y of the table: x * y = (x * p) * gens[k]
+    cols = np.empty((n, n), dtype=np.int16)
+    cols[0] = np.arange(n)
+    for y in range(1, n):
+        p, k = parent[y]
+        cols[y] = right_arr[k][cols[p]]
     gen_idx = sorted({index[g] for g in gens})
-    return GroupTable(elements, gen_idx)
+    return GroupTable(elements, gen_idx, np.ascontiguousarray(cols.T))

@@ -82,6 +82,21 @@ def test_close_group_resource_limit():
     rot = Perm([(i + 1) % 40 for i in range(40)])
     with pytest.raises(ResourceLimitError):
         ge.close_group([rot], limit=10)
+    with pytest.raises(ValueError):  # indices must fit the int16 table
+        ge.close_group([rot], limit=2**15)
+
+
+def test_cayley_table_matches_element_products():
+    # one group per element kind: Perm, Mat, FrobMat (rows sampled)
+    for g, rows in ((ge.symmetric_group(4), range(24)), (ge.gl2_3(), range(48)),
+                    (ge.build_galois_twisted_group(4), range(0, 384, 37))):
+        index = {x: i for i, x in enumerate(g.elements)}
+        for i in rows:
+            assert g.mult(i, g.inverse(i)) == g.mult(g.inverse(i), i) == 0
+            for j in range(g.order):
+                assert g.mult(i, j) == index[g.elements[i] * g.elements[j]]
+        identity = list(range(g.order))
+        assert g.table[0].tolist() == g.table[:, 0].tolist() == identity
 
 
 # --- conjugacy classes and subgroup machinery ------------------------------
@@ -181,6 +196,14 @@ def test_table_invariants_on_assorted_groups():
         assert all(g.order % d == 0 for d in table.degrees)
         assert table.verify_row_orthogonality()
         assert table.verify_column_orthogonality()
+
+
+def test_folded_products_refuse_inexact_float_sums():
+    # 3 * 2**30 * 2**30 exceeds 2**53: the float64 products could round
+    table = ge.dixon_character_table(ge.cyclic_group(3))
+    table.values = [[Cyc(3, (2**30, 0, 0))] * 3 for _ in table.values]
+    with pytest.raises(AssertionError):
+        table.verify_row_orthogonality()
 
 
 def test_table_resource_limit():
