@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import bounds, gf2poly, groupengine, lie, partitions, psl2, symalt
 from .degrees import DegreeMultiset
-from .errors import PrecisionCapError
+from .errors import PrecisionCapError, ResourceLimitError
 from .exactmath import p_part, prime_power
 
 PASS, FAIL, INCONCLUSIVE, OUT_OF_SCOPE = "pass", "fail", "inconclusive", "out-of-scope"
@@ -540,7 +540,11 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "analyze-group":
-        name, group = groupengine.load_group_file(args.group_spec)
+        # a malformed file raises json.JSONDecodeError, a ValueError
+        try:
+            name, group = groupengine.load_group_file(args.group_spec)
+        except (OSError, ValueError, ResourceLimitError) as exc:
+            raise SystemExit(f"input error: {exc}") from None
         start = time.perf_counter()
         rep = groupengine.gagola_analyze(group)
         elapsed = time.perf_counter() - start

@@ -3,16 +3,17 @@
 The class-sum multiplication constants give commuting matrices whose common
 eigenvectors are the central characters.  Working over GF(ell) with
 ell = 1 (mod exponent) and ell > 2 sqrt(|G|), the eigenvectors are found by
-simultaneous splitting, degrees are recovered from the second orthogonality
-averages (they are small integers, so the modular image pins them down), and
-the character values are lifted to exact cyclotomic integers by inverting
-the power-map transform.  Both orthogonality relations are verified exactly
-before a table is returned.
+simultaneous splitting: the eigenvalues on each common eigenspace are the
+roots of its minimal polynomial, found by evaluating it at every point of
+GF(ell), so no step is randomized.  Degrees are recovered from the second
+orthogonality averages (they are small integers, so the modular image pins
+them down), and the character values are lifted to exact cyclotomic
+integers by inverting the power-map transform.  Both orthogonality
+relations are verified exactly before a table is returned.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from math import isqrt
 
@@ -69,22 +70,6 @@ def _echelon_columns(b: np.ndarray, ell: int) -> tuple[np.ndarray, list[int]]:
     """Column basis normalized so that the pivot rows carry an identity block."""
     rref, pivots = _mod_rref(b.T.copy() % ell, ell)
     return rref[: len(pivots)].T, pivots
-
-
-def _poly_mul_mod(a: list[int], b: list[int], modpoly: list[int], ell: int) -> list[int]:
-    conv = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-    return poly_divmod(conv.tolist(), modpoly, ell)[1]
-
-
-def _poly_pow_mod(base: list[int], e: int, modpoly: list[int], ell: int) -> list[int]:
-    out = [1]
-    b = [x % ell for x in base]
-    while e:
-        if e & 1:
-            out = _poly_mul_mod(out, b, modpoly, ell)
-        b = _poly_mul_mod(b, b, modpoly, ell)
-        e >>= 1
-    return out
 
 
 def _poly_gcd(a: list[int], b: list[int], ell: int) -> list[int]:
@@ -154,33 +139,14 @@ def _solve_dependency(krylov: list[np.ndarray], ell: int) -> list[int]:
     return poly_trim(coeffs + [1])
 
 
-def _roots(poly: list[int], ell: int, rng: random.Random) -> list[int]:
-    """All roots in GF(ell) of a polynomial splitting into distinct linear factors."""
-    x_to_ell = _poly_pow_mod([0, 1], ell, poly, ell)
-    linear_part = _poly_gcd([(a - b) % ell for a, b in
-                             _zip_pad(x_to_ell, [0, 1])], poly, ell)
-
-    def split(p: list[int]) -> list[int]:
-        deg = len(p) - 1
-        if deg == 0:
-            return []
-        if deg == 1:
-            return [(-p[0]) * pow(p[1], -1, ell) % ell]
-        while True:
-            shift = rng.randrange(ell)
-            h = _poly_pow_mod([shift, 1], (ell - 1) // 2, p, ell)
-            h = poly_trim([(c - (1 if i == 0 else 0)) % ell
-                           for i, c in enumerate(h)])
-            g = _poly_gcd(h, p, ell)
-            if 0 < len(g) - 1 < deg:
-                return split(g) + split(poly_divmod(p, g, ell)[0])
-
-    return sorted(split(linear_part))
-
-
-def _zip_pad(a: list[int], b: list[int]):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
+def _roots(poly: list[int], ell: int) -> list[int]:
+    """The roots of a polynomial in GF(ell), ascending, found by evaluating
+    it at every point (Horner in int64: each step stays below ell**2)."""
+    points = np.arange(ell, dtype=np.int64)
+    values = np.zeros(ell, dtype=np.int64)
+    for c in reversed(poly):
+        values = (values * points + c) % ell
+    return np.flatnonzero(values == 0).tolist()
 
 
 # --------------------------------------------------------------------------
@@ -331,13 +297,12 @@ def dixon_character_table(group: GroupTable) -> CharacterTable:
         raise ResourceLimitError(
             f"character tables limited to order {DIXON_MAX_ORDER}")
     classes = group.conjugacy_classes()
-    class_of = np.array(group.class_of())
+    class_of = group.class_of()
     k = len(classes)
     sizes = [len(c) for c in classes]
     reps = [c[0] for c in classes]
     m = group.exponent()
     ell = _find_modulus(group.order, m)
-    rng = random.Random(0xD1C50 ^ group.order ^ (k << 16))
 
     # simultaneous eigenvectors of the class matrices
     blocks = [_echelon_columns(np.eye(k, dtype=np.int64), ell)]
@@ -353,7 +318,7 @@ def dixon_character_table(group: GroupTable) -> CharacterTable:
                 continue
             action = (mat @ basis % ell)[pivots, :] % ell
             mp = _minpoly(action, ell)
-            eigs = _roots(mp, ell, rng)
+            eigs = _roots(mp, ell)
             total = 0
             for c in eigs:
                 ker = _kernel((action - c * np.eye(dim, dtype=np.int64)) % ell, ell)
@@ -396,11 +361,10 @@ def dixon_character_table(group: GroupTable) -> CharacterTable:
 
     # power maps: class of rep_j ** v for v = 0..m-1
     power_class = np.zeros((k, m), dtype=np.int64)
-    for j, rep in enumerate(reps):
-        x = 0
-        for v in range(m):
-            power_class[j, v] = class_of[x]
-            x = group.mult(x, rep)
+    powers = np.zeros(k, dtype=np.intp)
+    for v in range(m):
+        power_class[:, v] = class_of[powers]
+        powers = group.table[powers, reps]
 
     # lifting: c_u = (1/m) sum_v X(g^v) lambda^(-uv) are the root multiplicities
     lam = _primitive_root_of_unity(ell, m)

@@ -1,10 +1,9 @@
 """Explicit small groups: breadth-first closure of a generating set into a
-dense multiplication table, conjugacy classes, normal subgroup machinery,
-and derived series."""
+dense multiplication table, then conjugacy classes, element orders,
+generated and normal subgroups, and derived series, each computed by numpy
+gathers on that table rather than element by element."""
 
 from __future__ import annotations
-
-from math import gcd
 
 import numpy as np
 
@@ -27,8 +26,7 @@ class GroupTable:
         self.table = table
         # each row holds the identity exactly once, in the inverse's column
         self.inverses = table.argmin(axis=1)
-        self._classes = None
-        self._orders: list[int | None] = [None] * len(self.elements)
+        self._class_of = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -43,74 +41,70 @@ class GroupTable:
     def inverse(self, i: int) -> int:
         return int(self.inverses[i])
 
-    def conjugate(self, i: int, by: int) -> int:
-        return self.mult(self.inverse(by), self.mult(i, by))
-
-    def element_order(self, i: int) -> int:
-        out = self._orders[i]
-        if out is None:
-            out = 1
-            x = i
-            while x != 0:
-                x = self.mult(x, i)
-                out += 1
-            self._orders[i] = out
-        return out
+    def element_orders(self) -> np.ndarray:
+        """Order of every element, one power of all elements per step."""
+        everything = np.arange(len(self.elements))
+        orders = np.zeros(len(self.elements), dtype=np.int64)
+        power, step = everything, 1
+        while not orders.all():
+            orders[(power == 0) & (orders == 0)] = step
+            power, step = self.table[power, everything], step + 1
+        return orders
 
     def exponent(self) -> int:
-        exp = 1
-        for i in range(len(self.elements)):
-            exp = exp * self.element_order(i) // gcd(exp, self.element_order(i))
-        return exp
+        return int(np.lcm.reduce(self.element_orders()))
+
+    def class_of(self) -> np.ndarray:
+        """Index of each element's class in conjugacy_classes().
+
+        Every element takes the smallest index reachable by conjugating with
+        the generators; that label is constant on a class and is its
+        smallest member.
+        """
+        if self._class_of is None:
+            # conj[k][x] is the index of g^-1 x g for the k-th generator g
+            conj = [self.table[self.inverses[g], self.table[:, g]]
+                    for g in self.generators]
+            label = np.arange(len(self.elements))
+            while True:
+                new = label
+                for c in conj:
+                    new = np.minimum(new, new[c])
+                new = new[new]  # labels are class members: jump along them
+                if (new == label).all():
+                    break
+                label = new
+            self._class_of = np.unique(label, return_inverse=True)[1]
+        return self._class_of
 
     def conjugacy_classes(self) -> list[list[int]]:
         """Orbits under conjugation, identity class first, then in order of
         the smallest member index; each class is sorted."""
-        if self._classes is not None:
-            return self._classes
-        seen = [False] * len(self.elements)
-        classes = []
-        for start in range(len(self.elements)):
-            if seen[start]:
-                continue
-            orbit = {start}
-            frontier = [start]
-            seen[start] = True
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for g in self.generators:
-                        y = self.conjugate(x, g)
-                        if not seen[y]:
-                            seen[y] = True
-                            orbit.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            classes.append(sorted(orbit))
-        self._classes = classes
-        return classes
-
-    def class_of(self) -> list[int]:
-        out = [0] * len(self.elements)
-        for c, members in enumerate(self.conjugacy_classes()):
-            for i in members:
-                out[i] = c
-        return out
+        labels = self.class_of()
+        members = np.argsort(labels, kind="stable")
+        ends = np.cumsum(np.bincount(labels))[:-1]
+        return [c.tolist() for c in np.split(members, ends)]
 
     def subgroup_generated(self, idxs) -> frozenset[int]:
-        gens = [i for i in idxs if i != 0]
-        members = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.mult(x, g)
-                    if y not in members:
-                        members.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return frozenset(members)
+        """Subgroup generated by an array-like of element indices.
+
+        Only candidates outside the subgroup built so far join the
+        generators, so each one at least doubles it; after each, the whole
+        subgroup is multiplied by the generators, then each new frontier.
+        """
+        wanted = np.zeros(len(self.elements), dtype=bool)
+        wanted[np.asarray(idxs, dtype=np.intp)] = True
+        inside = np.zeros(len(self.elements), dtype=bool)
+        inside[0] = True
+        gens = []
+        while (outside := np.flatnonzero(wanted & ~inside)).size:
+            gens.append(outside[0])
+            frontier = np.flatnonzero(inside)
+            while frontier.size:
+                products = self.table[np.ix_(frontier, gens)].ravel()
+                frontier = np.unique(products[~inside[products]])
+                inside[frontier] = True
+        return frozenset(np.flatnonzero(inside).tolist())
 
     def minimal_normal_subgroups(self) -> list[frozenset[int]]:
         """Minimal elements among the normal closures of nontrivial classes.
@@ -134,7 +128,7 @@ class GroupTable:
         xy = self.table[np.ix_(pool, pool)]
         # x^-1 y^-1 x y = (y x)^-1 (x y), and (y x) is the transpose of (x y)
         commutators = self.table[self.inverses[xy.T], xy]
-        return self.subgroup_generated(np.unique(commutators).tolist())
+        return self.subgroup_generated(commutators.ravel())
 
     def derived_series(self) -> list[frozenset[int]]:
         series = [frozenset(range(len(self.elements)))]

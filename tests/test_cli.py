@@ -90,8 +90,21 @@ def test_missing_torus_table_aborts_before_running():
     ["psl2", "--max-q", "4"],
     ["e-of", "55", "6"],
     ["e-of", "54", "0"],
+    ["analyze-group", "--group-spec", "bad-perm.json"],
+    ["analyze-group", "--group-spec", "truncated.json"],
+    ["analyze-group", "--group-spec", "missing.json"],
+    ["analyze-group", "--group-spec", "too-big.json"],
 ])
-def test_bad_input_aborts_before_running(argv):
+def test_bad_input_aborts_before_running(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    # S8 has more elements than the closure limit
+    s8 = [[1, 2, 3, 4, 5, 6, 7, 0], [1, 0, 2, 3, 4, 5, 6, 7]]
+    for name, spec in (("bad-perm.json", {"kind": "permutation", "degree": 3,
+                                          "generators": [[0, 0, 1]]}),
+                       ("too-big.json", {"kind": "permutation", "degree": 8,
+                                         "generators": s8})):
+        (tmp_path / name).write_text(json.dumps(spec))
+    (tmp_path / "truncated.json").write_text('{"kind": "permutation", "degree"')
     with pytest.raises(SystemExit, match="error: "):
         cli.main(argv)
 

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from chardeg import groupengine as ge
@@ -118,6 +119,43 @@ def test_class_sizes_divide_order():
         assert all(g.order % len(c) == 0 for c in classes)
 
 
+def test_table_queries_match_element_arithmetic():
+    # reference answers from element products alone, never the table
+    for g in (ge.symmetric_group(4), ge.gl2_3(), ge.quaternion_group(),
+              ge.build_example_group("isaacs_K", 3)):
+        elts = g.elements
+        index = {x: i for i, x in enumerate(elts)}
+        orbits = {tuple(sorted({index[y.inverse() * x * y] for y in elts}))
+                  for x in elts}
+        classes = [list(c) for c in sorted(orbits)]
+        assert g.conjugacy_classes() == classes
+        assert g.class_of().tolist() == [
+            next(c for c, members in enumerate(classes) if i in members)
+            for i in range(g.order)]
+
+        orders = []
+        for x in elts:
+            power, order = x, 1
+            while power != elts[0]:
+                power, order = power * x, order + 1
+            orders.append(order)
+        assert g.element_orders().tolist() == orders
+
+        def closure(idxs):
+            members = {elts[0]}
+            while True:
+                grown = members | {x * elts[i] for x in members for i in idxs}
+                if grown == members:
+                    return frozenset(index[x] for x in members)
+                members = grown
+
+        n = g.order
+        for idxs in ([], [0], [0, 1, 1], [n - 1, 0, n - 1, g.mult(1, n - 1)],
+                     [0, 2, 3, g.mult(2, 3), g.mult(3, 2), 2], classes[-1],
+                     g.generators + [g.mult(g.generators[0], 1)]):
+            assert g.subgroup_generated(idxs) == closure(idxs)
+
+
 def test_minimal_normal_subgroups_of_d8():
     d8 = ge.build_example_group("heisenberg", 2)
     minimal = d8.minimal_normal_subgroups()
@@ -179,7 +217,7 @@ def test_a5_values_on_five_cycles_are_golden_ratio_pair():
     rows = [row for d, row in zip(table.degrees, table.values) if d == 3]
     assert len(rows) == 2
     five_cycle_classes = [c for c, rep in enumerate(table.class_reps)
-                          if g.element_order(rep) == 5]
+                          if g.element_orders()[rep] == 5]
     assert len(five_cycle_classes) == 2
     for c in five_cycle_classes:
         u, v = rows[0][c], rows[1][c]
@@ -204,6 +242,19 @@ def test_folded_products_refuse_inexact_float_sums():
     table.values = [[Cyc(3, (2**30, 0, 0))] * 3 for _ in table.values]
     with pytest.raises(AssertionError):
         table.verify_row_orthogonality()
+
+
+def test_roots_are_exactly_the_linear_factors():
+    # (x - 9999)(x - 2)(x - 5000)(x^2 + 1) over GF(10007); 10007 = 3 mod 4,
+    # so x^2 + 1 has no root there
+    from chardeg.groupengine.dixon import _roots
+
+    ell = 10007
+    poly = [1, 0, 1]
+    for root in (9999, 2, 5000):
+        poly = [c % ell for c in np.convolve(poly, [-root, 1]).tolist()]
+    assert _roots(poly, ell) == [2, 5000, 9999]
+    assert _roots([1, 0, 1], ell) == []
 
 
 def test_table_resource_limit():
@@ -243,7 +294,7 @@ def test_example_group_orders():
     assert ge.build_example_group("isaacs_K", 4).order == 192
     heis = ge.build_example_group("heisenberg", 3)
     assert heis.order == 27
-    assert all(heis.element_order(i) in (1, 3) for i in range(heis.order))
+    assert set(heis.element_orders().tolist()) == {1, 3}
 
 
 def test_p_semidirect_l_equals_full_group():
