@@ -2,10 +2,12 @@
 machine-readable consolidated report.
 
 Each claim check returns pass / fail / inconclusive / out-of-scope together
-with the witnesses it examined; `verify-all` runs every configured claim and
-exits 0 exactly when nothing failed and nothing was inconclusive.  Reports
-are JSON arrays with stable claim ids, byte-identical across runs except for
-the timing fields.
+with the witnesses it examined; a claim that raises is reported as error and
+the others still run.  `verify-all` runs every configured claim and exits 0
+exactly when nothing failed, errored or was inconclusive, and 1 otherwise;
+a usage or input error is one line on stderr and exit code 2, before any
+claim runs.  Reports are JSON arrays with stable claim ids, byte-identical
+across runs except for the timing fields.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
+from typing import NoReturn
 
 from . import bounds, gf2poly, groupengine, lie, partitions, psl2, symalt
 from .degrees import DegreeMultiset
@@ -26,6 +29,7 @@ from .errors import PrecisionCapError, ResourceLimitError
 from .exactmath import p_part, prime_power
 
 PASS, FAIL, INCONCLUSIVE, OUT_OF_SCOPE = "pass", "fail", "inconclusive", "out-of-scope"
+ERROR = "error"
 
 
 @dataclass(frozen=True)
@@ -432,6 +436,8 @@ def _run_claim(args: tuple[str, RunConfig]) -> VerificationReport:
         status, witnesses = _CLAIM_MAP[claim](cfg)
     except PrecisionCapError as exc:
         status, witnesses = INCONCLUSIVE, [str(exc)]
+    except Exception as exc:  # one broken claim must not hide the others
+        status, witnesses = ERROR, [f"{type(exc).__name__}: {exc}"]
     return VerificationReport(claim, status, witnesses, time.perf_counter() - start)
 
 
@@ -460,31 +466,37 @@ def _exit_code(reports: list[VerificationReport]) -> int:
     return 0 if all(r.status in (PASS, OUT_OF_SCOPE) for r in reports) else 1
 
 
+def _abort(message: str) -> NoReturn:
+    """Reject a usage or input error: one line on stderr, exit code 2."""
+    print(message, file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "max_n", None) is not None:
         if not 7 <= args.max_n <= symalt.MAX_N:
-            raise SystemExit(f"configuration error: --max-n {args.max_n} "
-                             f"outside 7..{symalt.MAX_N}")
+            _abort(f"configuration error: --max-n {args.max_n} "
+                   f"outside 7..{symalt.MAX_N}")
         cfg = replace(cfg, rho_direct_max=args.max_n)
     if getattr(args, "induct_max", None) is not None:
         if args.induct_max < 75:
-            raise SystemExit(f"configuration error: --induct-max "
-                             f"{args.induct_max} is below 75")
+            _abort(f"configuration error: --induct-max "
+                   f"{args.induct_max} is below 75")
         cfg = replace(cfg, rho_induct_max=args.induct_max)
     if getattr(args, "max_q", None) is not None:
         if args.max_q < 5:
-            raise SystemExit(f"configuration error: --max-q {args.max_q} is below 5")
+            _abort(f"configuration error: --max-q {args.max_q} is below 5")
         cfg = replace(cfg, psl2_max_q=args.max_q)
     if getattr(args, "torus_table", None):
         if not Path(args.torus_table).is_file():
-            raise SystemExit(f"configuration error: torus table "
-                             f"{args.torus_table!r} does not exist")
+            _abort(f"configuration error: torus table "
+                   f"{args.torus_table!r} does not exist")
         cfg = replace(cfg, torus_table=args.torus_table)
     if getattr(args, "degrees", None):
         if not Path(args.degrees).is_file():
-            raise SystemExit(f"configuration error: degree file "
-                             f"{args.degrees!r} does not exist")
+            _abort(f"configuration error: degree file "
+                   f"{args.degrees!r} does not exist")
         cfg = replace(cfg, degrees_path=args.degrees)
     if getattr(args, "jobs", None):
         cfg = replace(cfg, jobs=args.jobs)
@@ -529,7 +541,7 @@ def main(argv=None) -> int:
         try:
             dec = bounds.e_of(args.order, args.degree)
         except ValueError as exc:
-            raise SystemExit(f"input error: {exc}") from None
+            _abort(f"input error: {exc}")
         print(f"|G| = {dec.order} = {dec.d} * ({dec.d} + {dec.e}), e = {dec.e}")
         if dec.e > 1:
             rep = bounds.verify_e4_bound(dec)
@@ -544,7 +556,7 @@ def main(argv=None) -> int:
         try:
             name, group = groupengine.load_group_file(args.group_spec)
         except (OSError, ValueError, ResourceLimitError) as exc:
-            raise SystemExit(f"input error: {exc}") from None
+            _abort(f"input error: {exc}")
         start = time.perf_counter()
         rep = groupengine.gagola_analyze(group)
         elapsed = time.perf_counter() - start

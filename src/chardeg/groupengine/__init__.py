@@ -18,7 +18,7 @@ from .constructions import (
     sl2_3,
     symmetric_group,
 )
-from .cyclotomic import Cyc, cyclotomic_polynomial
+from .cyclotomic import cyclotomic_polynomial
 from .dixon import CharacterTable, dixon_character_table
 from .elements import FrobMat, Mat, Perm, matrix
 from .field import GF, gf
@@ -29,7 +29,7 @@ from .table import GroupTable, close_group
 __all__ = [
     "GF", "gf", "Perm", "Mat", "FrobMat", "matrix",
     "GroupTable", "close_group",
-    "Cyc", "cyclotomic_polynomial",
+    "cyclotomic_polynomial",
     "CharacterTable", "dixon_character_table",
     "GagolaReport", "gagola_analyze",
     "group_from_dict", "load_group_file",

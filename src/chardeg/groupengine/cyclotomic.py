@@ -1,15 +1,18 @@
-"""Exact cyclotomic integers on the power basis of a primitive m-th root.
+"""Cyclotomic polynomials and exact reduction on the power basis of zeta_m.
 
-A value is an integer vector (c_0, ..., c_{m-1}) standing for the sum of
-c_u zeta**u.  Products are convolutions modulo x**m - 1; equality and the
-zero test reduce modulo the m-th cyclotomic polynomial, so they are exact
-and never float-thresholded.
+A cyclotomic integer is an integer vector (c_0, ..., c_{m-1}) standing for
+the sum of c_u zeta**u; a character table stores its values as one array of
+such vectors.  Two vectors are equal exactly when their difference times
+`reduction_matrix(m)` (reduction modulo the m-th cyclotomic polynomial) is
+zero, so equality and the zero test are integer arithmetic, never
+float-thresholded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from ..gf2poly import _divisors
 
@@ -48,97 +51,21 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _reduce(coeffs: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """Remainder of the vector modulo the m-th cyclotomic polynomial."""
+@lru_cache(maxsize=None)
+def reduction_matrix(m: int) -> np.ndarray:
+    """(m, phi(m)) matrix whose row u holds x**u modulo the m-th cyclotomic
+    polynomial; multiplying a raw coefficient vector by it yields the
+    canonical form on the basis 1, zeta, ..., zeta**(phi(m) - 1)."""
     phi = cyclotomic_polynomial(m)
     deg = len(phi) - 1
-    work = list(coeffs)
-    for shift in range(len(work) - 1 - deg, -1, -1):
-        coef = work[shift + deg]
-        if coef:
-            for i in range(deg + 1):
-                work[shift + i] -= coef * phi[i]
-    out = work[:deg]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class Cyc:
-    """Cyclotomic integer over the m-th roots of unity."""
-
-    m: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.m:
-            raise ValueError("coefficient vector must have length m")
-
-    @classmethod
-    def integer(cls, m: int, value: int) -> "Cyc":
-        return cls(m, (value,) + (0,) * (m - 1))
-
-    @classmethod
-    def root_power(cls, m: int, u: int, mult: int = 1) -> "Cyc":
-        coeffs = [0] * m
-        coeffs[u % m] = mult
-        return cls(m, tuple(coeffs))
-
-    def reduced(self) -> tuple[int, ...]:
-        return _reduce(self.coeffs, self.m)
-
-    def is_zero(self) -> bool:
-        return not self.reduced()
-
-    def as_int(self) -> int | None:
-        """The rational-integer value, or None if not a rational integer."""
-        red = self.reduced()
-        if len(red) <= 1:
-            return red[0] if red else 0
-        return None
-
-    def conjugate(self) -> "Cyc":
-        out = [0] * self.m
-        for u, c in enumerate(self.coeffs):
-            out[(-u) % self.m] += c
-        return Cyc(self.m, tuple(out))
-
-    def __add__(self, other: "Cyc") -> "Cyc":
-        self._check(other)
-        return Cyc(self.m, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Cyc") -> "Cyc":
-        self._check(other)
-        return Cyc(self.m, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other) -> "Cyc":
-        if isinstance(other, int):
-            return Cyc(self.m, tuple(c * other for c in self.coeffs))
-        self._check(other)
-        out = [0] * self.m
-        for u, a in enumerate(self.coeffs):
-            if a:
-                for v, b in enumerate(other.coeffs):
-                    if b:
-                        out[(u + v) % self.m] += a * b
-        return Cyc(self.m, tuple(out))
-
-    __rmul__ = __mul__
-
-    def _check(self, other: "Cyc") -> None:
-        if self.m != other.m:
-            raise ValueError("mixed root orders")
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.as_int() == other
-        if not isinstance(other, Cyc):
-            return NotImplemented
-        return self.m == other.m and (self - other).is_zero()
-
-    def __hash__(self):
-        return hash((self.m, self.reduced()))
-
-    def __repr__(self):
-        return f"Cyc({self.m}, {self.coeffs})"
+    rows = []
+    current = [1] + [0] * (deg - 1)
+    for _ in range(m):
+        rows.append(current)
+        overflow = current[-1]
+        current = [0] + current[:-1]
+        if overflow:
+            current = [c - overflow * p for c, p in zip(current, phi)]
+    out = np.array(rows, dtype=np.int64)
+    out.setflags(write=False)
+    return out

@@ -8,8 +8,11 @@ roots of its minimal polynomial, found by evaluating it at every point of
 GF(ell), so no step is randomized.  Degrees are recovered from the second
 orthogonality averages (they are small integers, so the modular image pins
 them down), and the character values are lifted to exact cyclotomic
-integers by inverting the power-map transform.  Both orthogonality
-relations are verified exactly before a table is returned.
+integers by inverting the power-map transform: the lift writes one integer
+array of coefficients on the powers of zeta_m, and every later check reads
+that array, reducing modulo the m-th cyclotomic polynomial by one matrix
+product.  Both orthogonality relations are verified exactly before a table
+is returned.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from ..degrees import DegreeMultiset
 from ..errors import ResourceLimitError
 from ..exactmath import factorize, is_prime
-from .cyclotomic import Cyc
+from .cyclotomic import reduction_matrix
 from .field import poly_divmod, poly_trim
 from .table import GroupTable
 
@@ -175,14 +178,19 @@ def _primitive_root_of_unity(ell: int, m: int) -> int:
 
 @dataclass
 class CharacterTable:
-    """Exact character table: cyclotomic values indexed by class."""
+    """Exact character table: cyclotomic values indexed by class.
+
+    values[t, c, u] is the coefficient of zeta_m**u in the value of
+    character t on class c (m = exponent), as the lift wrote it: the
+    multiplicity of that root of unity among the eigenvalues.
+    """
 
     group: GroupTable
     class_reps: list[int]
     class_sizes: list[int]
     exponent: int
     degrees: list[int]
-    values: list[list[Cyc]]  # rows = characters, columns = classes
+    values: np.ndarray  # (characters, classes, m) int64 coefficients
 
     @property
     def num_classes(self) -> int:
@@ -190,33 +198,6 @@ class CharacterTable:
 
     def degree_multiset(self) -> DegreeMultiset:
         return DegreeMultiset.from_degrees(self.degrees)
-
-    def _coeff_array(self) -> np.ndarray:
-        """(characters, classes, m) array of raw cyclotomic coefficients."""
-        k, m = self.num_classes, self.exponent
-        out = np.zeros((len(self.values), k, m), dtype=np.int64)
-        for t, row in enumerate(self.values):
-            for c, v in enumerate(row):
-                out[t, c] = v.coeffs
-        return out
-
-    def _reduction_matrix(self) -> np.ndarray:
-        """(m, phi(m)) matrix whose row u holds x**u modulo the cyclotomic
-        polynomial; multiplying a raw vector by it yields the canonical form."""
-        from .cyclotomic import cyclotomic_polynomial
-
-        phi = cyclotomic_polynomial(self.exponent)
-        deg = len(phi) - 1
-        rows = []
-        current = [0] * deg
-        current[0] = 1
-        for _ in range(self.exponent):
-            rows.append(list(current))
-            overflow = current[deg - 1]
-            current = [0] + current[: deg - 1]
-            if overflow:
-                current = [c - overflow * phi[i] for i, c in enumerate(current)]
-        return np.array(rows, dtype=np.int64)
 
     def _folded_products(self, left: np.ndarray, right: np.ndarray,
                          weights: np.ndarray) -> np.ndarray:
@@ -244,28 +225,24 @@ class CharacterTable:
     def _verify_against(self, sums: np.ndarray, targets: np.ndarray) -> bool:
         """Reduce length-m sums modulo the cyclotomic polynomial and compare
         with rational-integer targets."""
-        red = self._reduction_matrix()
-        reduced = sums @ red
+        reduced = sums @ reduction_matrix(self.exponent)
         expect = np.zeros_like(reduced)
-        if reduced.shape[-1]:
-            expect[..., 0] = targets
+        expect[..., 0] = targets
         return bool((reduced == expect).all())
 
     def verify_row_orthogonality(self) -> bool:
         """sum_c |C_c| chi_s(g_c) conj(chi_t(g_c)) = delta_st |G|, exactly."""
-        coeffs = self._coeff_array()
-        conj = coeffs[:, :, (-np.arange(self.exponent)) % self.exponent]
+        conj = self.values[:, :, (-np.arange(self.exponent)) % self.exponent]
         weights = np.array(self.class_sizes, dtype=np.int64)
-        sums = self._folded_products(coeffs, conj, weights)
+        sums = self._folded_products(self.values, conj, weights)
         targets = self.group.order * np.eye(len(self.values), dtype=np.int64)
         return self._verify_against(sums, targets)
 
     def verify_column_orthogonality(self) -> bool:
         """sum_t chi_t(g_i) conj(chi_t(g_j)) = delta_ij |G| / |C_i|, exactly."""
-        coeffs = self._coeff_array()
         k, m = self.num_classes, self.exponent
-        left = np.transpose(coeffs, (1, 0, 2))
-        conj = coeffs[:, :, (-np.arange(m)) % m]
+        left = np.transpose(self.values, (1, 0, 2))
+        conj = self.values[:, :, (-np.arange(m)) % m]
         right = np.transpose(conj, (1, 0, 2))
         weights = np.ones(len(self.values), dtype=np.int64)
         sums = self._folded_products(left, right, weights)
@@ -274,8 +251,7 @@ class CharacterTable:
         return self._verify_against(sums, targets)
 
     def nonzero_class_counts(self) -> list[int]:
-        coeffs = self._coeff_array()
-        reduced = coeffs @ self._reduction_matrix()
+        reduced = self.values @ reduction_matrix(self.exponent)
         return [int(count) for count in (reduced != 0).any(axis=2).sum(axis=1)]
 
 
@@ -354,10 +330,8 @@ def dixon_character_table(group: GroupTable) -> CharacterTable:
         raise AssertionError("degree squares do not sum to the group order")
 
     # modular character values X[t][j] = d_t * omega_t[j] / |C_j|
-    values_mod = [
-        [d * int(w[j]) * size_inv[j] % ell for j in range(k)]
-        for d, w in zip(degrees, omegas)
-    ]
+    values_mod = (np.array(degrees, dtype=np.int64)[:, np.newaxis] * np.array(omegas)
+                  % ell * np.array(size_inv, dtype=np.int64) % ell)
 
     # power maps: class of rep_j ** v for v = 0..m-1
     power_class = np.zeros((k, m), dtype=np.int64)
@@ -375,28 +349,25 @@ def dixon_character_table(group: GroupTable) -> CharacterTable:
         dtype=np.int64,
     ) * m_inv % ell
 
-    rows = []
+    # float64 products are exact: every sum is below m * (ell - 1)**2
+    if m * (ell - 1) ** 2 >= 2**53:
+        raise AssertionError("lift products would not be exact in float64")
+    transform = transform.astype(np.float64)
+    values = np.zeros((k, k, m), dtype=np.int64)
     for t in range(k):
-        xt = np.array(values_mod[t], dtype=np.int64)
-        p = xt[power_class]  # (k, m): value at class of g_j^v
-        if m * (ell - 1) ** 2 < 2**53:
-            coeff = (p.astype(np.float64) @ transform.astype(np.float64)) % ell
-            coeff = coeff.astype(np.int64) % ell
-        else:
-            coeff = (p @ transform) % ell
-        if (coeff > degrees[t]).any():
+        # values_mod[t][power_class] is (k, m): the value at the class of g_j^v
+        values[t] = values_mod[t][power_class].astype(np.float64) @ transform % ell
+        if (values[t] > degrees[t]).any():
             raise AssertionError("lifted multiplicities exceed the degree")
-        rows.append([Cyc(m, tuple(int(c) for c in coeff[j])) for j in range(k)])
 
-    order_rows = sorted(range(k), key=lambda t: (degrees[t],
-                        [rows[t][j].coeffs for j in range(k)]))
+    order_rows = sorted(range(k), key=lambda t: (degrees[t], values[t].tolist()))
     table = CharacterTable(
         group=group,
         class_reps=reps,
         class_sizes=sizes,
         exponent=m,
         degrees=[degrees[t] for t in order_rows],
-        values=[rows[t] for t in order_rows],
+        values=values[order_rows],
     )
     for d in table.degrees:
         if group.order % d:

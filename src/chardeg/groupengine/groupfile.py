@@ -25,10 +25,14 @@ from .table import GroupTable, close_group
 
 
 def group_from_dict(data: dict) -> GroupTable:
+    if not isinstance(data, dict):
+        raise ValueError("group specification must be a JSON object")
     kind = data.get("kind")
     gens_raw = data.get("generators")
-    if not isinstance(gens_raw, list) or not gens_raw:
-        raise ValueError("group specification needs a nonempty generators list")
+    if (not isinstance(gens_raw, list) or not gens_raw
+            or not all(isinstance(g, list) and all(isinstance(x, int) for x in g)
+                       for g in gens_raw)):
+        raise ValueError("group specification needs a nonempty list of integer lists")
     if kind == "permutation":
         degree = data.get("degree")
         if not isinstance(degree, int):
@@ -56,5 +60,5 @@ def group_from_dict(data: dict) -> GroupTable:
 
 def load_group_file(path) -> tuple[str, GroupTable]:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    name = data.get("name", Path(path).stem)
-    return name, group_from_dict(data)
+    group = group_from_dict(data)
+    return data.get("name", Path(path).stem), group

@@ -78,9 +78,14 @@ def test_seitz_with_shipped_table(capsys):
     assert out.count("PASS") == 2
 
 
-def test_missing_torus_table_aborts_before_running():
-    with pytest.raises(SystemExit, match="configuration error"):
+def test_missing_torus_table_aborts_before_running(capsys):
+    with pytest.raises(SystemExit) as exc:
         cli.main(["seitz", "--torus-table", "/nonexistent/torus.json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: torus table")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -94,19 +99,49 @@ def test_missing_torus_table_aborts_before_running():
     ["analyze-group", "--group-spec", "truncated.json"],
     ["analyze-group", "--group-spec", "missing.json"],
     ["analyze-group", "--group-spec", "too-big.json"],
+    ["analyze-group", "--group-spec", "int-generator.json"],
+    ["analyze-group", "--group-spec", "top-level-list.json"],
+    ["analyze-group", "--group-spec", "str-entry.json"],
 ])
-def test_bad_input_aborts_before_running(argv, tmp_path, monkeypatch):
+def test_bad_input_aborts_before_running(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     # S8 has more elements than the closure limit
     s8 = [[1, 2, 3, 4, 5, 6, 7, 0], [1, 0, 2, 3, 4, 5, 6, 7]]
     for name, spec in (("bad-perm.json", {"kind": "permutation", "degree": 3,
                                           "generators": [[0, 0, 1]]}),
                        ("too-big.json", {"kind": "permutation", "degree": 8,
-                                         "generators": s8})):
+                                         "generators": s8}),
+                       ("int-generator.json", {"kind": "permutation", "degree": 1,
+                                               "generators": [5]}),
+                       ("top-level-list.json", [{"kind": "permutation", "degree": 2,
+                                                 "generators": [[1, 0]]}]),
+                       ("str-entry.json", {"kind": "permutation", "degree": 2,
+                                           "generators": [["a", 0]]})):
         (tmp_path / name).write_text(json.dumps(spec))
     (tmp_path / "truncated.json").write_text('{"kind": "permutation", "degree"')
-    with pytest.raises(SystemExit, match="error: "):
+    with pytest.raises(SystemExit) as exc:
         cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(("configuration error: ", "input error: "))
+    assert captured.err.count("\n") == 1
+
+
+def test_claim_exception_is_reported_and_the_rest_still_run(tmp_path, monkeypatch, capsys):
+    def broken(cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._CLAIM_MAP, "lem5.1/extendible-witness", broken)
+    report = tmp_path / "psl2.json"
+    assert cli.main(["psl2", "--max-q", "50", "--report", str(report)]) == 1
+    assert "ERROR" in capsys.readouterr().out
+    statuses = {entry["claim"]: (entry["status"], entry["witnesses"])
+                for entry in json.loads(report.read_text())}
+    assert statuses.pop("lem5.1/extendible-witness") == ("error", ["RuntimeError: boom"])
+    assert set(statuses) == {"sec5-6/psl2-degree-sums", "lem6.2/theta2-stabilizer",
+                             "thm3.1/epsilon-psl2"}
+    assert all(status == "pass" for status, _ in statuses.values())
 
 
 def test_tracer_hook_points_resolve():

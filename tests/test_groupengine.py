@@ -5,9 +5,23 @@ import pytest
 
 from chardeg import groupengine as ge
 from chardeg.errors import ResourceLimitError
-from chardeg.groupengine.cyclotomic import Cyc, cyclotomic_polynomial
+from chardeg.groupengine.cyclotomic import cyclotomic_polynomial, reduction_matrix
 from chardeg.groupengine.elements import Mat, Perm
 from chardeg.groupengine.field import gf
+
+
+def _times(u, v):
+    """Product of two coefficient vectors: convolution modulo x**m - 1."""
+    m = len(u)
+    full = np.convolve(u, v)
+    out = full[:m].copy()
+    out[:m - 1] += full[m:]
+    return out
+
+
+def _root(m, u):
+    """Coefficient vector of zeta_m**u."""
+    return np.eye(m, dtype=np.int64)[u % m]
 
 
 # --- fields and elements ---------------------------------------------------
@@ -175,12 +189,13 @@ def test_cyclic_3_table_values_are_cube_roots():
     table = ge.dixon_character_table(g)
     assert table.degrees == [1, 1, 1]
     # the two nontrivial rows take each primitive cube root exactly once
-    nontrivial = [row for row in table.values
-                  if any(not v.is_zero() and v.as_int() is None for v in row)]
+    red = reduction_matrix(3)
+    reduced = table.values @ red
+    nontrivial = [row for row in reduced if row[:, 1:].any()]
     assert len(nontrivial) == 2
-    roots = {Cyc.root_power(3, 1), Cyc.root_power(3, 2)}
+    roots = sorted(tuple(_root(3, u) @ red) for u in (1, 2))
     for row in nontrivial:
-        assert set(row[1:]) == roots
+        assert sorted(tuple(v) for v in row[1:]) == roots
 
 
 def test_heisenberg_gf2_table():
@@ -211,7 +226,7 @@ def test_tables_agree_with_hook_formula_degrees():
 def test_a5_values_on_five_cycles_are_golden_ratio_pair():
     # the two degree-3 characters take the two roots of x^2 - x - 1 on each
     # class of five-cycles; their sum is 1 and product -1, checked in exact
-    # cyclotomic arithmetic
+    # integer arithmetic on the coefficient vectors
     g = ge.alternating_group(5)
     table = ge.dixon_character_table(g)
     rows = [row for d, row in zip(table.degrees, table.values) if d == 3]
@@ -219,11 +234,13 @@ def test_a5_values_on_five_cycles_are_golden_ratio_pair():
     five_cycle_classes = [c for c, rep in enumerate(table.class_reps)
                           if g.element_orders()[rep] == 5]
     assert len(five_cycle_classes) == 2
+    red = reduction_matrix(table.exponent)
+    one = _root(table.exponent, 0) @ red
     for c in five_cycle_classes:
         u, v = rows[0][c], rows[1][c]
-        assert (u + v).as_int() == 1
-        assert (u * v).as_int() == -1
-        assert u.as_int() is None  # genuinely irrational values
+        assert ((u + v) @ red == one).all()
+        assert (_times(u, v) @ red == -one).all()
+        assert (u @ red)[1:].any()  # genuinely irrational values
 
 
 def test_table_invariants_on_assorted_groups():
@@ -239,7 +256,8 @@ def test_table_invariants_on_assorted_groups():
 def test_folded_products_refuse_inexact_float_sums():
     # 3 * 2**30 * 2**30 exceeds 2**53: the float64 products could round
     table = ge.dixon_character_table(ge.cyclic_group(3))
-    table.values = [[Cyc(3, (2**30, 0, 0))] * 3 for _ in table.values]
+    table.values = np.zeros_like(table.values)
+    table.values[:, :, 0] = 2**30
     with pytest.raises(AssertionError):
         table.verify_row_orthogonality()
 
@@ -255,6 +273,16 @@ def test_roots_are_exactly_the_linear_factors():
         poly = [c % ell for c in np.convolve(poly, [-root, 1]).tolist()]
     assert _roots(poly, ell) == [2, 5000, 9999]
     assert _roots([1, 0, 1], ell) == []
+
+
+def test_lift_products_are_float_exact_for_every_accepted_group():
+    # the lift multiplies in float64 and refuses m * (ell - 1)**2 >= 2**53;
+    # ell never shrinks as the order grows, so the largest accepted order
+    # bounds every group the engine takes
+    from chardeg.groupengine.dixon import DIXON_MAX_ORDER, _find_modulus
+
+    for m in range(1, DIXON_MAX_ORDER + 1):
+        assert m * (_find_modulus(DIXON_MAX_ORDER, m) - 1) ** 2 < 2**53, m
 
 
 def test_table_resource_limit():
@@ -370,12 +398,18 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
 
-def test_cyc_arithmetic():
-    zeta = Cyc.root_power(5, 1)
-    total = zeta
-    for k in (2, 3, 4):
-        total = total + Cyc.root_power(5, k)
-    assert total.as_int() == -1          # sum of all nontrivial fifth roots
-    assert (zeta * zeta.conjugate()).as_int() == 1
-    assert Cyc.integer(6, 3) == 3
-    assert not zeta.is_zero()
+def test_reduction_matrix():
+    red = reduction_matrix(5)
+    assert red.shape == (5, 4)
+    # the nontrivial fifth roots sum to -1
+    assert (sum(_root(5, u) for u in (1, 2, 3, 4)) @ red).tolist() == [-1, 0, 0, 0]
+    # zeta * conj(zeta) = 1 for every power of zeta
+    for u in range(5):
+        assert (_times(_root(5, u), _root(5, -u)) @ red).tolist() == [1, 0, 0, 0]
+    assert (3 * _root(6, 0) @ reduction_matrix(6)).tolist() == [3, 0]
+    assert (_root(5, 1) @ red).any()
+    # row u is x**u modulo phi_m, so phi_m itself reduces to zero (m >= 2,
+    # where deg phi_m < m)
+    for m in (2, 4, 6, 12, 30):
+        phi = np.array(cyclotomic_polynomial(m))
+        assert not (phi @ reduction_matrix(m)[:len(phi)]).any()
