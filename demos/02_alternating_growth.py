@@ -4,28 +4,30 @@ symmetric group.
 
 Only partitions different from their transpose contribute extendible
 characters.  The headline inequality rho(n) > (n!/2)**(3/8) is checked
-exactly: directly (8 * rho**8 > (n!)**3) for small n, and through three
-square-root inequalities, evaluated in outward-rounded interval arithmetic,
-for large n.
+exactly: for 7 <= n <= 74 by one certificate partition per n whose degree
+meets 8 * f**8 > (n!)**3 (any such partition bounds rho(n) from below), and
+from n = 75 on through three square-root inequalities, evaluated in
+outward-rounded interval arithmetic.
 """
 
-from math import factorial
+from math import factorial, log
 
-from chardeg.symalt import rho_an, rho_witness, verify_rho_growth
+from chardeg.partitions import hook_degree
+from chardeg.symalt import rho_an, rho_certificates, rho_witness, verify_rho_growth
 
-print("rho(n) and its witness partition:")
+print("rho(n) and its witness partition, by brute force:")
 for n in range(7, 16):
     print(f"  n={n:2d}: rho = {rho_an(n):6d}  from {rho_witness(n)}")
 
-print("\ndirect check 8 * rho**8 > (n!)**3 at n = 7..20:")
-for n in (7, 10, 15, 20):
-    lhs = 8 * rho_an(n) ** 8
-    rhs = factorial(n) ** 3
-    print(f"  n={n:2d}: margin factor ~ {lhs // rhs}")
+certs = dict(rho_certificates())
+print("\ncertificates: 8 * f**8 > (n!)**3 for f the degree of one partition")
+print("(the margin ln(8 * f**8 / (n!)**3) is smallest at n = 8):")
+for n in (7, 8, 10, 20, 40, 74):
+    f = hook_degree(certs[n])
+    margin = log(8 * f**8) - log(factorial(n) ** 3)
+    print(f"  n={n:2d}: margin {margin:7.2f}  from {certs[n]}")
 
-report = verify_rho_growth(20, 200)
 print("\ninduction inequalities from n = 75 on:")
-print(f"  checked n = 75..200 plus spot 10**6: failures {report.induction_failures}")
-print(f"  band between the direct cap and 75 where an inequality fails: "
-      f"{report.uncovered[:6]}... ({len(report.uncovered)} values)")
-print("  (the band is covered by the direct computation once it runs to 60)")
+print(f"  checked n = 75..200 plus spot 10**6: failures {verify_rho_growth(200)}")
+print(f"  the certificates cover n = {min(certs)}..{max(certs)}, "
+      f"so no n >= 7 is left unchecked")

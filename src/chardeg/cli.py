@@ -77,7 +77,6 @@ class RunConfig:
     """The ranges and inputs a caller can set; every other range is a
     constant beside the claim that reads it."""
 
-    rho_direct_max: int = 60
     rho_induct_max: int = 10_000
     psl2_max_q: int = 10_000
     torus_table: str | None = None
@@ -137,26 +136,25 @@ def _check_branching(cfg: RunConfig):
 
 
 def _check_rho_direct(cfg: RunConfig):
-    bad = [n for n in range(7, cfg.rho_direct_max + 1)
-           if not 8 * symalt.rho_an(n) ** 8 > factorial(n) ** 3]
-    return (FAIL if bad else PASS), [f"n=7..{cfg.rho_direct_max}", f"failures={bad}"]
+    # the certificates are data: each one is checked here, whatever made it
+    certs = symalt.rho_certificates()
+    given = dict(certs)
+    bad = [n for n in range(7, symalt.INDUCTION_START)
+           if n not in given or not symalt.certifies_rho_bound(n, given[n])]
+    return (FAIL if bad else PASS), [
+        f"n=7..{symalt.INDUCTION_START - 1}", f"failures={bad}",
+        [[n, list(lam)] for n, lam in certs]]
 
 
 RHO_SPOTS = (10**6,)
 
 
 def _check_rho_induction(cfg: RunConfig):
-    try:
-        report = symalt.verify_rho_growth(cfg.rho_direct_max, cfg.rho_induct_max,
-                                          RHO_SPOTS)
-    except PrecisionCapError as exc:
-        return INCONCLUSIVE, [str(exc)]
-    status = PASS if not report.induction_failures else FAIL
-    return status, [
-        f"induction n=75..{cfg.rho_induct_max}",
+    bad = symalt.verify_rho_growth(cfg.rho_induct_max, RHO_SPOTS)
+    return (FAIL if bad else PASS), [
+        f"induction n={symalt.INDUCTION_START}..{cfg.rho_induct_max}",
         f"spots={list(RHO_SPOTS)}",
-        f"failures={report.induction_failures}",
-        f"uncovered_band={report.uncovered}",
+        f"failures={bad}",
     ]
 
 
@@ -379,13 +377,28 @@ def _check_degree_records(cfg: RunConfig):
         records = ingest_degree_records(cfg.degrees_path)
     except ValueError as exc:
         return FAIL, [str(exc)]
-    summaries = []
+    summaries, bad = [], []
+    checked = skipped = 0
     for rec in records:
         rep = bounds.simple_bound_report(rec.degrees)
         eps = bounds.epsilon_of(rec.degrees)
         summaries.append(f"{rec.name}: b={rep.b} epsilon={eps} "
                          f"gt_2b2={rep.gt_2b2} lt_2e2={rep.lt_2e2}")
-    return PASS, summaries
+        # the abstract's theorem: |G| <= e**4 - e**3 for every degree with e > 1
+        for d, _ in rec.degrees:
+            if rec.order % d:
+                bad.append(f"{rec.name}: degree {d} does not divide order {rec.order}")
+                continue
+            dec = bounds.e_of(rec.order, d)
+            if dec.e <= 1:
+                skipped += 1
+                continue
+            checked += 1
+            if not bounds.verify_e4_bound(dec).holds:
+                bad.append(f"{rec.name}: degree {d}, e={dec.e}, order {rec.order} "
+                           f"> e^4-e^3 = {dec.e**4 - dec.e**3}")
+    return (FAIL if bad else PASS), summaries + [
+        f"e4-bound pairs checked={checked} skipped_e_le_1={skipped}", f"failures={bad}"]
 
 
 CLAIMS: list[tuple[str, object]] = [
@@ -478,11 +491,10 @@ def _config_from_args(args) -> RunConfig:
         if not 7 <= args.max_n <= symalt.MAX_N:
             _abort(f"configuration error: --max-n {args.max_n} "
                    f"outside 7..{symalt.MAX_N}")
-        cfg = replace(cfg, rho_direct_max=args.max_n)
     if getattr(args, "induct_max", None) is not None:
-        if args.induct_max < 75:
+        if args.induct_max < symalt.INDUCTION_START:
             _abort(f"configuration error: --induct-max "
-                   f"{args.induct_max} is below 75")
+                   f"{args.induct_max} is below {symalt.INDUCTION_START}")
         cfg = replace(cfg, rho_induct_max=args.induct_max)
     if getattr(args, "max_q", None) is not None:
         if args.max_q < 5:
@@ -514,7 +526,9 @@ def main(argv=None) -> int:
         p.add_argument("--jobs", type=int, default=1,
                        help="worker processes for independent claims")
         p.add_argument("--max-n", type=int, dest="max_n",
-                       help="cap for the direct alternating-degree range")
+                       help="accepted for old command lines and ignored: "
+                            "rho-direct always certifies n=7..74; "
+                            "values outside 7..60 are still rejected")
         p.add_argument("--induct-max", type=int, dest="induct_max",
                        help="cap for the induction inequality range")
         p.add_argument("--max-q", type=int, dest="max_q",

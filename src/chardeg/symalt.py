@@ -4,23 +4,26 @@ the largest degree extendible from the alternating to the symmetric group.
 An irreducible degree of the alternating group on n letters extends to the
 symmetric group exactly when its partition differs from its transpose; the
 largest such degree is written rho(n) here.  The headline fact checked by
-this module is rho(n)**8 * 8 > (n!)**3, i.e. rho(n) > (n!/2)**(3/8), directly
-for small n and through three root-inequalities for large n.
+this module is rho(n)**8 * 8 > (n!)**3, i.e. rho(n) > (n!/2)**(3/8).  Only a
+lower bound for rho(n) is needed, so for 7 <= n <= 74 one certificate
+partition per n proves it, and from 75 on three root-inequalities carry the
+induction.  The exact rho(n) is computed by brute force for small n only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import factorial
 
 from .degrees import DegreeMultiset
 from .errors import ResourceLimitError
 from .exactmath import RatInterval, interval_gt, root_interval, sqrt_interval
-from .partitions import add_node, boundary_nodes, conjugate, hook_degree, partitions_of
+from .partitions import (
+    add_node, boundary_nodes, conjugate, hook_degree, is_partition, partitions_of,
+)
 
 MAX_N = 60
-
-_rho_cache: dict[int, tuple[int, tuple[int, ...]]] = {}
+# the induction inequalities hold from here on; certificates cover 7..74
+INDUCTION_START = 75
 
 
 def _check_range(n: int, low: int = 1) -> None:
@@ -57,66 +60,45 @@ def an_degrees(n: int) -> DegreeMultiset:
     return DegreeMultiset.from_degrees(out)
 
 
-def _min_hook_product(n: int, seed: tuple[int | None, tuple[int, ...] | None]):
-    """(product, partition) minimizing the hook product over non-self-conjugate
-    partitions of n.  Minimizing the product maximizes the degree, and a
-    known achievable seed lets most partitions abort after a few rows."""
-    best, arg = seed
-    for lam in partitions_of(n):
-        conj = conjugate(lam)
-        if conj == lam:
-            continue
-        p = 1
-        for j, lam_j in enumerate(lam, start=1):
-            for i in range(1, lam_j + 1):
-                p *= lam_j - i + conj[i - 1] - j + 1
-            if best is not None and p >= best:
-                p = None
-                break
-        if p is not None and (best is None or p < best):
-            best, arg = p, lam
-    return best, arg
-
-
-def _rho_entry(n: int) -> tuple[int, tuple[int, ...]]:
-    """(degree, partition) attaining rho(n); results cached, computed in a
-    sweep from small n so each level seeds the next."""
-    if n in _rho_cache:
-        return _rho_cache[n]
-    start = 5
-    while start in _rho_cache and start < n:
-        start += 1
-    for m in range(start, n + 1):
-        if m in _rho_cache:
-            continue
-        seed = (None, None)
-        prev = _rho_cache.get(m - 1)
-        if prev is not None:
-            fact_m = factorial(m)
-            best, arg = None, None
-            for node in boundary_nodes(prev[1])[0]:
-                cand = add_node(prev[1], node)
-                if cand == conjugate(cand):
-                    continue
-                p = fact_m // hook_degree(cand)
-                if best is None or p < best:
-                    best, arg = p, cand
-            seed = (best, arg)
-        product, lam = _min_hook_product(m, seed)
-        _rho_cache[m] = (factorial(m) // product, lam)
-    return _rho_cache[n]
+def rho_witness(n: int) -> tuple[int, ...]:
+    """A partition attaining rho(n), by brute force over every partition of
+    n; the first maximiser in the order of `partitions_of`.  Meant for small
+    n: the claims use `rho_certificates` instead."""
+    _check_range(n, low=5)
+    return max((lam for lam in partitions_of(n) if lam != conjugate(lam)),
+               key=hook_degree)
 
 
 def rho_an(n: int) -> int:
     """Largest degree over partitions of n that differ from their transpose."""
-    _check_range(n, low=5)
-    return _rho_entry(n)[0]
+    return hook_degree(rho_witness(n))
 
 
-def rho_witness(n: int) -> tuple[int, ...]:
-    """A partition attaining rho_an(n)."""
-    _check_range(n, low=5)
-    return _rho_entry(n)[1]
+def rho_certificates() -> list[tuple[int, tuple[int, ...]]]:
+    """One non-self-conjugate partition lam of n for each 7 <= n < 75.
+
+    The chain starts at (3,1,1) and at each n adds the addable node giving
+    the largest degree among the results that differ from their transpose
+    (ties to the larger partition).  Its degree is a lower bound for rho(n),
+    not always rho(n) itself, which is all the growth bound needs; whether
+    each entry proves the bound is decided by `certifies_rho_bound`.
+    """
+    lam, out = (3, 1, 1), []
+    for n in range(6, INDUCTION_START):
+        grown = (add_node(lam, node) for node in boundary_nodes(lam)[0])
+        lam = max((c for c in grown if c != conjugate(c)),
+                  key=lambda c: (hook_degree(c), c))
+        if n >= 7:
+            out.append((n, lam))
+    return out
+
+
+def certifies_rho_bound(n: int, lam) -> bool:
+    """True when lam is a partition of n other than its transpose with
+    8 * f**8 > (n!)**3 for its degree f; then rho(n) >= f proves the bound."""
+    lam = tuple(lam)
+    return (is_partition(lam) and sum(lam) == n and lam != conjugate(lam)
+            and 8 * hook_degree(lam) ** 8 > factorial(n) ** 3)
 
 
 def _induction_inequalities(n: int) -> tuple[bool, bool, bool]:
@@ -147,53 +129,11 @@ def _induction_inequalities(n: int) -> tuple[bool, bool, bool]:
     return interval_gt(lhs1, rhs), interval_gt(lhs2, rhs), interval_gt(lhs3, rhs)
 
 
-@dataclass
-class RhoGrowthReport:
-    """Outcome of the direct and induction-range growth checks."""
-
-    direct: list[tuple[int, bool]] = field(default_factory=list)
-    gap_band: list[tuple[int, tuple[bool, bool, bool]]] = field(default_factory=list)
-    induction: list[tuple[int, tuple[bool, bool, bool]]] = field(default_factory=list)
-    spot: list[tuple[int, tuple[bool, bool, bool]]] = field(default_factory=list)
-
-    @property
-    def direct_failures(self) -> list[int]:
-        return [n for n, ok in self.direct if not ok]
-
-    @property
-    def induction_failures(self) -> list[int]:
-        return [n for n, oks in self.induction + self.spot if not all(oks)]
-
-    @property
-    def uncovered(self) -> list[int]:
-        """n in the gap band where an induction inequality fails; these are
-        covered by neither the direct computation nor the growth argument."""
-        return [n for n, oks in self.gap_band if not all(oks)]
-
-    @property
-    def all_pass(self) -> bool:
-        return not self.direct_failures and not self.induction_failures
-
-
 def verify_rho_growth(
-    n_direct_max: int,
     n_induct_max: int,
     spot_checks: tuple[int, ...] = (10**6,),
-) -> RhoGrowthReport:
-    """Check rho(n) > (n!/2)**(3/8) directly for 7 <= n <= n_direct_max, and
-    the three induction inequalities for 75 <= n <= n_induct_max plus the
-    given spot values.  The band between the direct cap and 75 is reported
-    explicitly rather than silently assumed."""
-    if n_direct_max > MAX_N:
-        raise ResourceLimitError(f"direct range capped at {MAX_N}")
-    report = RhoGrowthReport()
-    for n in range(7, n_direct_max + 1):
-        rho = rho_an(n)
-        report.direct.append((n, 8 * rho**8 > factorial(n) ** 3))
-    for n in range(n_direct_max + 1, min(75, n_induct_max + 1)):
-        report.gap_band.append((n, _induction_inequalities(n)))
-    for n in range(75, n_induct_max + 1):
-        report.induction.append((n, _induction_inequalities(n)))
-    for n in spot_checks:
-        report.spot.append((n, _induction_inequalities(n)))
-    return report
+) -> list[int]:
+    """The n among 75..n_induct_max and the spot values at which one of the
+    three induction inequalities fails; below 75 the certificates take over."""
+    ns = [*range(INDUCTION_START, n_induct_max + 1), *spot_checks]
+    return [n for n in ns if not all(_induction_inequalities(n))]

@@ -46,7 +46,7 @@ def test_criterion_01_hook_formula_identity():
 
 
 def test_criterion_02_alternating_degree_growth():
-    _criterion(2, "extendible alternating degree growth", 300,
+    _criterion(2, "extendible alternating degree growth", 30,
                "thm2.1/rho-direct", "thm2.1/rho-induction")
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from chardeg import cli
+from chardeg import cli, symalt
 from chardeg.psl2 import psl2_degrees
 
 TORUS_TABLE = str(Path(__file__).parent.parent / "data" / "torus_orders.json")
@@ -188,10 +188,59 @@ def test_report_determinism(tmp_path, capsys):
     assert a == b
 
 
-def test_rho_subcommand_single_witness(capsys):
-    assert cli.main(["rho", "--max-n", "7", "--induct-max", "80"]) == 0
+def test_rho_subcommand_single_witness(tmp_path, capsys):
+    report = tmp_path / "rho.json"
+    assert cli.main(["rho", "--max-n", "7", "--induct-max", "80",
+                     "--report", str(report)]) == 0
     out = capsys.readouterr().out
-    assert "thm2.1/rho-direct" in out and "n=7..7" in out
+    assert "thm2.1/rho-direct" in out and "n=7..74" in out
+    direct = json.loads(report.read_text())[0]
+    assert direct["claim"] == "thm2.1/rho-direct"
+    assert direct["witnesses"][2][0] == [7, [4, 2, 1]]
+
+
+def test_rho_benchmark_command_covers_7_to_74(tmp_path, capsys):
+    report = tmp_path / "rho.json"
+    assert cli.main(["rho", "--max-n", "50", "--induct-max", "80",
+                     "--report", str(report)]) == 0
+    capsys.readouterr()
+    direct, induction = json.loads(report.read_text())
+    assert direct["status"] == induction["status"] == "pass"
+    assert direct["witnesses"][:2] == ["n=7..74", "failures=[]"]
+    assert [n for n, _ in direct["witnesses"][2]] == list(range(7, 75))
+    assert induction["witnesses"][0] == "induction n=75..80"
+
+
+@pytest.mark.parametrize("n, bad_lam", [
+    (8, (4, 2, 1, 1)),   # self-conjugate, though 8 * 90**8 > (8!)**3
+    (10, (5, 3, 2, 1)),  # the certificate of 11, large enough for 10
+    (7, (6, 1)),         # degree 6: 8 * 6**8 < (7!)**3
+    (30, None),          # no certificate at all
+])
+def test_rho_direct_checks_every_certificate(n, bad_lam, monkeypatch):
+    certs = dict(symalt.rho_certificates())
+    if bad_lam is None:
+        del certs[n]
+    else:
+        certs[n] = bad_lam
+    monkeypatch.setattr(symalt, "rho_certificates", lambda: list(certs.items()))
+    [report] = cli.run_claims(["thm2.1/rho-direct"], cli.RunConfig())
+    assert report.status == "fail"
+    assert report.witnesses[1] == f"failures={[n]}"
+
+
+@pytest.mark.parametrize("order, degrees, reason", [
+    # d = 3 gives e = 15/3 - 3 = 2, and 15 > 2**4 - 2**3
+    (15, [[3, 1], [1, 6]], "X: degree 3, e=2, order 15 > e^4-e^3 = 8"),
+    (5, [[2, 1], [1, 1]], "X: degree 2 does not divide order 5"),
+])
+def test_degree_record_breaking_the_quartic_bound_fails(order, degrees, reason,
+                                                       tmp_path, capsys):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps({"name": "X", "order": order, "degrees": degrees}) + "\n")
+    assert cli.main(["epsilon", "--degrees", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out and reason in out
 
 
 def test_claim_registry_is_consistent():

@@ -5,8 +5,8 @@ import pytest
 from chardeg.errors import ResourceLimitError
 from chardeg.partitions import conjugate, hook_degree, partitions_of
 from chardeg.symalt import (
-    an_degrees, rho_an, rho_witness, sn_degrees, verify_rho_growth,
-    _induction_inequalities,
+    an_degrees, rho_an, rho_certificates, rho_witness, sn_degrees,
+    verify_rho_growth, _induction_inequalities,
 )
 
 
@@ -40,11 +40,12 @@ def test_rho_small_values():
     assert rho_an(7) == 35
 
 
-def test_rho_matches_brute_force():
-    for n in range(5, 13):
-        brute = max(hook_degree(lam) for lam in partitions_of(n)
-                    if lam != conjugate(lam))
-        assert rho_an(n) == brute
+def test_certificates_never_exceed_rho():
+    certs = dict(rho_certificates())
+    assert list(certs) == list(range(7, 75))
+    for n in range(7, 21):
+        assert sum(certs[n]) == n
+        assert hook_degree(certs[n]) <= rho_an(n)
 
 
 def test_rho_witness_attains_value():
@@ -72,24 +73,12 @@ def test_rho_range_checks():
         sn_degrees(61)
 
 
-def test_direct_growth_small():
-    report = verify_rho_growth(12, 0, spot_checks=())
-    assert [n for n, _ in report.direct] == list(range(7, 13))
-    assert report.all_pass
-    assert not report.uncovered
-
-
 def test_induction_inequalities_hold_from_75():
     for n in (75, 76, 100, 1000):
         assert all(_induction_inequalities(n))
 
 
-def test_gap_band_failures_are_reported_not_hidden():
-    report = verify_rho_growth(12, 80, spot_checks=())
-    gap_ns = [n for n, _ in report.gap_band]
-    assert gap_ns == list(range(13, 75))
-    # the third inequality genuinely fails near the bottom of the band
-    assert any(not all(oks) for _, oks in report.gap_band)
-    assert report.uncovered
-    # but failures in the band do not count against the claim itself
-    assert report.all_pass
+def test_induction_fails_at_74_so_certificates_must_reach_it():
+    assert not all(_induction_inequalities(74))
+    assert verify_rho_growth(80, spot_checks=()) == []
+
