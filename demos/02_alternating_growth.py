@@ -6,8 +6,8 @@ Only partitions different from their transpose contribute extendible
 characters.  The headline inequality rho(n) > (n!/2)**(3/8) is checked
 exactly: for 7 <= n <= 74 by one certificate partition per n whose degree
 meets 8 * f**8 > (n!)**3 (any such partition bounds rho(n) from below), and
-from n = 75 on through three square-root inequalities, evaluated in
-outward-rounded interval arithmetic.
+from n = 75 on through three square-root inequalities, evaluated on
+outward-rounded dyadic intervals: integer numerators over a scale 2**bits.
 """
 
 from math import factorial, log

@@ -3,16 +3,17 @@
 Every inequality verified by this package reduces to an exact integer or
 rational comparison.  Fractional powers are compared by cross-exponentiation
 (a > b^(x/y) iff a**y > b**x for positive integers), and genuinely irrational
-quantities such as square roots are enclosed in rational intervals with
-outward rounding, so a strict inequality is accepted only when the intervals
-separate completely.  No floating point is used anywhere.
+quantities such as square roots are enclosed in dyadic intervals: integer
+numerators over a scale 2**bits, rounded outward, so a strict inequality is
+accepted only when the intervals separate completely.  Interval arithmetic
+uses integer shifts, products and floor divisions only (no Fraction, no
+gcd), and no floating point is used anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
+from operator import index
 
 from .errors import PrecisionCapError
 
@@ -116,8 +117,11 @@ def iroot(m: int, k: int) -> int:
         raise ValueError("iroot requires m >= 0 and k >= 1")
     if k == 1 or m in (0, 1):
         return m
-    if k == 2:
-        return isqrt(m)
+    if k & (k - 1) == 0:
+        # floor(sqrt(floor(y))) = floor(sqrt(y)), so nested isqrt is exact
+        while k > 1:
+            m, k = isqrt(m), k // 2
+        return m
     x = 1 << (m.bit_length() // k + 1)
     while True:
         y = ((k - 1) * x + m // x ** (k - 1)) // k
@@ -131,114 +135,108 @@ def iroot(m: int, k: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class RatInterval:
-    """Closed interval with exact rational endpoints, lo <= hi.
+class DyadicInterval:
+    """Closed interval [lo / 2**bits, hi / 2**bits] with integer numerators
+    lo <= hi over a scale shared by the operands of each operation.
 
-    Arithmetic follows outward (Moore) rules; endpoints stay exact so the
-    only approximation ever introduced is at the root enclosures.
+    An int operand is exact at any scale.  Sums and differences are exact.
+    Products and quotients round outward to the scale, floor for `lo` and
+    ceiling for `hi`, so the result holds the exact (Moore) interval of the
+    operands and exceeds it by less than 2**-bits at each end.  Only integer
+    shifts, products and floor divisions are used.
     """
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi", "bits")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo: int, hi: int, bits: int):
+        if lo > hi:
+            raise ValueError(f"empty interval [{lo}, {hi}] / 2**{bits}")
+        self.lo, self.hi, self.bits = lo, hi, bits
 
-    @classmethod
-    def point(cls, x) -> "RatInterval":
-        x = Fraction(x)
-        return cls(x, x)
+    def __repr__(self):
+        return f"DyadicInterval({self.lo}, {self.hi}, bits={self.bits})"
 
-    @staticmethod
-    def _coerce(x) -> "RatInterval":
-        if isinstance(x, RatInterval):
+    def _coerce(self, x) -> "DyadicInterval":
+        if isinstance(x, DyadicInterval):
+            if x.bits != self.bits:
+                raise ValueError(f"scales differ: 2**{self.bits} and 2**{x.bits}")
             return x
-        return RatInterval.point(x)
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
+        x = index(x) << self.bits
+        return DyadicInterval(x, x, self.bits)
 
     def contains(self, x) -> bool:
-        x = Fraction(x)
-        return self.lo <= x <= self.hi
+        """Whether the int or Fraction x lies in the interval."""
+        p, q = x.numerator << self.bits, x.denominator
+        return self.lo * q <= p <= self.hi * q
 
     def __add__(self, other):
         o = self._coerce(other)
-        return RatInterval(self.lo + o.lo, self.hi + o.hi)
+        return DyadicInterval(self.lo + o.lo, self.hi + o.hi, self.bits)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return RatInterval(-self.hi, -self.lo)
-
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        o = self._coerce(other)
+        return DyadicInterval(self.lo - o.hi, self.hi - o.lo, self.bits)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return self._coerce(other) - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o, b = self._coerce(other), self.bits
         products = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return RatInterval(min(products), max(products))
+        return DyadicInterval(min(products) >> b, -(-max(products) >> b), b)
 
     __rmul__ = __mul__
 
-    def _reciprocal(self) -> "RatInterval":
-        if self.lo <= 0 <= self.hi:
-            raise ZeroDivisionError("interval straddles zero")
-        return RatInterval(1 / self.hi, 1 / self.lo)
-
     def __truediv__(self, other):
-        return self * self._coerce(other)._reciprocal()
+        o, b = self._coerce(other), self.bits
+        if o.lo <= 0 <= o.hi:
+            raise ZeroDivisionError("interval straddles zero")
+        lo, hi = self.lo << b, self.hi << b
+        return DyadicInterval(min(lo // o.lo, lo // o.hi, hi // o.lo, hi // o.hi),
+                              -min(-lo // o.lo, -lo // o.hi, -hi // o.lo, -hi // o.hi), b)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self._reciprocal()
+        """other / self; the reciprocal is [4**bits // hi, ceil(4**bits / lo)]."""
+        return self._coerce(other) / self
 
 
-def sqrt_interval(n: int, precision_bits: int) -> RatInterval:
-    """Enclose sqrt(n) in an interval of width <= 2**-precision_bits.
-
-    Endpoints satisfy lo*lo <= n <= hi*hi.
-    """
+def sqrt_interval(n: int, precision_bits: int) -> DyadicInterval:
+    """Enclose sqrt(n) in an interval of width <= 2**-precision_bits at the
+    scale 2**precision_bits: lo**2 <= n * 4**bits <= hi**2."""
     if n < 0:
         raise ValueError("sqrt_interval requires n >= 0")
     if precision_bits < 0:
         raise ValueError("precision_bits must be nonnegative")
-    scale = 1 << precision_bits
-    s = isqrt(n << (2 * precision_bits))
-    lo = Fraction(s, scale)
-    if s * s == n << (2 * precision_bits):
-        return RatInterval(lo, lo)
-    return RatInterval(lo, Fraction(s + 1, scale))
+    m = n << (2 * precision_bits)
+    s = isqrt(m)
+    return DyadicInterval(s, s if s * s == m else s + 1, precision_bits)
 
 
-def root_interval(m: int, k: int, precision_bits: int) -> RatInterval:
-    """Enclose the k-th root of m >= 0 in an interval of width <= 2**-precision_bits."""
+def root_interval(m: int, k: int, precision_bits: int) -> DyadicInterval:
+    """Enclose the k-th root of m >= 0 in an interval of width
+    <= 2**-precision_bits at the scale 2**precision_bits."""
     if m < 0:
         raise ValueError("root_interval requires m >= 0")
-    scale = 1 << precision_bits
-    r = iroot(m << (k * precision_bits), k)
-    lo = Fraction(r, scale)
-    if r**k == m << (k * precision_bits):
-        return RatInterval(lo, lo)
-    return RatInterval(lo, Fraction(r + 1, scale))
+    scaled = m << (k * precision_bits)
+    r = iroot(scaled, k)
+    return DyadicInterval(r, r if r**k == scaled else r + 1, precision_bits)
 
 
 def interval_gt(lhs, rhs, start_bits: int = 32, cap_bits: int = 4096) -> bool:
     """Decide LHS > RHS where both sides are interval-valued functions of precision.
 
-    lhs and rhs map a bit count to a RatInterval enclosing the quantity at
-    that precision.  Precision doubles until the intervals separate; if the
+    lhs and rhs map a bit count to a DyadicInterval at that scale enclosing
+    the quantity.  Precision doubles until the intervals separate; if the
     cap is reached without separation a PrecisionCapError is raised.
     """
     bits = start_bits
     while bits <= cap_bits:
         a = lhs(bits)
         b = rhs(bits)
+        if a.bits != bits or b.bits != bits:
+            raise ValueError(f"enclosures not at the scale 2**{bits}")
         if a.lo > b.hi:
             return True
         if a.hi <= b.lo:

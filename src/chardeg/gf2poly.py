@@ -4,7 +4,9 @@ Polynomials are encoded as nonnegative integers: bit i is the coefficient of
 x**i, so the constant term is the lowest bit and a monic polynomial has its
 top bit set.  Serialization uses the hexadecimal form of that integer.
 
-Besides the ring operations the module provides irreducibility testing, the
+Besides the ring operations the module provides Rabin's irreducibility test
+for a single polynomial, the list of all irreducibles of one degree by a
+product sieve over numpy int64 arrays (exact: only shifts and XOR), the
 reciprocal map (coefficient reversal), Moebius counting of irreducibles, and
 the count of self-reciprocal irreducibles of a given even degree in both a
 closed form and a brute-force mode that must agree.
@@ -14,6 +16,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
 from .errors import ResourceLimitError
 from .exactmath import factorize
 
@@ -21,6 +25,8 @@ X = 0b10  # the polynomial x
 ONE = 0b1
 
 _BRUTE_FORCE_MAX = 10
+# the sieve of degree d holds 2**d int64 products at a time (8 MB at d = 20)
+SIEVE_MAX_D = 20
 
 
 def poly_degree(f: int) -> int:
@@ -122,22 +128,28 @@ def poly_is_irreducible(f: int) -> bool:
 
 
 def irreducible_polys(d: int) -> Iterator[int]:
-    """All monic irreducible polynomials of degree d, ascending as integers."""
+    """All monic irreducible polynomials of degree d, ascending as integers.
+
+    A sieve over the 2**d monic polynomials of degree d strikes out every
+    product g*h of monic g and h with 1 <= deg g <= d/2; what is left is
+    irreducible.  For each degree of g the carry-less products of all g and
+    h are formed at once, as the XOR of h << i over the set bits i of g.
+    """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    if d == 1:
-        yield X
-        yield X | ONE
-        return
+    if d > SIEVE_MAX_D:
+        raise ResourceLimitError(f"the sieve is limited to d <= {SIEVE_MAX_D}")
     top = 1 << d
-    for body in range(top):
-        f = top | body
-        if not f & 1:
-            continue
-        if bin(f).count("1") % 2 == 0:
-            continue  # f(1) = 0
-        if poly_is_irreducible(f):
-            yield f
+    irreducible = np.ones(top, dtype=bool)  # indexed by f - x**d
+    for e in range(1, d // 2 + 1):
+        g = np.arange(1 << e, 2 << e, dtype=np.int64)[:, None]
+        h = np.arange(1 << (d - e), 2 << (d - e), dtype=np.int64)
+        product = np.zeros((g.size, h.size), dtype=np.int64)
+        for i in range(e + 1):
+            product ^= ((g >> i) & 1) * (h << i)
+        irreducible[product.ravel() ^ top] = False
+    for body in np.flatnonzero(irreducible).tolist():
+        yield top | body
 
 
 def mobius(n: int) -> int:

@@ -7,16 +7,19 @@ largest such degree is written rho(n) here.  The headline fact checked by
 this module is rho(n)**8 * 8 > (n!)**3, i.e. rho(n) > (n!/2)**(3/8).  Only a
 lower bound for rho(n) is needed, so for 7 <= n <= 74 one certificate
 partition per n proves it, and from 75 on three root-inequalities carry the
-induction.  The exact rho(n) is computed by brute force for small n only.
+induction, each decided on dyadic interval enclosures with integer
+numerators (see `exactmath.DyadicInterval`).  The exact rho(n) is computed by
+brute force for small n only.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import factorial
 
 from .degrees import DegreeMultiset
 from .errors import ResourceLimitError
-from .exactmath import RatInterval, interval_gt, root_interval, sqrt_interval
+from .exactmath import interval_gt, root_interval, sqrt_interval
 from .partitions import (
     add_node, boundary_nodes, conjugate, hook_degree, is_partition, partitions_of,
 )
@@ -107,24 +110,29 @@ def _induction_inequalities(n: int) -> tuple[bool, bool, bool]:
     (1)  (n+1) / (sqrt(2n) + 1)                                > (n+1)**(3/8)
     (2)  (n+1 - sqrt(2n+2)) / sqrt(2n)                         > (n+1)**(3/8)
     (3)  (n+2 - sqrt(2n+2) - sqrt(2n) * n**(-3/8)) / sqrt(2n)  > (n+1)**(3/8)
+
+    The four root enclosures are built once per precision and shared.
     """
 
+    @cache
+    def roots(bits):
+        return (sqrt_interval(2 * n, bits), sqrt_interval(2 * n + 2, bits),
+                root_interval(n**3, 8, bits), root_interval((n + 1) ** 3, 8, bits))
+
     def lhs1(bits):
-        return RatInterval.point(n + 1) / (sqrt_interval(2 * n, bits) + 1)
+        s2n, _, _, _ = roots(bits)
+        return (n + 1) / (s2n + 1)
 
     def lhs2(bits):
-        s2n = sqrt_interval(2 * n, bits)
-        return (RatInterval.point(n + 1) - sqrt_interval(2 * n + 2, bits)) / s2n
+        s2n, s2n2, _, _ = roots(bits)
+        return (n + 1 - s2n2) / s2n
 
     def lhs3(bits):
-        s2n = sqrt_interval(2 * n, bits)
-        n38 = root_interval(n**3, 8, bits)
-        inv38 = 1 / n38
-        num = RatInterval.point(n + 2) - sqrt_interval(2 * n + 2, bits) - s2n * inv38
-        return num / s2n
+        s2n, s2n2, n38, _ = roots(bits)
+        return (n + 2 - s2n2 - s2n / n38) / s2n
 
     def rhs(bits):
-        return root_interval((n + 1) ** 3, 8, bits)
+        return roots(bits)[3]
 
     return interval_gt(lhs1, rhs), interval_gt(lhs2, rhs), interval_gt(lhs3, rhs)
 

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 from chardeg.errors import PrecisionCapError
 from chardeg.exactmath import (
     EQUAL, GREATER, LESS,
-    RatInterval, factorize, interval_gt, iroot, is_prime, p_part,
+    DyadicInterval, factorize, interval_gt, iroot, is_prime, p_part,
     pow_compare, prime_power, root_interval, sqrt_interval,
 )
 
@@ -77,47 +78,125 @@ def test_iroot():
             assert r**k <= m < (r + 1) ** k
 
 
+def _values(iv):
+    scale = 1 << iv.bits
+    return Fraction(iv.lo, scale), Fraction(iv.hi, scale)
+
+
 def test_sqrt_interval_examples():
     iv = sqrt_interval(4, 10)
-    assert iv.contains(2) and iv.width <= Fraction(1, 2**10)
+    assert iv.contains(2) and iv.bits == 10 and iv.hi - iv.lo <= 1
     iv = sqrt_interval(2, 20)
-    assert iv.lo**2 <= 2 <= iv.hi**2
+    lo, hi = _values(iv)
+    assert lo**2 <= 2 <= hi**2
     iv = sqrt_interval(150, 30)
-    assert iv.lo**2 <= 150 <= iv.hi**2
-    assert iv.width <= Fraction(1, 2**30)
+    lo, hi = _values(iv)
+    assert lo**2 <= 150 <= hi**2
+    assert iv.bits == 30 and iv.hi - iv.lo <= 1
 
 
 @given(st.integers(min_value=0, max_value=10**9),
        st.integers(min_value=1, max_value=40))
 def test_sqrt_interval_encloses(n, bits):
     iv = sqrt_interval(n, bits)
-    assert iv.lo**2 <= n <= iv.hi**2
-    assert iv.width <= Fraction(1, 2**bits)
+    lo, hi = _values(iv)
+    assert lo**2 <= n <= hi**2
+    assert iv.bits == bits and iv.hi - iv.lo <= 1
 
 
 @given(st.integers(min_value=0, max_value=10**6),
        st.integers(min_value=1, max_value=20))
 def test_sqrt_interval_precision_monotone(n, bits):
-    assert sqrt_interval(n, bits + 8).width <= sqrt_interval(n, bits).width
+    fine, coarse = sqrt_interval(n, bits + 8), sqrt_interval(n, bits)
+    assert fine.hi - fine.lo <= (coarse.hi - coarse.lo) << 8
 
 
 def test_root_interval():
     iv = root_interval(5**8, 8, 20)
     assert iv.contains(5)
     iv = root_interval(75**3, 8, 30)
-    assert iv.lo**8 <= 75**3 <= iv.hi**8
+    lo, hi = _values(iv)
+    assert lo**8 <= 75**3 <= hi**8
 
 
 def test_interval_arithmetic():
-    a = RatInterval(Fraction(1), Fraction(2))
-    b = RatInterval(Fraction(3), Fraction(4))
-    assert (a + b).lo == 4 and (a + b).hi == 6
-    assert (b - a).lo == 1 and (b - a).hi == 3
-    assert (a * b).lo == 3 and (a * b).hi == 8
-    assert (b / a).lo == Fraction(3, 2) and (b / a).hi == 4
-    assert (1 / b).lo == Fraction(1, 4)
+    bits = 4
+    a = DyadicInterval(1 << bits, 2 << bits, bits)
+    b = DyadicInterval(3 << bits, 4 << bits, bits)
+    assert _values(a + b) == (4, 6)
+    assert _values(b - a) == (1, 3)
+    assert _values(a * b) == (3, 8)
+    assert _values(b / a) == (Fraction(3, 2), 4)
+    assert _values(1 / b)[0] == Fraction(1, 4)
     with pytest.raises(ZeroDivisionError):
-        1 / RatInterval(Fraction(-1), Fraction(1))
+        1 / DyadicInterval(-1 << bits, 1 << bits, bits)
+
+
+def test_interval_scales_must_match():
+    with pytest.raises(ValueError):
+        DyadicInterval(1, 2, 4) + DyadicInterval(1, 2, 5)
+    with pytest.raises(ValueError):
+        DyadicInterval(2, 1, 4)
+
+
+def _moore(op, a, b):
+    ends = [op(x, y) for x in a for y in b]
+    return min(ends), max(ends)
+
+
+_numerators = st.integers(min_value=-2**80, max_value=2**80)
+
+
+@st.composite
+def _intervals(draw, bits):
+    """Intervals at the scale 2**bits, with integer endpoints (numerators
+    divisible by the scale) or dyadic ones, of either sign."""
+    ends = sorted(draw(st.one_of(
+        st.tuples(_numerators, _numerators),
+        st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+        .map(lambda t: (t[0] << bits, t[1] << bits)))))
+    return DyadicInterval(ends[0], ends[1], bits)
+
+
+@given(st.data(), st.integers(min_value=1, max_value=64),
+       st.integers(min_value=-10**6, max_value=10**6))
+def test_interval_operations_enclose_within_one_unit(data, bits, c):
+    """Sums and differences are exact.  Products, quotients and reciprocals
+    hold the exact interval of the operands and exceed it by less than
+    2**-bits at either end.  An int operand c is the point [c, c]."""
+    a, b = data.draw(_intervals(bits)), data.draw(_intervals(bits))
+    point = DyadicInterval(c << bits, c << bits, bits)
+    unit = Fraction(1, 1 << bits)
+    for x, y, ex, ey in ((a, b, a, b), (a, c, a, point), (c, a, point, a)):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            if op is operator.truediv and ey.lo <= 0 <= ey.hi:
+                with pytest.raises(ZeroDivisionError):
+                    op(x, y)
+                continue
+            lo, hi = _values(op(x, y))
+            exact_lo, exact_hi = _moore(op, _values(ex), _values(ey))
+            if op in (operator.add, operator.sub):
+                assert (lo, hi) == (exact_lo, exact_hi)
+            else:
+                assert exact_lo - unit < lo <= exact_lo
+                assert exact_hi <= hi < exact_hi + unit
+    if not a.lo <= 0 <= a.hi:
+        recip = 1 / a
+        lo, hi = _values(recip)
+        a_lo, a_hi = _values(a)
+        assert 1 / a_hi - unit < lo <= 1 / a_hi
+        assert 1 / a_lo <= hi < 1 / a_lo + unit
+        assert (recip.lo, recip.hi) == (4**bits // a.hi, -(-4**bits // a.lo))
+
+
+@given(st.integers(min_value=0, max_value=10**30), st.integers(min_value=1, max_value=9),
+       st.integers(min_value=1, max_value=64))
+def test_root_enclosures_bracket_the_root(m, k, bits):
+    """lo**k <= m <= hi**k exactly, and the width is at most 2**-bits."""
+    for iv, power in ((sqrt_interval(m, bits), 2), (root_interval(m, k, bits), k)):
+        lo, hi = _values(iv)
+        assert lo >= 0 and lo**power <= m <= hi**power
+        assert iv.bits == bits and iv.hi - iv.lo <= 1
 
 
 def test_interval_gt_separates():

@@ -6,7 +6,7 @@ from chardeg.gf2poly import (
     count_irreducible_monic, count_self_reciprocal, f_pool_size,
     irreducible_polys, palindromic_polys, poly_degree, poly_from_coeffs,
     poly_from_hex, poly_is_irreducible, poly_reciprocal, poly_to_hex,
-    reciprocal_pair_count, srim_count_of_degree,
+    reciprocal_pair_count, srim_count_of_degree, SIEVE_MAX_D,
 )
 
 
@@ -55,8 +55,22 @@ def test_count_irreducible_examples():
 
 
 def test_count_matches_enumeration():
-    for d in range(1, 13):
+    for d in range(1, 17):
         assert count_irreducible_monic(d) == sum(1 for _ in irreducible_polys(d))
+
+
+def test_sieve_agrees_with_rabin_test():
+    for d in range(1, 15):
+        sieved = list(irreducible_polys(d))
+        assert sieved == [f for f in range(1 << d, 2 << d) if poly_is_irreducible(f)], d
+        assert all(type(f) is int for f in sieved)
+
+
+def test_sieve_resource_limit():
+    with pytest.raises(ResourceLimitError):
+        next(irreducible_polys(SIEVE_MAX_D + 1))
+    with pytest.raises(ValueError):
+        next(irreducible_polys(0))
 
 
 def test_field_counting_identity():
