@@ -2,8 +2,10 @@
 
 Groups are built by breadth-first closure of permutation or matrix
 generators; character tables come from the modular eigenvector method with
-exact cyclotomic lifting, and serve as the brute-force oracle behind every
-degree claim about the witness constructions.
+exact cyclotomic lifting, checked by evaluation at the roots of unity modulo
+a prime that splits completely, all in int64 arithmetic modulo primes.  They
+serve as the brute-force oracle behind every degree claim about the witness
+constructions.
 """
 
 from .constructions import (
@@ -18,7 +20,6 @@ from .constructions import (
     sl2_3,
     symmetric_group,
 )
-from .cyclotomic import cyclotomic_polynomial
 from .dixon import CharacterTable, dixon_character_table
 from .elements import FrobMat, Mat, Perm, matrix
 from .field import GF, gf
@@ -29,7 +30,6 @@ from .table import GroupTable, close_group
 __all__ = [
     "GF", "gf", "Perm", "Mat", "FrobMat", "matrix",
     "GroupTable", "close_group",
-    "cyclotomic_polynomial",
     "CharacterTable", "dixon_character_table",
     "GagolaReport", "gagola_analyze",
     "group_from_dict", "load_group_file",

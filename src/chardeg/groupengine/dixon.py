@@ -1,148 +1,74 @@
-"""Exact character tables by the modular eigenvector method.
+"""Exact character tables by the modular eigenvector method, in int64
+arithmetic modulo primes that split completely in Q(zeta_m).
 
 The class-sum multiplication constants give commuting matrices whose common
 eigenvectors are the central characters.  Working over GF(ell) with
-ell = 1 (mod exponent) and ell > 2 sqrt(|G|), the eigenvectors are found by
-simultaneous splitting: the eigenvalues on each common eigenspace are the
-roots of its minimal polynomial, found by evaluating it at every point of
-GF(ell), so no step is randomized.  Degrees are recovered from the second
-orthogonality averages (they are small integers, so the modular image pins
-them down), and the character values are lifted to exact cyclotomic
-integers by inverting the power-map transform: the lift writes one integer
-array of coefficients on the powers of zeta_m, and every later check reads
-that array, reducing modulo the m-th cyclotomic polynomial by one matrix
-product.  Both orthogonality relations are verified exactly before a table
-is returned.
+ell = 1 (mod exponent) and ell > 2 sqrt(|G|) + 1, they are split out of one
+vector: the unit vector e_0 at the identity class is sum_t (d_t**2/|G|) w_t,
+and no coefficient vanishes mod ell.  For each class matrix M, every vector
+that M does not fix up to scale is replaced by its projections onto the
+eigenspaces of M, read off the Krylov chain v, Mv, ... up to its first
+dependency f(M) v = 0.  The roots of f are found by evaluating it at every
+point of GF(ell), so no step is randomized.  Degrees are recovered from the
+second orthogonality averages (they are small integers, so the modular image
+pins them down), and the character values are lifted to exact cyclotomic
+integers by inverting the power-map transform.
+
+Every later check reads the values through their evaluations at the phi(m)
+primitive m-th roots of unity modulo a second prime p = 1 (mod m).  Such a
+prime splits completely in Z[zeta_m] (Washington, Introduction to Cyclotomic
+Fields, Thm 2.13), so a cyclotomic integer alpha that vanishes at every
+primitive root has p**phi(m) dividing its norm; if every conjugate of alpha
+is at most B < p in absolute value, the norm is below p**phi(m) and
+alpha = 0.  Both orthogonality relations are verified this way before a
+table is returned.  Every matrix product is int64 with its bound asserted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 
 from ..degrees import DegreeMultiset
 from ..errors import ResourceLimitError
 from ..exactmath import factorize, is_prime
-from .cyclotomic import reduction_matrix
-from .field import poly_divmod, poly_trim
 from .table import GroupTable
 
 DIXON_MAX_ORDER = 5000
 
 
 # --------------------------------------------------------------------------
-# modular linear algebra (numpy int64; ell**2 * dim stays far below 2**63)
+# arithmetic modulo a prime (numpy int64)
 
-def _mod_rref(a: np.ndarray, ell: int) -> tuple[np.ndarray, list[int]]:
-    a = a % ell
-    rows, cols = a.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i, c] % ell), None)
-        if pivot is None:
-            continue
-        a[[r, pivot]] = a[[pivot, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, ell) % ell
-        col = a[:, c].copy()
-        col[r] = 0
-        a = (a - np.outer(col, a[r])) % ell
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots
+def _assert_int64(terms: int, modulus: int) -> None:
+    """A sum of `terms` products of residues mod `modulus` fits in int64."""
+    if terms * (modulus - 1) ** 2 >= 2**63:
+        raise AssertionError(f"{terms}-term products mod {modulus} overflow int64")
 
 
-def _kernel(a: np.ndarray, ell: int) -> np.ndarray:
-    """Columns spanning the nullspace of a (square or not) over GF(ell)."""
-    rref, pivots = _mod_rref(a.copy(), ell)
-    cols = a.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[fc, k] = 1
-        for r, pc in enumerate(pivots):
-            basis[pc, k] = (-int(rref[r, fc])) % ell
-    return basis
+def _split_prime(bound: int, m: int) -> int:
+    """Smallest prime p = 1 (mod m) with p > bound."""
+    p = bound + 1 + (-bound) % m
+    while not is_prime(p):
+        p += m
+    return p
 
 
-def _echelon_columns(b: np.ndarray, ell: int) -> tuple[np.ndarray, list[int]]:
-    """Column basis normalized so that the pivot rows carry an identity block."""
-    rref, pivots = _mod_rref(b.T.copy() % ell, ell)
-    return rref[: len(pivots)].T, pivots
+def _root_powers(p: int, m: int) -> np.ndarray:
+    """lam**i mod p for i = 0..m-1, where lam = g**((p-1)/m) has order m for
+    the least primitive root g mod p."""
+    fac = [q for q, _ in factorize(p - 1)]
+    g = next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in fac))
+    lam = pow(g, (p - 1) // m, p)
+    powers = [1]
+    for _ in range(m - 1):
+        powers.append(powers[-1] * lam % p)
+    return np.array(powers, dtype=np.int64)
 
 
-def _poly_gcd(a: list[int], b: list[int], ell: int) -> list[int]:
-    a = poly_trim([x % ell for x in a])
-    b = poly_trim([x % ell for x in b])
-    while b != [0]:
-        a, b = b, poly_divmod(a, b, ell)[1]
-    inv = pow(a[-1], -1, ell)
-    return [x * inv % ell for x in a]
-
-
-def _poly_lcm(a: list[int], b: list[int], ell: int) -> list[int]:
-    quo = poly_divmod(a, _poly_gcd(a, b, ell), ell)[0]
-    conv = np.convolve(np.asarray(quo, dtype=np.int64),
-                       np.asarray(b, dtype=np.int64)) % ell
-    return poly_trim(conv.tolist())
-
-
-def _minpoly(mat: np.ndarray, ell: int) -> list[int]:
-    """Minimal polynomial over GF(ell), as the lcm of cyclic-vector annihilators."""
-    dim = mat.shape[0]
-    mp = [1]
-    for start in range(dim):
-        e = np.zeros(dim, dtype=np.int64)
-        e[start] = 1
-        # skip vectors already annihilated
-        acc = e.copy()
-        val = np.zeros(dim, dtype=np.int64)
-        for c in mp:
-            val = (val + c * acc) % ell
-            acc = mat @ acc % ell
-        if not val.any():
-            continue
-        krylov = [e]
-        rows = np.zeros((0, dim), dtype=np.int64)
-        pivots: list[int] = []
-        vec = e
-        while True:
-            red = vec.copy()
-            for r, pc in enumerate(pivots):
-                red = (red - red[pc] * rows[r]) % ell
-            if not red.any():
-                # dependency: solve for coefficients by re-reducing with tracking
-                coeffs = _solve_dependency(krylov, ell)
-                mp = _poly_lcm(mp, coeffs, ell)
-                break
-            red = red * pow(int(red[np.nonzero(red)[0][0]]), -1, ell) % ell
-            pivots.append(int(np.nonzero(red)[0][0]))
-            rows = np.vstack([rows, red])
-            vec = mat @ vec % ell
-            krylov.append(vec)
-        if len(mp) - 1 == dim:
-            break
-    return mp
-
-
-def _solve_dependency(krylov: list[np.ndarray], ell: int) -> list[int]:
-    """Monic coefficients c with sum c_i K_i = 0, c over the last vector."""
-    a = np.stack(krylov[:-1], axis=1)
-    rhs = (-krylov[-1]) % ell
-    rref, pivots = _mod_rref(np.hstack([a, rhs.reshape(-1, 1)]), ell)
-    coeffs = [0] * (len(krylov) - 1)
-    for r, pc in enumerate(pivots):
-        if pc == len(coeffs):
-            raise AssertionError("inconsistent Krylov dependency")
-        coeffs[pc] = int(rref[r, -1])
-    return poly_trim(coeffs + [1])
-
-
-def _roots(poly: list[int], ell: int) -> list[int]:
+def _roots(poly, ell: int) -> list[int]:
     """The roots of a polynomial in GF(ell), ascending, found by evaluating
     it at every point (Horner in int64: each step stays below ell**2)."""
     points = np.arange(ell, dtype=np.int64)
@@ -152,29 +78,57 @@ def _roots(poly: list[int], ell: int) -> list[int]:
     return np.flatnonzero(values == 0).tolist()
 
 
-# --------------------------------------------------------------------------
-
-def _find_modulus(order: int, exponent: int) -> int:
-    """Smallest prime = 1 (mod exponent) exceeding 2 sqrt(order)."""
-    floor = 2 * isqrt(order) + 1
-    ell = exponent + 1
-    while ell <= floor or not is_prime(ell):
-        ell += exponent
-    return ell
-
-
-def _primitive_root_of_unity(ell: int, m: int) -> int:
-    """Element of exact multiplicative order m in GF(ell)."""
-    fac = [p for p, _ in factorize(ell - 1)]
-    g = 2
+def _krylov(mat: np.ndarray, v: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """The chain v, Mv, ..., M**(d-1) v up to its first dependency, as
+    columns, and the monic f of degree d with f(M) v = 0, constant term
+    first.  Each new vector joins a reduced echelon basis of the chain so
+    far whose rows carry their coefficients on the chain; the first vector
+    that reduces to zero spells out f."""
+    k = len(v)
+    chain = [v]
+    basis = np.zeros((0, 2 * k + 1), dtype=np.int64)
+    pivots: list[int] = []
     while True:
-        if all(pow(g, (ell - 1) // p, ell) != 1 for p in fac):
-            break
-        g += 1
-    lam = pow(g, (ell - 1) // m, ell)
-    assert pow(lam, m, ell) == 1
-    return lam
+        row = np.zeros(2 * k + 1, dtype=np.int64)
+        row[:k] = chain[-1]
+        row[k + len(chain) - 1] = 1
+        row = (row - row[pivots] @ basis) % ell
+        nonzero = np.flatnonzero(row[:k])
+        if not nonzero.size:
+            return np.stack(chain[:-1], axis=1), row[k:k + len(chain)]
+        p = nonzero[0]
+        row = row * pow(int(row[p]), -1, ell) % ell
+        basis = np.vstack([(basis - np.outer(basis[:, p], row)) % ell, row])
+        pivots.append(p)
+        chain.append(mat @ chain[-1] % ell)
 
+
+def _split(vectors: np.ndarray, mat: np.ndarray, ell: int) -> np.ndarray:
+    """Each column of `vectors` that mat does not fix up to scale, replaced
+    by its projections (f/(x - c))(M) v onto the eigenspaces of mat, one
+    per root c of its annihilator f.  The scale of each projection is free:
+    the central characters are normalised at the identity at the end."""
+    image = mat @ vectors % ell
+    cols = np.arange(vectors.shape[1])
+    lead = (vectors != 0).argmax(axis=0)
+    cross = image * vectors[lead, cols] - vectors * image[lead, cols]
+    fixed = (cross % ell == 0).all(axis=0)
+    out = [vectors[:, fixed]]
+    for v in vectors[:, ~fixed].T:
+        chain, f = _krylov(mat, v, ell)
+        roots = np.array(_roots(f, ell), dtype=np.int64)
+        if len(roots) != len(f) - 1:
+            raise AssertionError("class matrix has no distinct eigenvalues in GF(ell)")
+        # f / (x - c) for every root c at once, by synthetic division
+        quo = np.zeros((len(roots), len(roots)), dtype=np.int64)
+        quo[-1] = 1
+        for j in range(len(roots) - 1, 0, -1):
+            quo[j - 1] = (f[j] + roots * quo[j]) % ell
+        out.append(chain @ quo % ell)
+    return np.hstack(out)
+
+
+# --------------------------------------------------------------------------
 
 @dataclass
 class CharacterTable:
@@ -199,60 +153,55 @@ class CharacterTable:
     def degree_multiset(self) -> DegreeMultiset:
         return DegreeMultiset.from_degrees(self.degrees)
 
-    def _folded_products(self, left: np.ndarray, right: np.ndarray,
-                         weights: np.ndarray) -> np.ndarray:
-        """R[s, t, u] = sum_c w_c * sum_{a+b = u mod m} left[s,c,a] right[t,c,b].
+    def evaluations(self) -> tuple[int, np.ndarray]:
+        """(p, ev) with ev[j, t, c] the value of character t on class c at
+        the j-th primitive m-th root of unity mod p, the exponents j prime
+        to m taken in ascending order, so that reversing the first axis
+        evaluates at the inverse roots: complex conjugation.
 
-        Computed in float64 matrix products, which are exact because every
-        term is non-negative and the largest sum is below 2**53.
-        """
-        if (left < 0).any() or (right < 0).any():
-            raise AssertionError("folded products need non-negative coefficients")
-        bound = (int(weights.sum()) * int(left.sum(axis=2).max())
-                 * int(right.sum(axis=2).max()))
-        if bound >= 2**53:
-            raise AssertionError("folded products would not be exact in float64")
-        s_count, k, m = left.shape
-        t_count = right.shape[0]
-        lw = (left * weights[np.newaxis, :, np.newaxis]).astype(np.float64)
-        lw = lw.reshape(s_count, k * m)
-        out = np.zeros((s_count, t_count, m), dtype=np.int64)
-        for u in range(m):
-            rot = right[:, :, (u - np.arange(m)) % m].astype(np.float64)
-            out[:, :, u] = np.rint(lw @ rot.reshape(t_count, k * m).T).astype(np.int64)
-        return out
-
-    def _verify_against(self, sums: np.ndarray, targets: np.ndarray) -> bool:
-        """Reduce length-m sums modulo the cyclotomic polynomial and compare
-        with rational-integer targets."""
-        reduced = sums @ reduction_matrix(self.exponent)
-        expect = np.zeros_like(reduced)
-        expect[..., 0] = targets
-        return bool((reduced == expect).all())
+        The coefficients must be eigenvalue multiplicities (non-negative,
+        summing to the degree), so |sigma chi(g)| <= chi(1) for every
+        conjugate, and B = max(sum |C_c|, rows) max d**2 + |G| bounds each
+        conjugate of both orthogonality differences and of every value; for
+        a genuine table it is |G| max d**2 + |G|.  p is the least prime
+        = 1 (mod m) above B."""
+        values, m = self.values, self.exponent
+        if (values < 0).any() or (values.sum(axis=2)
+                                  != np.array(self.degrees)[:, np.newaxis]).any():
+            raise AssertionError("coefficients are not eigenvalue multiplicities")
+        rows, k = values.shape[:2]
+        weight = max(sum(self.class_sizes), rows)
+        p = _split_prime(weight * max(self.degrees) ** 2 + self.group.order, m)
+        # the relations sum over rows or classes; one value is at most
+        # d * (p - 1) < (p - 1)**2, since d**2 < B < p
+        _assert_int64(max(rows, k), p)
+        units = [u for u in range(m) if gcd(u, m) == 1]
+        at_units = _root_powers(p, m)[np.outer(np.arange(m), units) % m]
+        ev = values.reshape(rows * k, m) @ at_units % p
+        return p, np.moveaxis(ev.reshape(rows, k, len(units)), 2, 0)
 
     def verify_row_orthogonality(self) -> bool:
         """sum_c |C_c| chi_s(g_c) conj(chi_t(g_c)) = delta_st |G|, exactly."""
-        conj = self.values[:, :, (-np.arange(self.exponent)) % self.exponent]
-        weights = np.array(self.class_sizes, dtype=np.int64)
-        sums = self._folded_products(self.values, conj, weights)
-        targets = self.group.order * np.eye(len(self.values), dtype=np.int64)
-        return self._verify_against(sums, targets)
+        p, ev = self.evaluations()
+        sizes = np.array(self.class_sizes, dtype=np.int64)
+        sums = (ev * sizes % p) @ ev[::-1].transpose(0, 2, 1) % p
+        targets = self.group.order % p * np.eye(len(self.values), dtype=np.int64)
+        return bool((sums == targets).all())
 
     def verify_column_orthogonality(self) -> bool:
         """sum_t chi_t(g_i) conj(chi_t(g_j)) = delta_ij |G| / |C_i|, exactly."""
-        k, m = self.num_classes, self.exponent
-        left = np.transpose(self.values, (1, 0, 2))
-        conj = self.values[:, :, (-np.arange(m)) % m]
-        right = np.transpose(conj, (1, 0, 2))
-        weights = np.ones(len(self.values), dtype=np.int64)
-        sums = self._folded_products(left, right, weights)
+        p, ev = self.evaluations()
+        sums = ev.transpose(0, 2, 1) @ ev[::-1] % p
         sizes = np.array(self.class_sizes, dtype=np.int64)
-        targets = np.where(np.eye(k, dtype=bool), self.group.order // sizes, 0)
-        return self._verify_against(sums, targets)
+        targets = np.where(np.eye(self.num_classes, dtype=bool),
+                           self.group.order // sizes, 0)
+        return bool((sums == targets % p).all())
 
     def nonzero_class_counts(self) -> list[int]:
-        reduced = self.values @ reduction_matrix(self.exponent)
-        return [int(count) for count in (reduced != 0).any(axis=2).sum(axis=1)]
+        """Per character, the number of classes where its value is nonzero;
+        a value is zero exactly when it vanishes at every primitive root."""
+        _, ev = self.evaluations()
+        return (ev != 0).any(axis=0).sum(axis=1).tolist()
 
 
 def _class_matrix(group: GroupTable, classes, class_of: np.ndarray, i: int,
@@ -278,49 +227,29 @@ def dixon_character_table(group: GroupTable) -> CharacterTable:
     sizes = [len(c) for c in classes]
     reps = [c[0] for c in classes]
     m = group.exponent()
-    ell = _find_modulus(group.order, m)
+    ell = _split_prime(2 * isqrt(group.order) + 1, m)
+    _assert_int64(max(k, m), ell)
 
-    # simultaneous eigenvectors of the class matrices
-    blocks = [_echelon_columns(np.eye(k, dtype=np.int64), ell)]
+    # simultaneous eigenvectors of the class matrices, split out of e_0
+    vectors = np.eye(k, 1, dtype=np.int64)
     for i in range(1, k):
-        if all(b.shape[1] == 1 for b, _ in blocks):
+        if vectors.shape[1] == k:
             break
-        mat = _class_matrix(group, classes, class_of, i, ell)
-        new_blocks = []
-        for basis, pivots in blocks:
-            dim = basis.shape[1]
-            if dim == 1:
-                new_blocks.append((basis, pivots))
-                continue
-            action = (mat @ basis % ell)[pivots, :] % ell
-            mp = _minpoly(action, ell)
-            eigs = _roots(mp, ell)
-            total = 0
-            for c in eigs:
-                ker = _kernel((action - c * np.eye(dim, dtype=np.int64)) % ell, ell)
-                total += ker.shape[1]
-                sub = basis @ ker % ell
-                new_blocks.append(_echelon_columns(sub, ell))
-            if total != dim:
-                raise AssertionError("class matrix failed to diagonalize")
-        blocks = new_blocks
-    if any(b.shape[1] != 1 for b, _ in blocks):
+        vectors = _split(vectors, _class_matrix(group, classes, class_of, i, ell), ell)
+    if vectors.shape[1] != k:
         raise AssertionError("central characters not fully separated")
-
-    omegas = []
-    for basis, _ in blocks:
-        w = basis[:, 0] % ell
-        if w[0] == 0:
-            raise AssertionError("central character vanishes at the identity")
-        omegas.append(w * pow(int(w[0]), -1, ell) % ell)
+    if not vectors[0].all():
+        raise AssertionError("central character vanishes at the identity")
+    scale = np.array([pow(int(w), -1, ell) for w in vectors[0]], dtype=np.int64)
+    omegas = (vectors * scale % ell).T
 
     # degrees from the averaged norm of each central character
-    inv_class = [class_of[group.inverse(rep)] for rep in reps]
-    size_inv = [pow(s, -1, ell) for s in sizes]
+    inv_class = class_of[group.inverses[reps]]
+    size_inv = np.array([pow(s, -1, ell) for s in sizes], dtype=np.int64)
+    norms = (omegas * omegas[:, inv_class] % ell * size_inv % ell).sum(axis=1) % ell
     degrees = []
     sqrt_cap = isqrt(group.order)
-    for w in omegas:
-        s = sum(int(w[i]) * int(w[inv_class[i]]) * size_inv[i] for i in range(k)) % ell
+    for s in norms.tolist():
         x = group.order * pow(s, -1, ell) % ell
         d = next((d for d in range(1, sqrt_cap + 1) if d * d % ell == x), None)
         if d is None:
@@ -330,8 +259,8 @@ def dixon_character_table(group: GroupTable) -> CharacterTable:
         raise AssertionError("degree squares do not sum to the group order")
 
     # modular character values X[t][j] = d_t * omega_t[j] / |C_j|
-    values_mod = (np.array(degrees, dtype=np.int64)[:, np.newaxis] * np.array(omegas)
-                  % ell * np.array(size_inv, dtype=np.int64) % ell)
+    values_mod = (np.array(degrees, dtype=np.int64)[:, np.newaxis] * omegas % ell
+                  * size_inv % ell)
 
     # power maps: class of rep_j ** v for v = 0..m-1
     power_class = np.zeros((k, m), dtype=np.int64)
@@ -341,24 +270,12 @@ def dixon_character_table(group: GroupTable) -> CharacterTable:
         powers = group.table[powers, reps]
 
     # lifting: c_u = (1/m) sum_v X(g^v) lambda^(-uv) are the root multiplicities
-    lam = _primitive_root_of_unity(ell, m)
-    lam_inv_pows = [pow(pow(lam, -1, ell), u, ell) for u in range(m)]
-    m_inv = pow(m, -1, ell)
-    transform = np.array(
-        [[lam_inv_pows[(u * v) % m] for u in range(m)] for v in range(m)],
-        dtype=np.int64,
-    ) * m_inv % ell
-
-    # float64 products are exact: every sum is below m * (ell - 1)**2
-    if m * (ell - 1) ** 2 >= 2**53:
-        raise AssertionError("lift products would not be exact in float64")
-    transform = transform.astype(np.float64)
-    values = np.zeros((k, k, m), dtype=np.int64)
-    for t in range(k):
-        # values_mod[t][power_class] is (k, m): the value at the class of g_j^v
-        values[t] = values_mod[t][power_class].astype(np.float64) @ transform % ell
-        if (values[t] > degrees[t]).any():
-            raise AssertionError("lifted multiplicities exceed the degree")
+    exps = np.arange(m)
+    transform = _root_powers(ell, m)[-np.outer(exps, exps) % m] * pow(m, -1, ell) % ell
+    values = values_mod[:, power_class].reshape(k * k, m) @ transform % ell
+    values = values.reshape(k, k, m)
+    if (values.sum(axis=2) != np.array(degrees)[:, np.newaxis]).any():
+        raise AssertionError("lifted multiplicities do not sum to the degree")
 
     order_rows = sorted(range(k), key=lambda t: (degrees[t], values[t].tolist()))
     table = CharacterTable(

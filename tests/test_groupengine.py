@@ -5,23 +5,8 @@ import pytest
 
 from chardeg import groupengine as ge
 from chardeg.errors import ResourceLimitError
-from chardeg.groupengine.cyclotomic import cyclotomic_polynomial, reduction_matrix
 from chardeg.groupengine.elements import Mat, Perm
 from chardeg.groupengine.field import gf
-
-
-def _times(u, v):
-    """Product of two coefficient vectors: convolution modulo x**m - 1."""
-    m = len(u)
-    full = np.convolve(u, v)
-    out = full[:m].copy()
-    out[:m - 1] += full[m:]
-    return out
-
-
-def _root(m, u):
-    """Coefficient vector of zeta_m**u."""
-    return np.eye(m, dtype=np.int64)[u % m]
 
 
 # --- fields and elements ---------------------------------------------------
@@ -188,14 +173,16 @@ def test_cyclic_3_table_values_are_cube_roots():
     g = ge.cyclic_group(3)
     table = ge.dixon_character_table(g)
     assert table.degrees == [1, 1, 1]
-    # the two nontrivial rows take each primitive cube root exactly once
-    red = reduction_matrix(3)
-    reduced = table.values @ red
-    nontrivial = [row for row in reduced if row[:, 1:].any()]
+    # at each of the two primitive cube roots mod p, the two nontrivial rows
+    # take each primitive cube root exactly once on the nontrivial classes
+    p, ev = table.evaluations()
+    assert len(ev) == 2
+    roots = [x for x in range(2, p) if pow(x, 3, p) == 1]
+    nontrivial = [t for t in range(3) if (ev[:, t] != 1).any()]
     assert len(nontrivial) == 2
-    roots = sorted(tuple(_root(3, u) @ red) for u in (1, 2))
-    for row in nontrivial:
-        assert sorted(tuple(v) for v in row[1:]) == roots
+    for at_root in ev:
+        for t in nontrivial:
+            assert sorted(at_root[t, 1:].tolist()) == roots
 
 
 def test_heisenberg_gf2_table():
@@ -225,22 +212,21 @@ def test_tables_agree_with_hook_formula_degrees():
 
 def test_a5_values_on_five_cycles_are_golden_ratio_pair():
     # the two degree-3 characters take the two roots of x^2 - x - 1 on each
-    # class of five-cycles; their sum is 1 and product -1, checked in exact
-    # integer arithmetic on the coefficient vectors
+    # class of five-cycles; their sum is 1 and product -1 at every primitive
+    # root of unity mod p, which decides both identities exactly
     g = ge.alternating_group(5)
     table = ge.dixon_character_table(g)
-    rows = [row for d, row in zip(table.degrees, table.values) if d == 3]
+    rows = [t for t, d in enumerate(table.degrees) if d == 3]
     assert len(rows) == 2
     five_cycle_classes = [c for c, rep in enumerate(table.class_reps)
                           if g.element_orders()[rep] == 5]
     assert len(five_cycle_classes) == 2
-    red = reduction_matrix(table.exponent)
-    one = _root(table.exponent, 0) @ red
+    p, ev = table.evaluations()
     for c in five_cycle_classes:
-        u, v = rows[0][c], rows[1][c]
-        assert ((u + v) @ red == one).all()
-        assert (_times(u, v) @ red == -one).all()
-        assert (u @ red)[1:].any()  # genuinely irrational values
+        u, v = ev[:, rows[0], c], ev[:, rows[1], c]
+        assert ((u + v) % p == 1).all()
+        assert (u * v % p == p - 1).all()
+        assert len(set(u.tolist())) == 2  # genuinely irrational values
 
 
 def test_table_invariants_on_assorted_groups():
@@ -253,13 +239,65 @@ def test_table_invariants_on_assorted_groups():
         assert table.verify_column_orthogonality()
 
 
-def test_folded_products_refuse_inexact_float_sums():
-    # 3 * 2**30 * 2**30 exceeds 2**53: the float64 products could round
+def test_orthogonality_refuses_coefficients_that_are_not_multiplicities():
+    # the bound B that makes one prime enough holds only for multiplicity
+    # rows: non-negative coefficients summing to the degree
     table = ge.dixon_character_table(ge.cyclic_group(3))
-    table.values = np.zeros_like(table.values)
-    table.values[:, :, 0] = 2**30
-    with pytest.raises(AssertionError):
-        table.verify_row_orthogonality()
+    good = table.values
+    too_big = np.zeros_like(good)
+    too_big[:, :, 0] = 2**30
+    extra_unit = good.copy()
+    extra_unit[0, 0, 0] += 1
+    negative = good.copy()
+    negative[1, 1] += [1, 1, -2]
+    assert (negative.sum(axis=2) == good.sum(axis=2)).all()
+    for values in (too_big, extra_unit, negative):
+        table.values = values
+        for check in (table.verify_row_orthogonality,
+                      table.verify_column_orthogonality,
+                      table.nonzero_class_counts):
+            with pytest.raises(AssertionError):
+                check()
+
+
+def test_moved_multiplicity_breaks_both_relations():
+    # one unit of multiplicity moved from zeta**u to zeta**(u+1) in a single
+    # value keeps every row sum, so only the evaluations can see it
+    for g in (ge.alternating_group(5), ge.cyclic_group(60),
+              ge.build_example_group("isaacs_K", 5)):
+        table = ge.dixon_character_table(g)
+        t = next(t for t, row in enumerate(table.values) if (row[:, 0] != 1).any())
+        c = table.num_classes - 1
+        u = int(np.flatnonzero(table.values[t, c])[0])
+        table.values[t, c, u] -= 1
+        table.values[t, c, (u + 1) % table.exponent] += 1
+        assert not table.verify_row_orthogonality()
+        assert not table.verify_column_orthogonality()
+
+
+def test_evaluations_run_over_every_primitive_root():
+    # on C60 each faithful character takes, across the evaluations, every
+    # primitive 60th root of unity mod p once on a generating class
+    g = ge.cyclic_group(60)
+    table = ge.dixon_character_table(g)
+    p, ev = table.evaluations()
+    primitive = [x for x in range(1, p) if pow(x, 60, p) == 1
+                 and all(pow(x, 60 // q, p) != 1 for q in (2, 3, 5))]
+    c = next(c for c, rep in enumerate(table.class_reps) if g.element_orders()[rep] == 60)
+    faithful = [t for t in range(60) if sorted(ev[:, t, c].tolist()) == primitive]
+    assert len(primitive) == len(faithful) == 16
+
+
+def test_evaluation_prime_exceeds_the_norm_bound():
+    # a one-character table of the trivial group with degree 4 breaks both
+    # relations by 4**2 - 1 = 15, which vanishes mod 3 and mod 5; only a
+    # prime above B = |G| d**2 + |G| = 17 is certain to see it
+    table = ge.dixon_character_table(ge.cyclic_group(1))
+    table.degrees = [4]
+    table.values = np.array([[[4]]])
+    assert table.evaluations()[0] > 17
+    assert not table.verify_row_orthogonality()
+    assert not table.verify_column_orthogonality()
 
 
 def test_roots_are_exactly_the_linear_factors():
@@ -275,14 +313,20 @@ def test_roots_are_exactly_the_linear_factors():
     assert _roots([1, 0, 1], ell) == []
 
 
-def test_lift_products_are_float_exact_for_every_accepted_group():
-    # the lift multiplies in float64 and refuses m * (ell - 1)**2 >= 2**53;
-    # ell never shrinks as the order grows, so the largest accepted order
-    # bounds every group the engine takes
-    from chardeg.groupengine.dixon import DIXON_MAX_ORDER, _find_modulus
+def test_int64_products_are_exact_for_every_accepted_group():
+    # the lift sums m products mod ell, the eigen-split k products mod ell
+    # and the orthogonality checks k products mod p, with k, m and d**2 at
+    # most |G|; ell and p never shrink as the order grows, so the largest
+    # accepted order bounds every group the engine takes
+    from math import isqrt
 
-    for m in range(1, DIXON_MAX_ORDER + 1):
-        assert m * (_find_modulus(DIXON_MAX_ORDER, m) - 1) ** 2 < 2**53, m
+    from chardeg.groupengine.dixon import DIXON_MAX_ORDER as N, _split_prime
+
+    for m in range(1, N + 1):
+        ell = _split_prime(2 * isqrt(N) + 1, m)
+        p = _split_prime(N * N + N, m)
+        assert N * (ell - 1) ** 2 < 2**63, m
+        assert N * (p - 1) ** 2 < 2**63, m
 
 
 def test_table_resource_limit():
@@ -386,30 +430,3 @@ def test_group_file_validation(tmp_path):
         ge.group_from_dict({"kind": "permutation", "degree": 3, "generators": [[0, 1]]})
     with pytest.raises(ValueError):
         ge.group_from_dict({"kind": "widget", "generators": [[0]]})
-
-
-# --- cyclotomic values -------------------------------------------------------
-
-def test_cyclotomic_polynomials():
-    assert cyclotomic_polynomial(1) == (-1, 1)
-    assert cyclotomic_polynomial(2) == (1, 1)
-    assert cyclotomic_polynomial(4) == (1, 0, 1)
-    assert cyclotomic_polynomial(6) == (1, -1, 1)
-    assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
-
-
-def test_reduction_matrix():
-    red = reduction_matrix(5)
-    assert red.shape == (5, 4)
-    # the nontrivial fifth roots sum to -1
-    assert (sum(_root(5, u) for u in (1, 2, 3, 4)) @ red).tolist() == [-1, 0, 0, 0]
-    # zeta * conj(zeta) = 1 for every power of zeta
-    for u in range(5):
-        assert (_times(_root(5, u), _root(5, -u)) @ red).tolist() == [1, 0, 0, 0]
-    assert (3 * _root(6, 0) @ reduction_matrix(6)).tolist() == [3, 0]
-    assert (_root(5, 1) @ red).any()
-    # row u is x**u modulo phi_m, so phi_m itself reduces to zero (m >= 2,
-    # where deg phi_m < m)
-    for m in (2, 4, 6, 12, 30):
-        phi = np.array(cyclotomic_polynomial(m))
-        assert not (phi @ reduction_matrix(m)[:len(phi)]).any()
