@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import lru_cache
 
+import numpy as np
+
 from ..exactmath import prime_power
 
 MAX_ORDER = 81
@@ -108,6 +110,9 @@ class GF:
                     row.append(self._encode(poly_divmod(prod, modulus, p)[1]))
                 mul.append(row)
             self._mul = mul
+        # the same tables as arrays, for products of many matrices at once
+        self.mul_table = np.array(self._mul, dtype=np.uint8)
+        self.add_table = np.array(self._add, dtype=np.uint8)
         self._neg = [self.sub(0, x) for x in range(q)]
         self._inv = [0] * q
         for x in range(1, q):

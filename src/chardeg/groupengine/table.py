@@ -1,13 +1,19 @@
 """Explicit small groups: breadth-first closure of a generating set into a
 dense multiplication table, then conjugacy classes, element orders,
 generated and normal subgroups, and derived series, each computed by numpy
-gathers on that table rather than element by element."""
+gathers on that table rather than element by element.
+
+The closure itself multiplies no element objects: each element is a row of
+integer codes, a whole breadth-first level is multiplied by the generators
+in one batched gather, and the table is filled a row at a time by gathers
+on rows already filled."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ..errors import ResourceLimitError
+from .elements import FrobMat, Mat, Perm
 
 MAX_ELEMENTS = 5000  # below 2**15, so element indices fit the int16 table
 
@@ -15,7 +21,9 @@ MAX_ELEMENTS = 5000  # below 2**15, so element indices fit the int16 table
 class GroupTable:
     """A closed list of group elements with its Cayley table.
 
-    Index 0 is the identity.  table[i, j] is the index of
+    Index 0 is the identity, and indices follow the breadth-first order of
+    the closure (each element times each generator in turn, new products
+    numbered at first occurrence).  table[i, j] is the index of
     elements[i] * elements[j]; close_group fills it once, so every product
     and inverse is a lookup and no element is multiplied afterwards.
     """
@@ -142,6 +150,55 @@ class GroupTable:
         return self.derived_series()[-1] == frozenset({0})
 
 
+def _mat_products(field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products a @ b over the field of two broadcastable (..., d, d) arrays
+    of field codes: the d**3 entry products are one gather on the field's
+    multiplication table, summed by d - 1 gathers on its addition table."""
+    terms = field.mul_table[a[..., :, :, None], b[..., None, :, :]]  # [..., i, k, j]
+    out = terms[..., 0, :]
+    for k in range(1, terms.shape[-2]):
+        out = field.add_table[out, terms[..., k, :]]
+    return out
+
+
+def _rows_of_kind(gens):
+    """How the generators' kind is closed on rows of uint8 codes.
+
+    Returns the identity's row; `times`, which maps an (m, w) array of rows
+    to the (m, K, w) array of their products with each of the K generators
+    on the right; and `decode`, which turns a row (a list) into an element.
+    A Perm row is its images; a FrobMat row is its matrix entries, row-major,
+    followed by its Frobenius power, and a Mat row is that of power 0.
+    """
+    first, count = gens[0], len(gens)
+    if isinstance(first, Perm):
+        images = np.array([g.images for g in gens], dtype=np.uint8)
+        # (x * g)(i) = x(g(i)): one gather of every row by every generator
+        return first.identity_like().images, lambda rows: rows[:, images], Perm
+    twist = isinstance(first, FrobMat)
+    mats = [g.mat for g in gens] if twist else gens
+    field, d = mats[0].field, mats[0].dim
+    a = field.a if twist else 1
+    # (M, s)(N, t) = (M Frob^s(N), s + t): twisted[s, k] is Frob^s of the
+    # k-th generator's matrix, and each row picks its own s
+    twisted = np.array([[m.frobenius(s).entries for m in mats] for s in range(a)],
+                       dtype=np.uint8).reshape(a, count, d, d)
+    powers = np.array([g.power for g in gens] if twist else [0] * count, dtype=np.uint8)
+
+    def times(rows):
+        s = rows[:, -1]
+        out = np.empty((len(rows), count, d * d + 1), dtype=np.uint8)
+        out[:, :, :-1] = _mat_products(field, rows[:, :-1].reshape(-1, 1, d, d),
+                                       twisted[s]).reshape(len(rows), count, -1)
+        out[:, :, -1] = (s[:, None] + powers) % a
+        return out
+
+    identity = mats[0].identity_like().entries + (0,)
+    if twist:
+        return identity, times, lambda row: FrobMat(Mat(field, d, row[:-1]), row[-1])
+    return identity, times, lambda row: Mat(field, d, row[:-1])
+
+
 def close_group(generators, limit: int = MAX_ELEMENTS) -> GroupTable:
     """Breadth-first closure of a generating set under multiplication, and
     its Cayley table.
@@ -149,6 +206,13 @@ def close_group(generators, limit: int = MAX_ELEMENTS) -> GroupTable:
     All generators must share one representation kind; matrix generators
     must be invertible.  Raises ResourceLimitError when the closure exceeds
     the element limit.
+
+    Elements are closed as rows of integer codes (_rows_of_kind), one
+    breadth-first level at a time: the whole level is multiplied by every
+    generator in one batched product, and the products are walked
+    level-element-major, generator-minor, each new one taking the next
+    index.  That is the order in which a one-element-at-a-time closure
+    meets them, so the indices do not depend on the batching.
     """
     gens = list(generators)
     if not gens:
@@ -164,30 +228,43 @@ def close_group(generators, limit: int = MAX_ELEMENTS) -> GroupTable:
             raise ValueError(f"singular matrix generator {g!r}")
     if limit > MAX_ELEMENTS:
         raise ValueError(f"closure limit exceeds {MAX_ELEMENTS}")
-    identity = first.identity_like()
-    elements = [identity]
-    index = {identity: 0}
-    right = [[] for _ in gens]  # right[k][x] is the index of x * gens[k]
-    parent = [None]  # parent[y] = (x, k) with y = x * gens[k], x < y
-    # visiting in index order walks the breadth-first frontiers in turn
-    for x, elt in enumerate(elements):
-        for k, g in enumerate(gens):
-            y = elt * g
-            out = index.get(y)
-            if out is None:
-                if len(elements) >= limit:
-                    raise ResourceLimitError(f"closure exceeded {limit} elements")
-                out = index[y] = len(elements)
-                elements.append(y)
-                parent.append((x, k))
-            right[k].append(out)
-    n = len(elements)
-    right_arr = np.array(right, dtype=np.int16)
-    # row y of cols is column y of the table: x * y = (x * p) * gens[k]
-    cols = np.empty((n, n), dtype=np.int16)
-    cols[0] = np.arange(n)
-    for y in range(1, n):
-        p, k = parent[y]
-        cols[y] = right_arr[k][cols[p]]
-    gen_idx = sorted({index[g] for g in gens})
-    return GroupTable(elements, gen_idx, np.ascontiguousarray(cols.T))
+    identity, times, decode = _rows_of_kind(gens)
+    count = len(gens)
+    frontier = np.array([identity], dtype=np.uint8)
+    index = {frontier.tobytes(): 0}
+    levels = [frontier]  # rows of each level; a level's indices are consecutive
+    right = []  # per level: at position count * x + k, the index of x * gens[k]
+    parents = []  # per later level: for each y = x * gens[k], count * x + k
+    while len(frontier):
+        products = times(frontier).reshape(len(frontier) * count, -1)
+        width = products.shape[1]
+        keys = products.view(f"V{width}").ravel().tolist() if width else [b""] * len(products)
+        start = len(index)
+        found = np.array([index.setdefault(key, len(index)) for key in keys])
+        if len(index) > limit:
+            raise ResourceLimitError(f"closure exceeded {limit} elements")
+        # new elements are numbered in order of first occurrence
+        values, first_at = np.unique(found, return_index=True)
+        first_at = first_at[values >= start]
+        right.append(found)
+        parents.append(first_at + count * (start - len(frontier)))
+        frontier = products[first_at]
+        levels.append(frontier)
+    n = len(index)
+    right = np.concatenate(right)
+    # left[k, z] is the index of gens[k] * z, from g (x h) = (g x) h
+    left = np.empty((count, n), dtype=np.intp)
+    left[:, 0] = right[:count]
+    y = 1
+    for level in parents:
+        xs, ks = divmod(level, count)
+        left[:, y:y + len(level)] = right[count * left[:, xs] + ks]
+        y += len(level)
+    # row by row, from (x h) z = x (h z)
+    table = np.empty((n, n), dtype=np.int16)
+    table[0] = np.arange(n)
+    for y, pos in enumerate(np.concatenate(parents).tolist(), 1):
+        x, k = divmod(pos, count)
+        table[y] = table[x][left[k]]
+    elements = [decode(row) for row in np.concatenate(levels).tolist()]
+    return GroupTable(elements, sorted(set(right[:count].tolist())), table)

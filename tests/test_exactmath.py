@@ -1,5 +1,6 @@
 import operator
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -39,6 +40,24 @@ def test_factorize_round_trip():
             assert is_prime(p)
             prod *= p**e
         assert prod == n
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5) if _trial_division(n)]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to every prime base up to 7, 23 and 37 respectively
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1) and is_prime(2**79 - 67)
+    assert not is_prime((2**31 - 1) * (2**47 - 115))
+    assert not is_prime(43**16)  # above the bound: trial division
 
 
 def test_prime_power():

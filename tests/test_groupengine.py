@@ -86,10 +86,48 @@ def test_close_group_resource_limit():
         ge.close_group([rot], limit=2**15)
 
 
+def test_close_group_limit_is_exact():
+    # isaacs_K over GF(3), order 54: its last breadth-first level holds
+    # elements 40..54, so limit 53 is crossed inside one batched level
+    gens = [ge.matrix(3, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+            ge.matrix(3, [[1, 0, 0], [0, 1, 1], [0, 0, 1]]),
+            ge.matrix(3, [[1, 0, 1], [0, 1, 0], [0, 0, 1]]),
+            ge.matrix(3, [[1, 0, 0], [0, 1, 0], [0, 0, 2]])]
+    assert ge.close_group(gens, limit=54).order == 54
+    with pytest.raises(ResourceLimitError):
+        ge.close_group(gens, limit=53)
+
+
+def _sequential_closure(gens):
+    """Reference closure, one element at a time: each element times each
+    generator in turn, every new product taking the next index."""
+    elements = [gens[0].identity_like()]
+    index = {elements[0]: 0}
+    for x in elements:
+        for g in gens:
+            y = x * g
+            if y not in index:
+                index[y] = len(elements)
+                elements.append(y)
+    return elements, sorted({index[g] for g in gens})
+
+
+def test_closure_order_matches_sequential_reference():
+    # one group per element kind and field: Perm, Mat over GF(3), GF(4) and
+    # GF(9), FrobMat; the generators are re-closed in reverse order
+    for built in (ge.symmetric_group(5), ge.gl2_3(), ge.build_example_group("isaacs_K", 4),
+                  ge.build_example_group("heisenberg", 9), ge.build_galois_twisted_group(4)):
+        gens = [built.elements[i] for i in reversed(built.generators)]
+        g = ge.close_group(gens)
+        assert (g.elements, g.generators) == _sequential_closure(gens)
+
+
 def test_cayley_table_matches_element_products():
-    # one group per element kind: Perm, Mat, FrobMat (rows sampled)
+    # one group per element kind: Perm, Mat, FrobMat, and Mat over GF(9),
+    # where addition is not XOR (rows sampled)
     for g, rows in ((ge.symmetric_group(4), range(24)), (ge.gl2_3(), range(48)),
-                    (ge.build_galois_twisted_group(4), range(0, 384, 37))):
+                    (ge.build_galois_twisted_group(4), range(0, 384, 37)),
+                    (ge.build_example_group("heisenberg", 9), range(0, 729, 41))):
         index = {x: i for i, x in enumerate(g.elements)}
         for i in rows:
             assert g.mult(i, g.inverse(i)) == g.mult(g.inverse(i), i) == 0
