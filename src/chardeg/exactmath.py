@@ -245,7 +245,12 @@ def root_interval(m: int, k: int, precision_bits: int) -> DyadicInterval:
     return DyadicInterval(r, r if r**k == scaled else r + 1, precision_bits)
 
 
-def interval_gt(lhs, rhs, start_bits: int = 32, cap_bits: int = 4096) -> bool:
+# the precision at which `interval_gt` first compares
+INTERVAL_START_BITS = 32
+
+
+def interval_gt(lhs, rhs, start_bits: int = INTERVAL_START_BITS,
+                cap_bits: int = 4096) -> bool:
     """Decide LHS > RHS where both sides are interval-valued functions of precision.
 
     lhs and rhs map a bit count to a DyadicInterval at that scale enclosing

@@ -7,19 +7,24 @@ largest such degree is written rho(n) here.  The headline fact checked by
 this module is rho(n)**8 * 8 > (n!)**3, i.e. rho(n) > (n!/2)**(3/8).  Only a
 lower bound for rho(n) is needed, so for 7 <= n <= 74 one certificate
 partition per n proves it, and from 75 on three root-inequalities carry the
-induction, each decided on dyadic interval enclosures with integer
-numerators (see `exactmath.DyadicInterval`).  The exact rho(n) is computed by
-brute force for small n only.
+induction, decided on dyadic interval enclosures with integer numerators
+(see `exactmath.DyadicInterval`).  They are proved on whole blocks [a, b] of
+n: every root in them increases with n, so its enclosure at a gives a lower
+end and its enclosure at b an upper end valid on the whole block, and a
+block these do not prove is halved until it is proved or is a single n,
+decided exactly.  The exact rho(n) is computed by brute force for small n
+only.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from math import factorial
 
 from .degrees import DegreeMultiset
 from .errors import ResourceLimitError
-from .exactmath import interval_gt, root_interval, sqrt_interval
+from .exactmath import (
+    INTERVAL_START_BITS, DyadicInterval, interval_gt, root_interval, sqrt_interval,
+)
 from .partitions import (
     add_node, boundary_nodes, conjugate, hook_degree, is_partition, partitions_of,
 )
@@ -104,37 +109,62 @@ def certifies_rho_bound(n: int, lam) -> bool:
             and 8 * hook_degree(lam) ** 8 > factorial(n) ** 3)
 
 
-def _induction_inequalities(n: int) -> tuple[bool, bool, bool]:
-    """The three growth inequalities at n, each decided exactly.
+def _block_enclosures(a: int, b: int, bits: int):
+    """Enclosures at the scale 2**bits, valid for every real n in [a, b], of
+    the three left-hand sides and the right-hand side (n+1)**(3/8) of the
+    induction inequalities (see `_induction_inequalities`).
+
+    sqrt(2n), sqrt(2n+2), n**(3/8) and (n+1)**(3/8) all increase with n, so
+    over [a, b] each lies between its value at a and its value at b: the
+    lower end of its enclosure at a and the upper end of its enclosure at b
+    bound it for the whole block.  Interval arithmetic on those enclosures
+    and on n = [a, b] then encloses each side over the block.  At a == b
+    these are the single-n enclosures.
+    """
+    def span(at_a, at_b):
+        return DyadicInterval(at_a.lo, at_b.hi, bits)
+
+    n = DyadicInterval(a << bits, b << bits, bits)
+    s2n = span(sqrt_interval(2 * a, bits), sqrt_interval(2 * b, bits))
+    s2n2 = span(sqrt_interval(2 * a + 2, bits), sqrt_interval(2 * b + 2, bits))
+    n38 = span(root_interval(a**3, 8, bits), root_interval(b**3, 8, bits))
+    rhs = span(root_interval((a + 1) ** 3, 8, bits), root_interval((b + 1) ** 3, 8, bits))
+    lhs = ((n + 1) / (s2n + 1),
+           (n + 1 - s2n2) / s2n,
+           (n + 2 - s2n2 - s2n / n38) / s2n)
+    return lhs, rhs
+
+
+def _induction_inequalities(a: int, b: int) -> tuple[bool, bool, bool]:
+    """Whether each growth inequality holds for every n in [a, b]:
 
     (1)  (n+1) / (sqrt(2n) + 1)                                > (n+1)**(3/8)
     (2)  (n+1 - sqrt(2n+2)) / sqrt(2n)                         > (n+1)**(3/8)
     (3)  (n+2 - sqrt(2n+2) - sqrt(2n) * n**(-3/8)) / sqrt(2n)  > (n+1)**(3/8)
 
-    The four root enclosures are built once per precision and shared.
+    A block a < b is judged once, at the start precision of `interval_gt`:
+    an inequality is proved when its left-hand lower end exceeds the
+    right-hand upper end, and False means only "not proved on this block".
+    A single n (a == b) is decided exactly by `interval_gt`.
     """
+    if a < b:
+        lhs, rhs = _block_enclosures(a, b, INTERVAL_START_BITS)
+        return tuple(side.lo > rhs.hi for side in lhs)
+    return tuple(interval_gt(lambda bits, k=k: _block_enclosures(a, a, bits)[0][k],
+                             lambda bits: _block_enclosures(a, a, bits)[1])
+                 for k in range(3))
 
-    @cache
-    def roots(bits):
-        return (sqrt_interval(2 * n, bits), sqrt_interval(2 * n + 2, bits),
-                root_interval(n**3, 8, bits), root_interval((n + 1) ** 3, 8, bits))
 
-    def lhs1(bits):
-        s2n, _, _, _ = roots(bits)
-        return (n + 1) / (s2n + 1)
-
-    def lhs2(bits):
-        s2n, s2n2, _, _ = roots(bits)
-        return (n + 1 - s2n2) / s2n
-
-    def lhs3(bits):
-        s2n, s2n2, n38, _ = roots(bits)
-        return (n + 2 - s2n2 - s2n / n38) / s2n
-
-    def rhs(bits):
-        return roots(bits)[3]
-
-    return interval_gt(lhs1, rhs), interval_gt(lhs2, rhs), interval_gt(lhs3, rhs)
+def _induction_failures(a: int, b: int) -> list[int]:
+    """The n in a..b, ascending, at which an induction inequality fails: a
+    block that the enclosures do not prove is halved until it is proved or
+    is a single n, which is then decided exactly."""
+    if a > b or all(_induction_inequalities(a, b)):
+        return []
+    if a == b:
+        return [a]
+    mid = (a + b) // 2
+    return _induction_failures(a, mid) + _induction_failures(mid + 1, b)
 
 
 def verify_rho_growth(
@@ -142,6 +172,12 @@ def verify_rho_growth(
     spot_checks: tuple[int, ...] = (10**6,),
 ) -> list[int]:
     """The n among 75..n_induct_max and the spot values at which one of the
-    three induction inequalities fails; below 75 the certificates take over."""
-    ns = [*range(INDUCTION_START, n_induct_max + 1), *spot_checks]
-    return [n for n in ns if not all(_induction_inequalities(n))]
+    three induction inequalities fails; below 75 the certificates take over.
+
+    The range is proved on whole blocks of n by bisection
+    (`_induction_failures`), so its cost grows with the number of blocks the
+    enclosures need, about logarithmically in n_induct_max, not with the
+    number of n; each spot value is a block of one n.
+    """
+    return [*_induction_failures(INDUCTION_START, n_induct_max),
+            *(n for spot in spot_checks for n in _induction_failures(spot, spot))]

@@ -211,6 +211,16 @@ def test_rho_benchmark_command_covers_7_to_74(tmp_path, capsys):
     assert induction["witnesses"][0] == "induction n=75..80"
 
 
+def test_rho_induction_proves_a_range_no_per_n_loop_could(tmp_path, capsys):
+    report = tmp_path / "rho.json"
+    assert cli.main(["rho", "--induct-max", "1000000000", "--report", str(report)]) == 0
+    capsys.readouterr()
+    induction = json.loads(report.read_text())[1]
+    assert induction["status"] == "pass"
+    assert induction["witnesses"][0] == "induction n=75..1000000000"
+    assert induction["witnesses"][2] == "failures=[]"
+
+
 @pytest.mark.parametrize("n, bad_lam", [
     (8, (4, 2, 1, 1)),   # self-conjugate, though 8 * 90**8 > (8!)**3
     (10, (5, 3, 2, 1)),  # the certificate of 11, large enough for 10

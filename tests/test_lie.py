@@ -5,6 +5,7 @@ from math import prod
 import pytest
 
 from chardeg.errors import ExcludedCaseError
+from chardeg.exactmath import is_prime_power
 from chardeg.lie import (
     AMBIENTS, CentralizerShape, ClassicalFactor, SimpleGroupId,
     ambient_order, applicable_situations, centralizer_order, euler_tail_lower,
@@ -57,6 +58,12 @@ def test_rank_one_matches_two_dimensional_linear_groups():
     for q in prime_powers_up_to(100):
         if q >= 4:
             assert simple_order(SimpleGroupId("A", 1, q)) == psl2_order(q)
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 10**4])
+def test_prime_power_sieve_matches_factoring(limit):
+    assert prime_powers_up_to(limit) == [
+        q for q in range(2, limit + 1) if is_prime_power(q)]
 
 
 def test_omega_plus_18_formula_value():

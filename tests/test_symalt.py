@@ -1,12 +1,13 @@
 from math import factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from chardeg.errors import ResourceLimitError
 from chardeg.partitions import conjugate, hook_degree, partitions_of
 from chardeg.symalt import (
     an_degrees, rho_an, rho_certificates, rho_witness, sn_degrees,
-    verify_rho_growth, _induction_inequalities,
+    verify_rho_growth, _block_enclosures, _induction_failures, _induction_inequalities,
 )
 
 
@@ -75,10 +76,29 @@ def test_rho_range_checks():
 
 def test_induction_inequalities_hold_from_75():
     for n in (75, 76, 100, 1000):
-        assert all(_induction_inequalities(n))
+        assert all(_induction_inequalities(n, n))
 
 
 def test_induction_fails_at_74_so_certificates_must_reach_it():
-    assert _induction_inequalities(74) == (True, True, False)
+    assert _induction_inequalities(74, 74) == (True, True, False)
     assert verify_rho_growth(80, spot_checks=()) == []
+    assert _induction_failures(74, 10**4) == [74]
+
+
+def test_block_proof_agrees_with_each_n_decided_alone():
+    reference = [n for n in range(75, 3001) if not all(_induction_inequalities(n, n))]
+    assert verify_rho_growth(3000, spot_checks=()) == reference
+    reference = [n for n in range(2, 300) if not all(_induction_inequalities(n, n))]
+    assert _induction_failures(2, 299) == reference == list(range(2, 75))
+
+
+@given(st.lists(st.integers(75, 10**5), min_size=3, max_size=3).map(sorted),
+       st.sampled_from((32, 64, 128)))
+def test_block_enclosures_contain_each_single_n(a_n_b, bits):
+    # the block proof is sound only if its enclosures hold every n in it
+    a, n, b = a_n_b
+    block_lhs, block_rhs = _block_enclosures(a, b, bits)
+    single_lhs, single_rhs = _block_enclosures(n, n, bits)
+    for block, single in zip((*block_lhs, block_rhs), (*single_lhs, single_rhs)):
+        assert block.lo <= single.lo <= single.hi <= block.hi
 
