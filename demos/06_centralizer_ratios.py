@@ -12,7 +12,7 @@ the doubled unitary merge), uniformly over the sweep.
 from fractions import Fraction
 
 from chardeg.lie import (
-    applicable_situations, centralizer_order, iter_situation_instances,
+    applicable_situations, centralizer_order, iter_situation_ratios,
     make_shape, semisimple_degree, situation_ratio,
 )
 
@@ -31,8 +31,7 @@ for i, j in ((1, 2), (1, 3), (2, 4)):
 
 print("\nsweeping every realizable 4-factor shape with factor dimension <= 6:")
 worst = {}
-for sh, i, j, situation in iter_situation_instances(ns=(9, 10, 11, 12), max_dk=6):
-    r = situation_ratio(sh, i, j, situation)
+for _, _, _, situation, r in iter_situation_ratios(ns=(9, 10, 11, 12), max_dk=6):
     if situation not in worst or r < worst[situation]:
         worst[situation] = r
 for situation, r in sorted(worst.items()):

@@ -314,9 +314,8 @@ def _check_situations(cfg: RunConfig):
     low_iv = Fraction(81, 272)
     counts = {s: 0 for s in lie.SITUATIONS}
     bad = []
-    for shape, i, j, situation in lie.iter_situation_instances(
+    for shape, i, j, situation, ratio in lie.iter_situation_ratios(
             ns=SITUATION_NS, max_dk=SITUATION_MAX_DK):
-        ratio = lie.situation_ratio(shape, i, j, situation)
         counts[situation] += 1
         threshold = low_iv if situation == "iv" else low
         if not ratio > threshold:
@@ -455,8 +454,11 @@ def _run_claim(args: tuple[str, RunConfig]) -> VerificationReport:
 
 
 def run_claims(claims: list[str], cfg: RunConfig) -> list[VerificationReport]:
-    jobs = max(1, cfg.jobs)
-    if jobs == 1 or len(claims) == 1:
+    if cfg.jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {cfg.jobs}")
+    # the fork start method starts every worker up front: none may be idle
+    jobs = min(cfg.jobs, len(claims))
+    if jobs <= 1:
         return [_run_claim((c, cfg)) for c in claims]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_run_claim, [(c, cfg) for c in claims]))
@@ -510,7 +512,9 @@ def _config_from_args(args) -> RunConfig:
             _abort(f"configuration error: degree file "
                    f"{args.degrees!r} does not exist")
         cfg = replace(cfg, degrees_path=args.degrees)
-    if getattr(args, "jobs", None):
+    if getattr(args, "jobs", None) is not None:
+        if args.jobs < 1:
+            _abort(f"configuration error: --jobs {args.jobs} is below 1")
         cfg = replace(cfg, jobs=args.jobs)
     return cfg
 

@@ -103,15 +103,28 @@ def is_prime_power(n: int) -> bool:
 
 
 def p_part(n: int, p: int) -> int:
-    """Largest power of the prime p dividing n >= 1."""
+    """Largest power of the prime p dividing n >= 1.
+
+    The valuation v is found with O(log v) divisions, not v: n is divided
+    by p, p**2, p**4, ... while each divides what is left, which removes
+    p**(2**k - 1) and leaves a valuation below 2**k; going back down through
+    the same powers then removes each binary digit of the rest.
+    """
     if not is_prime(p):
         raise ValueError(f"p_part requires a prime, got {p}")
     if n < 1:
         raise ValueError(f"p_part requires n >= 1, got {n}")
-    part = 1
-    while n % p == 0:
-        n //= p
-        part *= p
+    part, powers = 1, []
+    power = p
+    while n % power == 0:
+        n //= power
+        part *= power
+        powers.append(power)
+        power *= power
+    for power in reversed(powers):
+        if n % power == 0:
+            n //= power
+            part *= power
     return part
 
 

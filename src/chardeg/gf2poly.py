@@ -4,12 +4,15 @@ Polynomials are encoded as nonnegative integers: bit i is the coefficient of
 x**i, so the constant term is the lowest bit and a monic polynomial has its
 top bit set.  Serialization uses the hexadecimal form of that integer.
 
-Besides the ring operations the module provides Rabin's irreducibility test
-for a single polynomial, the list of all irreducibles of one degree by a
-product sieve over numpy int64 arrays (exact: only shifts and XOR), the
-reciprocal map (coefficient reversal), Moebius counting of irreducibles, and
-the count of self-reciprocal irreducibles of a given even degree in both a
-closed form and a brute-force mode that must agree.
+Besides the ring operations, among them squaring by spreading the bits of
+a polynomial apart, the module provides Rabin's irreducibility test for a
+single polynomial (its repeated squarings use that spreading), the list of
+all irreducibles of one degree by a product sieve over numpy int64 arrays
+(exact: only shifts and XOR), the reciprocal map (coefficient reversal),
+Moebius counting of irreducibles, and the count of self-reciprocal
+irreducibles of a given even degree in both a closed form and a brute-force
+mode that must agree; the brute force tests only palindromes with an odd
+number of terms, since x + 1 divides the others.
 """
 
 from __future__ import annotations
@@ -78,8 +81,10 @@ def poly_mod(a: int, f: int) -> int:
     return a
 
 
-def poly_mulmod(a: int, b: int, f: int) -> int:
-    return poly_mod(poly_mul(a, b), f)
+def poly_square(a: int) -> int:
+    """a**2, which over GF(2) is sum of a_i x**(2i): the binary digits of a
+    read as base-4 digits put bit i at bit 2i."""
+    return int(format(a, "b"), 4)
 
 
 def poly_gcd(a: int, b: int) -> int:
@@ -117,7 +122,7 @@ def poly_is_irreducible(f: int) -> bool:
     powers = {}
     t = X
     for i in range(1, d + 1):
-        t = poly_mulmod(t, t, f)
+        t = poly_mod(poly_square(t), f)
         powers[i] = t
     if powers[d] != poly_mod(X, f):
         return False
@@ -201,7 +206,10 @@ def count_self_reciprocal(d: int, mode: str = "formula") -> int:
 
     The closed form is (1/2d) sum over odd e | d of mu(e) 2**(d/e); the
     brute-force mode filters palindromic candidates of degree 2d through the
-    irreducibility test and is the ground truth for d <= 10.
+    irreducibility test and is the ground truth for d <= 10.  A candidate
+    with an even number of terms has f(1) = 0, so x + 1 divides it and it is
+    reducible (its degree 2d is at least 2): the brute force drops those
+    without a test and decides every other candidate by Rabin's test.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -213,7 +221,8 @@ def count_self_reciprocal(d: int, mode: str = "formula") -> int:
     if mode == "brute_force":
         if d > _BRUTE_FORCE_MAX:
             raise ResourceLimitError(f"brute force limited to d <= {_BRUTE_FORCE_MAX}")
-        return sum(1 for f in palindromic_polys(2 * d) if poly_is_irreducible(f))
+        return sum(1 for f in palindromic_polys(2 * d)
+                   if f.bit_count() % 2 and poly_is_irreducible(f))
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -164,7 +164,8 @@ def verify_lie_38(gid: SimpleGroupId) -> bool:
     """
     if gid.family == "A" and gid.rank == 1:
         raise ExcludedCaseError("rank-one type A is excluded from this check")
-    return pow_compare(steinberg_degree(gid), 8, simple_order(gid), 3) == GREATER
+    order = simple_order(gid)
+    return pow_compare(p_part(order, gid.characteristic), 8, order, 3) == GREATER
 
 
 def prime_powers_up_to(limit: int) -> list[int]:
@@ -473,9 +474,8 @@ def _situation_context(shape: CentralizerShape, i: int, j: int):
     d0 = fi.ndim + fj.ndim
     if d0 % 2 or d0 < 4:
         raise ValueError(f"pair dimension d0 = {d0} must be even and >= 4")
-    eps_prod = fi.sign * fj.sign
     rest = [f for t, f in enumerate(shape.factors, start=1) if t not in (i, j)]
-    return fi, fj, d0, eps_prod, rest
+    return d0, fi.sign * fj.sign, rest
 
 
 def situation_shape(shape: CentralizerShape, i: int, j: int,
@@ -490,7 +490,12 @@ def situation_shape(shape: CentralizerShape, i: int, j: int,
     """
     if situation not in SITUATIONS:
         raise ValueError(f"unknown situation {situation!r}")
-    _, _, d0, eps_prod, rest = _situation_context(shape, i, j)
+    return _merged_shape(shape, situation, *_situation_context(shape, i, j))
+
+
+def _merged_shape(shape: CentralizerShape, situation: str, d0: int, eps_prod: int,
+                  rest: list) -> CentralizerShape:
+    """`situation_shape` for a pair whose `_situation_context` is given."""
     if situation == "i":
         if any(f.d == d0 and f.eps == eps_prod for f in rest):
             raise ValueError(f"a (d={d0}, eps={eps_prod:+d}) factor is already present")
@@ -530,15 +535,25 @@ def situation_ratio(shape: CentralizerShape, i: int, j: int,
     return Fraction(semisimple_degree(t_shape), semisimple_degree(shape))
 
 
-def applicable_situations(shape: CentralizerShape, i: int, j: int) -> list[str]:
+def comparison_shapes(shape: CentralizerShape, i: int,
+                      j: int) -> list[tuple[str, CentralizerShape]]:
+    """(situation, comparison shape) for every situation that applies to the
+    pair (i, j), in the order of SITUATIONS; each shape is built once."""
+    try:
+        context = _situation_context(shape, i, j)
+    except ValueError:
+        return []
     out = []
     for situation in SITUATIONS:
         try:
-            situation_shape(shape, i, j, situation)
+            out.append((situation, _merged_shape(shape, situation, *context)))
         except ValueError:
             continue
-        out.append(situation)
     return out
+
+
+def applicable_situations(shape: CentralizerShape, i: int, j: int) -> list[str]:
+    return [situation for situation, _ in comparison_shapes(shape, i, j)]
 
 
 # ---------------------------------------------------------------------------
@@ -563,41 +578,37 @@ def factor_availability(ambient: str, d: int, eps: int) -> int:
     return gf2poly.count_self_reciprocal(d)
 
 
-def iter_situation_instances(ns=(9, 10, 11, 12), ambients=("Sp", "O+", "O-"),
-                             r: int = 4, max_dk: int = 6):
-    """Exhaustively yield (shape, i, j, situation) for every realizable shape
-    with exactly r GL-type factors of dimension contribution at most max_dk,
-    every even pair of dimension at least 4, and every applicable situation.
-    """
-    base_types = []
-    for d in range(1, max_dk + 1):
-        for k in range(1, max_dk // d + 1):
-            for eps in (1, -1):
-                try:
-                    avail = factor_availability("Sp", d, eps)
-                except ValueError:
-                    avail = 0
-                if avail >= 1:
-                    base_types.append((d, k, eps))
-    base_types.sort()
+def _situation_moves(ns, ambients, r: int, max_dk: int):
+    """Yield (shape, moves) for every realizable shape that has at least one
+    instance, with moves its (i, j, situation, comparison shape) in the
+    order of `iter_situation_instances`."""
+    top = max(ns, default=0)
+    # each (d, eps) availability is a Moebius sum: look it up, never redo it
+    avail = {(d, eps): factor_availability("Sp", d, eps)
+             for d in range(1, max_dk + 1) for eps in (1, -1)}
+    base_types = sorted((d, k, eps) for (d, eps), count in avail.items() if count
+                        for k in range(1, max_dk // d + 1))
 
-    def multisets(start: int, count: int, chosen: list):
+    def multisets(start: int, count: int, chosen: list, dims: int):
         if count == 0:
             yield list(chosen)
             return
         for t in range(start, len(base_types)):
             d, k, eps = base_types[t]
+            # no n in ns leaves room for a combination this wide
+            if dims + d * k > top:
+                continue
             used = sum(1 for (dd, _, ee) in chosen if (dd, ee) == (d, eps))
-            if used + 1 > factor_availability("Sp", d, eps):
+            if used + 1 > avail[d, eps]:
                 continue
             chosen.append(base_types[t])
-            yield from multisets(t, count - 1, chosen)
+            yield from multisets(t, count - 1, chosen, dims + d * k)
             chosen.pop()
 
     want_sp = "Sp" in ambients
     want_o = {"O+": 1, "O-": -1}
     wanted_signs = {sign for a, sign in want_o.items() if a in ambients}
-    for combo in multisets(0, r, []):
+    for combo in multisets(0, r, [], 0):
         dims = sum(d * k for d, k, _ in combo)
         sign = prod(e**k for _, k, e in combo)
         for n in ns:
@@ -617,14 +628,39 @@ def iter_situation_instances(ns=(9, 10, 11, 12), ambients=("Sp", "O+", "O-"),
                         amb = "O+" if beta * sign == 1 else "O-"
                         shapes.append(make_shape(amb, n, m, beta, combo))
             for shape in shapes:
+                moves = []
                 for i in range(1, r + 1):
                     for j in range(i + 1, r + 1):
                         fi, fj = shape.factors[i - 1], shape.factors[j - 1]
                         d0 = fi.ndim + fj.ndim
                         if d0 % 2 or d0 < 4:
                             continue
-                        for situation in applicable_situations(shape, i, j):
-                            yield shape, i, j, situation
+                        moves.extend((i, j, situation, t_shape) for situation, t_shape
+                                     in comparison_shapes(shape, i, j))
+                if moves:
+                    yield shape, moves
+
+
+def iter_situation_instances(ns=(9, 10, 11, 12), ambients=("Sp", "O+", "O-"),
+                             r: int = 4, max_dk: int = 6):
+    """Exhaustively yield (shape, i, j, situation) for every realizable shape
+    with exactly r GL-type factors of dimension contribution at most max_dk,
+    every even pair of dimension at least 4, and every applicable situation.
+    """
+    for shape, moves in _situation_moves(ns, ambients, r, max_dk):
+        for i, j, situation, _ in moves:
+            yield shape, i, j, situation
+
+
+def iter_situation_ratios(ns=(9, 10, 11, 12), ambients=("Sp", "O+", "O-"),
+                          r: int = 4, max_dk: int = 6):
+    """Yield (shape, i, j, situation, ratio) over `iter_situation_instances`,
+    ratio being `situation_ratio(shape, i, j, situation)`; each comparison
+    shape is built once and the degree of each shape is computed once."""
+    for shape, moves in _situation_moves(ns, ambients, r, max_dk):
+        chi = semisimple_degree(shape)
+        for i, j, situation, t_shape in moves:
+            yield shape, i, j, situation, Fraction(semisimple_degree(t_shape), chi)
 
 
 def random_shape(rng, n: int, r_max: int = 3, ambient_pool=("O+", "O-")):

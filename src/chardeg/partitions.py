@@ -65,12 +65,15 @@ def partitions_of(n: int) -> Iterator[Partition]:
 
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram: conj(lam)[i-1] = #{j : lam[j-1] >= i}."""
-    lam = check_partition(lam)
+    return _conjugate(check_partition(lam))
+
+
+def _conjugate(lam: Partition) -> Partition:
+    # the unchecked cores take a partition their caller has checked
     if not lam:
         return ()
     out = []
-    k = len(lam)
-    row = k
+    row = len(lam)
     for i in range(1, lam[0] + 1):
         while lam[row - 1] < i:
             row -= 1
@@ -81,7 +84,7 @@ def conjugate(lam: Partition) -> Partition:
 def hook_lengths(lam: Partition) -> dict[Node, int]:
     """Hook length of every node of the diagram, keyed by (column, row)."""
     lam = check_partition(lam)
-    conj = conjugate(lam)
+    conj = _conjugate(lam)
     hooks = {}
     for j, lam_j in enumerate(lam, start=1):
         for i in range(1, lam_j + 1):
@@ -92,8 +95,10 @@ def hook_lengths(lam: Partition) -> dict[Node, int]:
 def hook_product(lam: Partition, conj: Partition | None = None) -> int:
     """Product of all hook lengths of lam."""
     lam = check_partition(lam)
-    if conj is None:
-        conj = conjugate(lam)
+    return _hook_product(lam, _conjugate(lam) if conj is None else conj)
+
+
+def _hook_product(lam: Partition, conj: Partition) -> int:
     return prod(
         lam_j - i + conj[i - 1] - j + 1
         for j, lam_j in enumerate(lam, start=1)
@@ -104,8 +109,12 @@ def hook_product(lam: Partition, conj: Partition | None = None) -> int:
 def hook_degree(lam: Partition) -> int:
     """Degree n! / prod(hooks) attached to a partition of n; always an integer."""
     lam = check_partition(lam)
+    return _hook_degree(lam, _conjugate(lam))
+
+
+def _hook_degree(lam: Partition, conj: Partition) -> int:
     n = sum(lam)
-    denom = hook_product(lam)
+    denom = _hook_product(lam, conj)
     num = factorial(n)
     if num % denom:
         raise AssertionError(f"hook product {denom} does not divide {n}! for {lam}")

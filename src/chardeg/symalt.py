@@ -26,7 +26,8 @@ from .exactmath import (
     INTERVAL_START_BITS, DyadicInterval, interval_gt, root_interval, sqrt_interval,
 )
 from .partitions import (
-    add_node, boundary_nodes, conjugate, hook_degree, is_partition, partitions_of,
+    _conjugate, _hook_degree, add_node, boundary_nodes, conjugate, hook_degree,
+    is_partition, partitions_of,
 )
 
 MAX_N = 60
@@ -56,15 +57,16 @@ def an_degrees(n: int) -> DegreeMultiset:
     if n == 1:
         return DegreeMultiset.from_degrees([1])
     out = []
+    # partitions_of yields partitions, so the unchecked cores apply
     for lam in partitions_of(n):
-        conj = conjugate(lam)
+        conj = _conjugate(lam)
         if lam == conj:
-            d = hook_degree(lam)
+            d = _hook_degree(lam, conj)
             if d % 2:
                 raise AssertionError(f"odd degree {d} for self-conjugate {lam}")
             out.extend((d // 2, d // 2))
         elif lam <= conj:
-            out.append(hook_degree(lam))
+            out.append(_hook_degree(lam, conj))
     return DegreeMultiset.from_degrees(out)
 
 

@@ -102,6 +102,8 @@ def test_missing_torus_table_aborts_before_running(capsys):
     ["analyze-group", "--group-spec", "int-generator.json"],
     ["analyze-group", "--group-spec", "top-level-list.json"],
     ["analyze-group", "--group-spec", "str-entry.json"],
+    ["verify-all", "--jobs", "0"],
+    ["lie38", "--jobs", "-3"],
 ])
 def test_bad_input_aborts_before_running(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -268,3 +270,36 @@ def test_parallel_jobs_agree_with_serial(capsys):
                               cli.RunConfig(jobs=2))
     assert [(r.claim, r.status, r.witnesses) for r in serial] == \
         [(r.claim, r.status, r.witnesses) for r in parallel]
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts nothing
+    and maps in this process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, pool_sizes", [(1000, [3]), (2, [2]), (1, [])])
+def test_worker_pool_is_capped_at_the_number_of_claims(jobs, pool_sizes, monkeypatch):
+    sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        lambda max_workers: _RecordingPool(sizes, max_workers))
+    claims = ["lem3.2/euler-tail", "lem3.5/composition-bound", "lem5.1/extendible-witness"]
+    reports = cli.run_claims(claims, cli.RunConfig(jobs=jobs))
+    assert sizes == pool_sizes
+    assert [(r.claim, r.status) for r in reports] == [(c, "pass") for c in claims]
+
+
+def test_run_claims_rejects_fewer_than_one_job():
+    with pytest.raises(ValueError, match="jobs"):
+        cli.run_claims(["lem3.2/euler-tail"], cli.RunConfig(jobs=0))

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from chardeg.errors import PrecisionCapError
 from chardeg.exactmath import (
@@ -31,6 +31,23 @@ def test_p_part_splits_off_coprime_part(n, p):
     part = p_part(n, p)
     assert n % part == 0
     assert (n // part) % p != 0
+
+
+def _p_part_one_division_at_a_time(n, p):
+    part = 1
+    while n % p == 0:
+        n //= p
+        part *= p
+    return part
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 31, 65537]), st.integers(min_value=0, max_value=4000),
+       st.integers(min_value=1, max_value=10**40))
+def test_p_part_agrees_with_one_division_at_a_time(p, k, m):
+    m //= _p_part_one_division_at_a_time(m, p)   # m prime to p
+    n = p**k * m
+    assert p_part(n, p) == _p_part_one_division_at_a_time(n, p) == p**k
 
 
 def test_factorize_round_trip():

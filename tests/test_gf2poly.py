@@ -5,7 +5,8 @@ from chardeg.errors import ResourceLimitError
 from chardeg.gf2poly import (
     count_irreducible_monic, count_self_reciprocal, f_pool_size,
     irreducible_polys, palindromic_polys, poly_degree, poly_from_coeffs,
-    poly_from_hex, poly_is_irreducible, poly_reciprocal, poly_to_hex,
+    poly_from_hex, poly_is_irreducible, poly_mod, poly_mul, poly_reciprocal,
+    poly_square, poly_to_hex,
     reciprocal_pair_count, srim_count_of_degree, SIEVE_MAX_D,
 )
 
@@ -97,6 +98,19 @@ def test_brute_force_resource_limit():
         count_self_reciprocal(11, "brute_force")
     with pytest.raises(ValueError):
         count_self_reciprocal(3, "magic")
+
+
+def test_palindromes_with_an_even_number_of_terms_have_the_factor_x_plus_1():
+    # the brute-force count skips these candidates untested
+    for degree in range(2, 21):
+        even = [f for f in palindromic_polys(degree) if f.bit_count() % 2 == 0]
+        assert even
+        assert all(poly_mod(f, 0b11) == 0 for f in even), degree
+
+
+@given(st.integers(min_value=0, max_value=2**300))
+def test_square_by_spreading_bits_matches_multiplication(a):
+    assert poly_square(a) == poly_mul(a, a)
 
 
 def test_self_reciprocal_irreducibles_have_even_degree():

@@ -4,12 +4,14 @@ from math import prod
 
 import pytest
 
+from chardeg.cli import LIE_MAX_Q, LIE_MAX_RANK, SITUATION_MAX_DK, SITUATION_NS
 from chardeg.errors import ExcludedCaseError
 from chardeg.exactmath import is_prime_power
 from chardeg.lie import (
-    AMBIENTS, CentralizerShape, ClassicalFactor, SimpleGroupId,
-    ambient_order, applicable_situations, centralizer_order, euler_tail_lower,
-    factor_availability, gl_order, iter_simple_ids, iter_situation_instances,
+    AMBIENTS, CentralizerShape, ClassicalFactor, SimpleGroupId, _order_parts,
+    ambient_order, applicable_situations, centralizer_order, comparison_shapes,
+    euler_tail_lower, factor_availability, gl_order, iter_simple_ids,
+    iter_situation_instances, iter_situation_ratios,
     k_factor_order, load_torus_table, make_shape, prime_powers_up_to,
     random_shape, seitz_check, seitz_ids, semisimple_degree, simple_order,
     simply_connected_order, situation_ratio, situation_shape, split_torus_order,
@@ -376,3 +378,98 @@ def test_euler_tail_monotone_and_below_truth():
         for i in range(2, 400):
             true_product *= 1 - q**-i
         assert float(values[-1]) <= true_product + 1e-12
+
+
+def _reference_situation_instances(ns, ambients=("Sp", "O+", "O-"), r=4, max_dk=6):
+    """The situation enumerator as it was before the availability table, the
+    width pruning and the one-build comparison shapes: availability is
+    recomputed at every step and every situation is tried through
+    `situation_shape`."""
+    def applicable(shape, i, j):
+        out = []
+        for situation in ("i", "ii", "iii", "iv"):
+            try:
+                situation_shape(shape, i, j, situation)
+            except ValueError:
+                continue
+            out.append(situation)
+        return out
+
+    base_types = []
+    for d in range(1, max_dk + 1):
+        for k in range(1, max_dk // d + 1):
+            for eps in (1, -1):
+                if factor_availability("Sp", d, eps) >= 1:
+                    base_types.append((d, k, eps))
+    base_types.sort()
+
+    def multisets(start, count, chosen):
+        if count == 0:
+            yield list(chosen)
+            return
+        for t in range(start, len(base_types)):
+            d, k, eps = base_types[t]
+            used = sum(1 for (dd, _, ee) in chosen if (dd, ee) == (d, eps))
+            if used + 1 > factor_availability("Sp", d, eps):
+                continue
+            chosen.append(base_types[t])
+            yield from multisets(t, count - 1, chosen)
+            chosen.pop()
+
+    wanted_signs = {sign for a, sign in {"O+": 1, "O-": -1}.items() if a in ambients}
+    for combo in multisets(0, r, []):
+        dims = sum(d * k for d, k, _ in combo)
+        sign = prod(e**k for _, k, e in combo)
+        for n in ns:
+            m = n - dims
+            if m < 0:
+                continue
+            shapes = []
+            if "Sp" in ambients:
+                shapes.append(make_shape("Sp", n, m, None, combo))
+            if m == 0:
+                if sign in wanted_signs:
+                    shapes.append(make_shape("O+" if sign == 1 else "O-", n, 0, None, combo))
+            else:
+                for beta in (1, -1):
+                    if beta * sign in wanted_signs:
+                        amb = "O+" if beta * sign == 1 else "O-"
+                        shapes.append(make_shape(amb, n, m, beta, combo))
+            for shape in shapes:
+                for i in range(1, r + 1):
+                    for j in range(i + 1, r + 1):
+                        d0 = shape.factors[i - 1].ndim + shape.factors[j - 1].ndim
+                        if d0 % 2 or d0 < 4:
+                            continue
+                        for situation in applicable(shape, i, j):
+                            yield shape, i, j, situation
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"ns": SITUATION_NS, "max_dk": SITUATION_MAX_DK},
+    {"ns": (12, 8), "ambients": ("O-",), "max_dk": 4},
+    {"ns": (13,), "ambients": ("O+",), "r": 5, "max_dk": 5},
+])
+def test_situation_enumerator_matches_reference(kwargs):
+    expected = list(_reference_situation_instances(**kwargs))
+    assert expected
+    assert list(iter_situation_instances(**kwargs)) == expected
+    ratios = list(iter_situation_ratios(**kwargs))
+    assert [row[:4] for row in ratios] == expected
+    assert [row[4] for row in ratios] == [situation_ratio(*row) for row in expected]
+
+
+def test_comparison_shapes_agree_with_situation_shape():
+    shape = make_shape("Sp", 11, 0, None,
+                       [(4, 1, -1), (3, 1, 1), (2, 1, -1), (1, 2, -1)])
+    assert comparison_shapes(shape, 3, 4) == [("ii", situation_shape(shape, 3, 4, "ii"))]
+    assert applicable_situations(shape, 3, 4) == ["ii"]
+    assert comparison_shapes(shape, 1, 2) == []   # d0 = 7 is odd
+
+
+def test_steinberg_degree_is_the_q_power_part_over_the_lie_38_range():
+    count = 0
+    for gid in iter_simple_ids(LIE_MAX_RANK, LIE_MAX_Q):
+        assert steinberg_degree(gid) == _order_parts(gid)[0], gid
+        count += 1
+    assert count > 1243   # the lie-38 groups and the rank-one linear ones
