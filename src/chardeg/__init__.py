@@ -8,9 +8,11 @@ Steinberg-degree comparisons across the groups of Lie type, two-dimensional
 linear group degree lists, self-reciprocal polynomial counts over GF(2),
 semisimple-centralizer degree ratios, and the extremal family of groups
 with a character vanishing off two classes.
-"""
 
-from . import bounds, degrees, exactmath, gf2poly, groupengine, lie, partitions, psl2, symalt
+Importing the package loads none of its modules: each is imported by name
+(`from chardeg import groupengine`, `import chardeg.lie`), so a caller that
+needs only the group engine does not load or compile the rest.
+"""
 
 __version__ = "0.1.0"
 

@@ -12,7 +12,10 @@ dependency f(M) v = 0.  The roots of f are found by evaluating it at every
 point of GF(ell), so no step is randomized.  Degrees are recovered from the
 second orthogonality averages (they are small integers, so the modular image
 pins them down), and the character values are lifted to exact cyclotomic
-integers by inverting the power-map transform.
+integers by inverting the power-map transform one element order at a time:
+a class of order o reads only its first o powers, through an o x o
+transform, so the lift costs what the class orders need, not what the
+exponent m (the lcm of the representatives' orders) would.
 
 Every later check reads the values through their evaluations at the phi(m)
 primitive m-th roots of unity modulo a second prime p = 1 (mod m).  Such a
@@ -21,13 +24,14 @@ Fields, Thm 2.13), so a cyclotomic integer alpha that vanishes at every
 primitive root has p**phi(m) dividing its norm; if every conjugate of alpha
 is at most B < p in absolute value, the norm is below p**phi(m) and
 alpha = 0.  Both orthogonality relations are verified this way before a
-table is returned.  Every matrix product is int64 with its bound asserted.
+table is returned, from one evaluation of the table per build.  Every matrix
+product is int64 with its bound asserted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -180,17 +184,20 @@ class CharacterTable:
         ev = values.reshape(rows * k, m) @ at_units % p
         return p, np.moveaxis(ev.reshape(rows, k, len(units)), 2, 0)
 
-    def verify_row_orthogonality(self) -> bool:
-        """sum_c |C_c| chi_s(g_c) conj(chi_t(g_c)) = delta_st |G|, exactly."""
-        p, ev = self.evaluations()
+    def verify_row_orthogonality(self, evaluated=None) -> bool:
+        """sum_c |C_c| chi_s(g_c) conj(chi_t(g_c)) = delta_st |G|, exactly.
+        `evaluated` is the (p, ev) of evaluations() on the current values;
+        by default they are evaluated here."""
+        p, ev = self.evaluations() if evaluated is None else evaluated
         sizes = np.array(self.class_sizes, dtype=np.int64)
         sums = (ev * sizes % p) @ ev[::-1].transpose(0, 2, 1) % p
         targets = self.group.order % p * np.eye(len(self.values), dtype=np.int64)
         return bool((sums == targets).all())
 
-    def verify_column_orthogonality(self) -> bool:
-        """sum_t chi_t(g_i) conj(chi_t(g_j)) = delta_ij |G| / |C_i|, exactly."""
-        p, ev = self.evaluations()
+    def verify_column_orthogonality(self, evaluated=None) -> bool:
+        """sum_t chi_t(g_i) conj(chi_t(g_j)) = delta_ij |G| / |C_i|, exactly.
+        `evaluated` is as for verify_row_orthogonality."""
+        p, ev = self.evaluations() if evaluated is None else evaluated
         sums = ev.transpose(0, 2, 1) @ ev[::-1] % p
         sizes = np.array(self.class_sizes, dtype=np.int64)
         targets = np.where(np.eye(self.num_classes, dtype=bool),
@@ -217,6 +224,41 @@ def _class_matrix(group: GroupTable, classes, class_of: np.ndarray, i: int,
     return counts % ell
 
 
+def _power_maps(group: GroupTable, reps, class_of: np.ndarray):
+    """(power_class, orders): orders[c] is the order o_c of the c-th
+    representative g_c, and power_class[c, v] the class of g_c**v for
+    v < o_c, from one walk up to the largest o_c."""
+    orders = np.zeros(len(reps), dtype=np.int64)
+    columns = []
+    powers = np.zeros(len(reps), dtype=np.intp)
+    while not orders.all():
+        columns.append(class_of[powers])
+        powers = group.table[powers, reps]
+        orders[(powers == 0) & (orders == 0)] = len(columns)
+    return np.stack(columns, axis=1), orders
+
+
+def _lift(values_mod: np.ndarray, power_class: np.ndarray, orders: np.ndarray,
+          ell: int, m: int) -> np.ndarray:
+    """The root multiplicities c_u = (1/m) sum_{v<m} X(g**v) lambda**(-uv)
+    of every modular character value X(g), lambda = _root_powers(ell, m)[1].
+
+    Every eigenvalue of rho(g) is an o-th root of unity for o = ord(g), so
+    c_u = 0 unless u = (m/o) w, and then
+    c_u = (1/o) sum_{v<o} X(g**v) lambda**(-(m/o) w v): one (rows, o) @ (o, o)
+    transform for all the classes of order o, written at every (m/o)-th u."""
+    k = len(values_mod)
+    root = _root_powers(ell, m)
+    values = np.zeros((k, len(orders), m), dtype=np.int64)
+    for o in sorted(set(orders.tolist())):
+        cls = np.flatnonzero(orders == o)
+        exps = np.arange(o)
+        transform = root[-np.outer(exps, exps) * (m // o) % m] * pow(o, -1, ell) % ell
+        block = values_mod[:, power_class[cls, :o]].reshape(k * len(cls), o)
+        values[:, cls, ::m // o] = (block @ transform % ell).reshape(k, len(cls), o)
+    return values
+
+
 def dixon_character_table(group: GroupTable) -> CharacterTable:
     if group.order > DIXON_MAX_ORDER:
         raise ResourceLimitError(
@@ -226,7 +268,8 @@ def dixon_character_table(group: GroupTable) -> CharacterTable:
     k = len(classes)
     sizes = [len(c) for c in classes]
     reps = [c[0] for c in classes]
-    m = group.exponent()
+    power_class, orders = _power_maps(group, reps, class_of)
+    m = lcm(*orders.tolist())  # every element is conjugate to a representative
     ell = _split_prime(2 * isqrt(group.order) + 1, m)
     _assert_int64(max(k, m), ell)
 
@@ -262,18 +305,7 @@ def dixon_character_table(group: GroupTable) -> CharacterTable:
     values_mod = (np.array(degrees, dtype=np.int64)[:, np.newaxis] * omegas % ell
                   * size_inv % ell)
 
-    # power maps: class of rep_j ** v for v = 0..m-1
-    power_class = np.zeros((k, m), dtype=np.int64)
-    powers = np.zeros(k, dtype=np.intp)
-    for v in range(m):
-        power_class[:, v] = class_of[powers]
-        powers = group.table[powers, reps]
-
-    # lifting: c_u = (1/m) sum_v X(g^v) lambda^(-uv) are the root multiplicities
-    exps = np.arange(m)
-    transform = _root_powers(ell, m)[-np.outer(exps, exps) % m] * pow(m, -1, ell) % ell
-    values = values_mod[:, power_class].reshape(k * k, m) @ transform % ell
-    values = values.reshape(k, k, m)
+    values = _lift(values_mod, power_class, orders, ell, m)
     if (values.sum(axis=2) != np.array(degrees)[:, np.newaxis]).any():
         raise AssertionError("lifted multiplicities do not sum to the degree")
 
@@ -289,8 +321,9 @@ def dixon_character_table(group: GroupTable) -> CharacterTable:
     for d in table.degrees:
         if group.order % d:
             raise AssertionError(f"degree {d} does not divide the group order")
-    if not table.verify_row_orthogonality():
+    evaluated = table.evaluations()
+    if not table.verify_row_orthogonality(evaluated):
         raise AssertionError("row orthogonality failed")
-    if not table.verify_column_orthogonality():
+    if not table.verify_column_orthogonality(evaluated):
         raise AssertionError("column orthogonality failed")
     return table

@@ -3,10 +3,11 @@ dense multiplication table, then conjugacy classes, element orders,
 generated and normal subgroups, and derived series, each computed by numpy
 gathers on that table rather than element by element.
 
-The closure itself multiplies no element objects: each element is a row of
-integer codes, a whole breadth-first level is multiplied by the generators
-in one batched gather, and the table is filled a row at a time by gathers
-on rows already filled."""
+The closure itself multiplies no element objects and builds none per
+element: each element is a row of integer codes, a whole breadth-first level
+is multiplied by the generators in one batched gather, and the table is
+filled a row at a time by gathers on rows already filled.  The rows are kept,
+and element objects are decoded from them only when asked for."""
 
 from __future__ import annotations
 
@@ -26,22 +27,34 @@ class GroupTable:
     numbered at first occurrence).  table[i, j] is the index of
     elements[i] * elements[j]; close_group fills it once, so every product
     and inverse is a lookup and no element is multiplied afterwards.
+
+    The elements are kept as the closure's rows of integer codes, and
+    `elements` decodes them into element objects on first access: every
+    group query reads the table alone.
     """
 
-    def __init__(self, elements, generator_indices, table: np.ndarray):
-        self.elements = list(elements)
+    def __init__(self, rows: np.ndarray, decode, generator_indices, table: np.ndarray):
+        self._rows = rows
+        self._decode = decode
+        self._elements = None
         self.generators = list(generator_indices)
         self.table = table
         # each row holds the identity exactly once, in the inverse's column
         self.inverses = table.argmin(axis=1)
         self._class_of = None
 
+    @property
+    def elements(self) -> list:
+        if self._elements is None:
+            self._elements = [self._decode(row) for row in self._rows.tolist()]
+        return self._elements
+
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.table)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.table)
 
     def mult(self, i: int, j: int) -> int:
         return int(self.table[i, j])
@@ -51,16 +64,13 @@ class GroupTable:
 
     def element_orders(self) -> np.ndarray:
         """Order of every element, one power of all elements per step."""
-        everything = np.arange(len(self.elements))
-        orders = np.zeros(len(self.elements), dtype=np.int64)
+        everything = np.arange(self.order)
+        orders = np.zeros(self.order, dtype=np.int64)
         power, step = everything, 1
         while not orders.all():
             orders[(power == 0) & (orders == 0)] = step
             power, step = self.table[power, everything], step + 1
         return orders
-
-    def exponent(self) -> int:
-        return int(np.lcm.reduce(self.element_orders()))
 
     def class_of(self) -> np.ndarray:
         """Index of each element's class in conjugacy_classes().
@@ -73,7 +83,7 @@ class GroupTable:
             # conj[k][x] is the index of g^-1 x g for the k-th generator g
             conj = [self.table[self.inverses[g], self.table[:, g]]
                     for g in self.generators]
-            label = np.arange(len(self.elements))
+            label = np.arange(self.order)
             while True:
                 new = label
                 for c in conj:
@@ -100,9 +110,9 @@ class GroupTable:
         generators, so each one at least doubles it; after each, the whole
         subgroup is multiplied by the generators, then each new frontier.
         """
-        wanted = np.zeros(len(self.elements), dtype=bool)
+        wanted = np.zeros(self.order, dtype=bool)
         wanted[np.asarray(idxs, dtype=np.intp)] = True
-        inside = np.zeros(len(self.elements), dtype=bool)
+        inside = np.zeros(self.order, dtype=bool)
         inside[0] = True
         gens = []
         while (outside := np.flatnonzero(wanted & ~inside)).size:
@@ -110,8 +120,12 @@ class GroupTable:
             frontier = np.flatnonzero(inside)
             while frontier.size:
                 products = self.table[np.ix_(frontier, gens)].ravel()
-                frontier = np.unique(products[~inside[products]])
-                inside[frontier] = True
+                # the new products, sorted and distinct, by a mask: a bare
+                # np.unique would import numpy.ma for its masked-array check
+                grown = inside.copy()
+                grown[products] = True
+                frontier = np.flatnonzero(grown & ~inside)
+                inside = grown
         return frozenset(np.flatnonzero(inside).tolist())
 
     def minimal_normal_subgroups(self) -> list[frozenset[int]]:
@@ -131,7 +145,7 @@ class GroupTable:
 
     def derived_subgroup(self, members: frozenset[int] | None = None) -> frozenset[int]:
         """Commutator subgroup of the given subgroup (whole group if None)."""
-        pool = (np.arange(len(self.elements)) if members is None
+        pool = (np.arange(self.order) if members is None
                 else np.array(sorted(members)))
         xy = self.table[np.ix_(pool, pool)]
         # x^-1 y^-1 x y = (y x)^-1 (x y), and (y x) is the transpose of (x y)
@@ -139,7 +153,7 @@ class GroupTable:
         return self.subgroup_generated(commutators.ravel())
 
     def derived_series(self) -> list[frozenset[int]]:
-        series = [frozenset(range(len(self.elements)))]
+        series = [frozenset(range(self.order))]
         while True:
             nxt = self.derived_subgroup(series[-1])
             if nxt == series[-1]:
@@ -212,7 +226,8 @@ def close_group(generators, limit: int = MAX_ELEMENTS) -> GroupTable:
     generator in one batched product, and the products are walked
     level-element-major, generator-minor, each new one taking the next
     index.  That is the order in which a one-element-at-a-time closure
-    meets them, so the indices do not depend on the batching.
+    meets them, so the indices do not depend on the batching.  The rows
+    are handed to the GroupTable undecoded.
     """
     gens = list(generators)
     if not gens:
@@ -266,5 +281,5 @@ def close_group(generators, limit: int = MAX_ELEMENTS) -> GroupTable:
     for y, pos in enumerate(np.concatenate(parents).tolist(), 1):
         x, k = divmod(pos, count)
         table[y] = table[x][left[k]]
-    elements = [decode(row) for row in np.concatenate(levels).tolist()]
-    return GroupTable(elements, sorted(set(right[:count].tolist())), table)
+    return GroupTable(np.concatenate(levels), decode,
+                      sorted(set(right[:count].tolist())), table)

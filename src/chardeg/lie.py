@@ -656,11 +656,19 @@ def iter_situation_ratios(ns=(9, 10, 11, 12), ambients=("Sp", "O+", "O-"),
                           r: int = 4, max_dk: int = 6):
     """Yield (shape, i, j, situation, ratio) over `iter_situation_instances`,
     ratio being `situation_ratio(shape, i, j, situation)`; each comparison
-    shape is built once and the degree of each shape is computed once."""
+    shape is built once, and the degree of each distinct shape, enumerated
+    or compared, is computed once per call."""
+    degrees: dict[CentralizerShape, int] = {}
+
+    def degree(shape: CentralizerShape) -> int:
+        if shape not in degrees:
+            degrees[shape] = semisimple_degree(shape)
+        return degrees[shape]
+
     for shape, moves in _situation_moves(ns, ambients, r, max_dk):
-        chi = semisimple_degree(shape)
+        chi = degree(shape)
         for i, j, situation, t_shape in moves:
-            yield shape, i, j, situation, Fraction(semisimple_degree(t_shape), chi)
+            yield shape, i, j, situation, Fraction(degree(t_shape), chi)
 
 
 def random_shape(rng, n: int, r_max: int = 3, ambient_pool=("O+", "O-")):

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chardeg import groupengine as ge
 from chardeg.errors import ResourceLimitError
-from chardeg.groupengine.elements import Mat, Perm
+from chardeg.groupengine import dixon
+from chardeg.groupengine.elements import FrobMat, Mat, Perm
 from chardeg.groupengine.field import gf
 
 
@@ -135,6 +140,52 @@ def test_cayley_table_matches_element_products():
                 assert g.mult(i, j) == index[g.elements[i] * g.elements[j]]
         identity = list(range(g.order))
         assert g.table[0].tolist() == g.table[:, 0].tolist() == identity
+
+
+def _count_constructions(monkeypatch):
+    """Per element class, the number of objects built from now on."""
+    built = {cls: 0 for cls in (Perm, Mat, FrobMat)}
+    for cls in built:
+        def counted(self, *args, _cls=cls, _init=cls.__init__):
+            built[_cls] += 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
+def test_close_group_decodes_elements_only_on_demand(monkeypatch):
+    # closure builds a few objects per generator (its Frobenius images, the
+    # identity), never one per element; the first read of `elements`
+    # decodes each element once
+    for model, kind in ((ge.symmetric_group(6), Perm), (ge.gl2_3(), Mat),
+                        (ge.build_galois_twisted_group(4), FrobMat)):
+        gens = [model.elements[i] for i in model.generators]
+        built = _count_constructions(monkeypatch)
+        g = ge.close_group(gens)
+        assert sum(built.values()) <= 4 * len(gens), (kind, built)
+        before = built[kind]
+        elements = g.elements
+        assert built[kind] - before == g.order == len(elements) == model.order
+        assert g.elements is elements
+        assert built[kind] - before == g.order
+        monkeypatch.undo()
+
+
+def test_group_engine_loads_only_the_modules_it_uses():
+    # a fresh interpreter, so that no other test's imports count; a table
+    # and the subgroup queries of a gagola analysis run before the check
+    code = ("import json, sys; import chardeg.groupengine as ge; "
+            "ge.gagola_analyze(ge.build_example_group('isaacs_K', 3)); "
+            "print(json.dumps(sorted(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(ge.__file__).parents[2]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout))
+    assert "chardeg.groupengine.dixon" in loaded
+    for name in ("lie", "symalt", "psl2", "bounds", "partitions", "gf2poly"):
+        assert f"chardeg.{name}" not in loaded
+    assert "numpy.ma" not in loaded
 
 
 # --- conjugacy classes and subgroup machinery ------------------------------
@@ -277,6 +328,71 @@ def test_table_invariants_on_assorted_groups():
         assert table.verify_column_orthogonality()
 
 
+def _full_lift(group, values_mod, ell, m):
+    """Reference lift over all m powers of every class representative:
+    c_u = (1/m) sum_{v<m} X(g**v) lambda**(-uv), one (k*k, m) @ (m, m)
+    product, with no use of the element orders."""
+    class_of = group.class_of()
+    reps = [c[0] for c in group.conjugacy_classes()]
+    k = len(reps)
+    power_class = np.zeros((k, m), dtype=np.int64)
+    powers = np.zeros(k, dtype=np.intp)
+    for v in range(m):
+        power_class[:, v] = class_of[powers]
+        powers = group.table[powers, reps]
+    exps = np.arange(m)
+    transform = (dixon._root_powers(ell, m)[-np.outer(exps, exps) % m]
+                 * pow(m, -1, ell) % ell)
+    values = values_mod[:, power_class].reshape(k * k, m) @ transform % ell
+    return values.reshape(k, k, m)
+
+
+def test_lift_by_element_order_matches_the_full_lift(monkeypatch):
+    calls = []
+
+    def recorded(values_mod, power_class, orders, ell, m):
+        out = lift(values_mod, power_class, orders, ell, m)
+        calls.append((values_mod, ell, m, out))
+        return out
+
+    lift = dixon._lift
+    monkeypatch.setattr(dixon, "_lift", recorded)
+    groups = [ge.alternating_group(7), ge.symmetric_group(5), ge.cyclic_group(60),
+              ge.dihedral_group(63), ge.build_example_group("heisenberg", 7),
+              ge.build_galois_twisted_group(4)]
+    groups += [ge.build_example_group("isaacs_K", q) for q in (2, 3, 4, 5)]
+    for g in groups:
+        table = ge.dixon_character_table(g)
+        values_mod, ell, m, out = calls.pop()
+        assert m == table.exponent == int(np.lcm.reduce(g.element_orders()))
+        full = _full_lift(g, values_mod, ell, m)
+        assert full.dtype == out.dtype and (full == out).all(), g.order
+        assert sorted(map(np.ndarray.tolist, full)) == sorted(map(np.ndarray.tolist,
+                                                                  table.values))
+
+
+def test_each_build_checks_both_relations_on_one_evaluation(monkeypatch):
+    ct = ge.CharacterTable
+    for name in ("verify_row_orthogonality", "verify_column_orthogonality"):
+        with monkeypatch.context() as patch:
+            patch.setattr(ct, name, lambda self, evaluated=None: False)
+            with pytest.raises(AssertionError, match=name.split("_")[1]):
+                ge.dixon_character_table(ge.symmetric_group(4))
+    evaluations = ct.evaluations
+    count = []
+
+    def counted(self):
+        count.append(1)
+        return evaluations(self)
+
+    monkeypatch.setattr(ct, "evaluations", counted)
+    table = ge.dixon_character_table(ge.alternating_group(5))
+    assert len(count) == 1
+    # called alone, each check still evaluates the current values
+    assert table.verify_row_orthogonality() and table.verify_column_orthogonality()
+    assert len(count) == 3
+
+
 def test_orthogonality_refuses_coefficients_that_are_not_multiplicities():
     # the bound B that makes one prime enough holds only for multiplicity
     # rows: non-negative coefficients summing to the degree
@@ -352,10 +468,10 @@ def test_roots_are_exactly_the_linear_factors():
 
 
 def test_int64_products_are_exact_for_every_accepted_group():
-    # the lift sums m products mod ell, the eigen-split k products mod ell
-    # and the orthogonality checks k products mod p, with k, m and d**2 at
-    # most |G|; ell and p never shrink as the order grows, so the largest
-    # accepted order bounds every group the engine takes
+    # the lift sums at most m products mod ell, the eigen-split k products
+    # mod ell and the orthogonality checks k products mod p, with k, m and
+    # d**2 at most |G|; ell and p never shrink as the order grows, so the
+    # largest accepted order bounds every group the engine takes
     from math import isqrt
 
     from chardeg.groupengine.dixon import DIXON_MAX_ORDER as N, _split_prime

@@ -459,6 +459,18 @@ def test_situation_enumerator_matches_reference(kwargs):
     assert [row[4] for row in ratios] == [situation_ratio(*row) for row in expected]
 
 
+def test_situation_ratios_compute_each_distinct_degree_once(monkeypatch):
+    import chardeg.lie as lie
+
+    asked = []
+    monkeypatch.setattr(lie, "semisimple_degree",
+                        lambda shape: asked.append(shape) or semisimple_degree(shape))
+    rows = list(iter_situation_ratios(SITUATION_NS, max_dk=SITUATION_MAX_DK))
+    shapes = {row[0] for row in rows}
+    shapes |= {situation_shape(*row[:4]) for row in rows}
+    assert len(asked) == len(set(asked)) == len(shapes)
+
+
 def test_comparison_shapes_agree_with_situation_shape():
     shape = make_shape("Sp", 11, 0, None,
                        [(4, 1, -1), (3, 1, 1), (2, 1, -1), (1, 2, -1)])
