@@ -47,7 +47,8 @@ class DegreeRecord:
 def ingest_degree_records(path) -> list[DegreeRecord]:
     """Read one JSON object per line with fields name/order/degrees; the
     multiplicity-weighted squared degrees must sum to the order and names
-    must be unique."""
+    must be unique.  The name is a string, and the order, the degrees and the
+    multiplicities are JSON integers: never floats, and never booleans."""
     records = []
     seen = set()
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -60,9 +61,13 @@ def ingest_degree_records(path) -> list[DegreeRecord]:
         try:
             name = data["name"]
             order = data["order"]
-            pairs = [(int(d), int(m)) for d, m in data["degrees"]]
+            pairs = [(d, m) for d, m in data["degrees"]]
         except (KeyError, TypeError, ValueError):
             raise ValueError(f"{path}:{lineno}: expected name/order/degrees fields") from None
+        integers = [order] + [x for pair in pairs for x in pair]
+        if type(name) is not str or any(type(x) is not int for x in integers):
+            raise ValueError(f"{path}:{lineno}: expected a string name and integer "
+                             "order, degrees and multiplicities")
         if name in seen:
             raise ValueError(f"{path}:{lineno}: duplicate record name {name!r}")
         seen.add(name)

@@ -48,12 +48,6 @@ def poly_from_coeffs(coeffs) -> int:
     return f
 
 
-def poly_coeffs(f: int) -> tuple[int, ...]:
-    if f <= 0:
-        raise ValueError("expected a nonzero polynomial")
-    return tuple((f >> i) & 1 for i in range(f.bit_length()))
-
-
 def poly_to_hex(f: int) -> str:
     return format(f, "x")
 

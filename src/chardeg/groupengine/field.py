@@ -113,7 +113,6 @@ class GF:
         # the same tables as arrays, for products of many matrices at once
         self.mul_table = np.array(self._mul, dtype=np.uint8)
         self.add_table = np.array(self._add, dtype=np.uint8)
-        self._neg = [self.sub(0, x) for x in range(q)]
         self._inv = [0] * q
         for x in range(1, q):
             for y in range(1, q):
@@ -147,9 +146,6 @@ class GF:
 
     def mul(self, x: int, y: int) -> int:
         return self._mul[x][y]
-
-    def neg(self, x: int) -> int:
-        return self._neg[x]
 
     def inv(self, x: int) -> int:
         if x == 0:

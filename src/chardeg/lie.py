@@ -8,7 +8,9 @@ even-dimensional orthogonal groups over GF(2); GL factors carry a field
 extension exponent d, a dimension k, and a sign (+1 linear, -1 unitary).
 The degree of the irreducible character attached to (class, Steinberg of C)
 is the odd part of [S : C] times the Steinberg degree of C, and all ratio
-bounds are evaluated as exact rationals.
+bounds are evaluated as exact rationals.  Every order, of a simple group or
+of a GF(2) ambient or centralizer factor, is read from one formula per
+family (`_order_parts`); St(C) is the 2-part of |C|.
 """
 
 from __future__ import annotations
@@ -91,11 +93,14 @@ class SimpleGroupId:
         return prime_power(self.q)[0]
 
 
-def _order_parts(gid: SimpleGroupId) -> tuple[int, list[int], int]:
+def _order_parts(family: str, rank: int, q: int) -> tuple[int, list[int], int]:
     """(q-power part, cyclotomic factors, center order) of the simply
     connected group; the simple group order is the product of the first two
-    divided by the third."""
-    fam, n, q = gid.family, gid.rank, gid.q
+    divided by the third.  Every factor and the center are prime to q, so the
+    first part is the p-part of the order.  Ranks that `SimpleGroupId` rejects
+    (A0, C1, D1..D3 and the like) give the small classical groups of the
+    GF(2) calculus."""
+    fam, n = family, rank
     if fam == "A":
         return q ** (n * (n + 1) // 2), [q**i - 1 for i in range(2, n + 2)], \
             gcd(n + 1, q - 1)
@@ -137,13 +142,17 @@ def _order_parts(gid: SimpleGroupId) -> tuple[int, list[int], int]:
     raise AssertionError(fam)
 
 
-def simply_connected_order(gid: SimpleGroupId) -> int:
-    qpart, factors, _ = _order_parts(gid)
+def _simply_connected(family: str, rank: int, q: int) -> int:
+    qpart, factors, _ = _order_parts(family, rank, q)
     return qpart * prod(factors)
 
 
+def simply_connected_order(gid: SimpleGroupId) -> int:
+    return _simply_connected(gid.family, gid.rank, gid.q)
+
+
 def simple_order(gid: SimpleGroupId) -> int:
-    qpart, factors, center = _order_parts(gid)
+    qpart, factors, center = _order_parts(gid.family, gid.rank, gid.q)
     total = qpart * prod(factors)
     if total % center:
         raise AssertionError("center does not divide the group order")
@@ -151,8 +160,8 @@ def simple_order(gid: SimpleGroupId) -> int:
 
 
 def steinberg_degree(gid: SimpleGroupId) -> int:
-    """Degree of the Steinberg character: the p-part of the group order."""
-    return p_part(simple_order(gid), gid.characteristic)
+    """Degree of the Steinberg character: the q-power part of the order."""
+    return _order_parts(gid.family, gid.rank, gid.q)[0]
 
 
 def verify_lie_38(gid: SimpleGroupId) -> bool:
@@ -164,8 +173,7 @@ def verify_lie_38(gid: SimpleGroupId) -> bool:
     """
     if gid.family == "A" and gid.rank == 1:
         raise ExcludedCaseError("rank-one type A is excluded from this check")
-    order = simple_order(gid)
-    return pow_compare(p_part(order, gid.characteristic), 8, order, 3) == GREATER
+    return pow_compare(steinberg_degree(gid), 8, simple_order(gid), 3) == GREATER
 
 
 def prime_powers_up_to(limit: int) -> list[int]:
@@ -286,36 +294,23 @@ def load_torus_table(path) -> dict[tuple[str, int, int], int]:
 AMBIENTS = ("SL", "Sp", "O+", "O-")
 
 
+# SL_n, Sp_2n and the orthogonal groups O+-_2n as Lie-type families of rank
+# n - 1, n, n, n; their orders at q = 2 are read from `_order_parts`
+_AMBIENT_FAMILY = {"SL": "A", "Sp": "C", "O+": "D", "O-": "2D"}
+
+
 def gl_order(d: int, k: int, eps: int) -> int:
     """Order of GL_k(2**d) for eps = +1, of the unitary group GU_k(2**d) for
-    eps = -1."""
+    eps = -1: (2**d - eps) times the order of SL_k or SU_k over GF(2**d)."""
     if d < 1 or k < 1 or eps not in (1, -1):
         raise ValueError("need d >= 1, k >= 1, eps = +-1")
-    return (1 << (d * k * (k - 1) // 2)) * prod(
-        (1 << (d * i)) - eps**i for i in range(1, k + 1))
-
-
-def sp_order(m: int) -> int:
-    return (1 << (m * m)) * prod((1 << (2 * i)) - 1 for i in range(1, m + 1))
-
-
-def omega_order(m: int, beta: int) -> int:
-    if m == 0:
-        return 1
-    return (1 << (m * (m - 1))) * ((1 << m) - beta) * prod(
-        (1 << (2 * i)) - 1 for i in range(1, m))
+    return ((1 << d) - eps) * _simply_connected("A" if eps == 1 else "2A", k - 1, 1 << d)
 
 
 def ambient_order(kind: str, n: int) -> int:
-    if kind == "SL":
-        return (1 << (n * (n - 1) // 2)) * prod((1 << i) - 1 for i in range(2, n + 1))
-    if kind == "Sp":
-        return sp_order(n)
-    if kind == "O+":
-        return omega_order(n, +1)
-    if kind == "O-":
-        return omega_order(n, -1)
-    raise ValueError(f"unknown ambient {kind!r}")
+    if kind not in _AMBIENT_FAMILY:
+        raise ValueError(f"unknown ambient {kind!r}")
+    return _simply_connected(_AMBIENT_FAMILY[kind], n - 1 if kind == "SL" else n, 2)
 
 
 @dataclass(frozen=True)
@@ -339,10 +334,6 @@ class ClassicalFactor:
     @property
     def order(self) -> int:
         return gl_order(self.d, self.k, self.eps)
-
-    @property
-    def steinberg(self) -> int:
-        return 1 << (self.d * self.k * (self.k - 1) // 2)
 
     @property
     def sign(self) -> int:
@@ -425,16 +416,8 @@ def k_factor_order(shape: CentralizerShape) -> int:
     if shape.ambient == "SL" or shape.m == 0:
         return 1
     if shape.ambient == "Sp":
-        return sp_order(shape.m)
-    return omega_order(shape.m, shape.beta)
-
-
-def k_factor_steinberg(shape: CentralizerShape) -> int:
-    if shape.ambient == "SL" or shape.m == 0:
-        return 1
-    if shape.ambient == "Sp":
-        return 1 << (shape.m * shape.m)
-    return 1 << (shape.m * (shape.m - 1))
+        return ambient_order("Sp", shape.m)
+    return ambient_order("O+" if shape.beta == 1 else "O-", shape.m)
 
 
 def centralizer_order(shape: CentralizerShape) -> int:
@@ -447,14 +430,15 @@ def shape_ambient_order(shape: CentralizerShape) -> int:
 
 def semisimple_degree(shape: CentralizerShape) -> int:
     """Degree of the character attached to (class of s, Steinberg of C):
-    the odd part of [S : C] times the Steinberg degree of C."""
+    the odd part of [S : C] times the Steinberg degree of C, which is the
+    2-part of |C|."""
     s = shape_ambient_order(shape)
     c = centralizer_order(shape)
     if s % c:
         raise ValueError("centralizer order does not divide the ambient order")
     index = s // c
     odd = index >> ((index & -index).bit_length() - 1)
-    degree = odd * k_factor_steinberg(shape) * prod(f.steinberg for f in shape.factors)
+    degree = odd * (c & -c)
     if s % degree:
         raise AssertionError("computed degree does not divide the group order")
     return degree

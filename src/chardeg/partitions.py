@@ -92,13 +92,8 @@ def hook_lengths(lam: Partition) -> dict[Node, int]:
     return hooks
 
 
-def hook_product(lam: Partition, conj: Partition | None = None) -> int:
-    """Product of all hook lengths of lam."""
-    lam = check_partition(lam)
-    return _hook_product(lam, _conjugate(lam) if conj is None else conj)
-
-
 def _hook_product(lam: Partition, conj: Partition) -> int:
+    """Product of all hook lengths of lam, whose conjugate is conj."""
     return prod(
         lam_j - i + conj[i - 1] - j + 1
         for j, lam_j in enumerate(lam, start=1)

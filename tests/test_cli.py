@@ -1,5 +1,8 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ from chardeg import cli, symalt
 from chardeg.psl2 import psl2_degrees
 
 TORUS_TABLE = str(Path(__file__).parent.parent / "data" / "torus_orders.json")
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 
 def test_ingest_valid_records(tmp_path):
@@ -38,6 +42,33 @@ def test_ingest_rejects_duplicates_and_parse_errors(tmp_path):
     path2.write_text("not json\n")
     with pytest.raises(ValueError, match="parse.jsonl:1"):
         cli.ingest_degree_records(path2)
+
+
+@pytest.mark.parametrize("record", [
+    '{"name": "PSL2_7", "order": 168.0, "degrees": [[1, 1], [3, 2], [6, 1], [7, 1], [8, 1]]}',
+    '{"name": "C2", "order": 2, "degrees": [[1.9, 2]]}',
+    '{"name": "C2", "order": 2, "degrees": [[1, true], [1, 1]]}',
+    '{"name": ["C2"], "order": 2, "degrees": [[1, 2]]}',
+])
+def test_ingest_rejects_non_integer_fields(record, tmp_path, capsys):
+    path = tmp_path / "typed.jsonl"
+    path.write_text(record + "\n")
+    with pytest.raises(ValueError, match=r"typed\.jsonl:1: expected a string name"):
+        cli.ingest_degree_records(path)
+    assert cli.main(["epsilon", "--degrees", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "typed.jsonl:1" in out and "error" not in out.lower()
+
+
+def test_ingest_accepts_the_benchmark_degree_records(tmp_path):
+    # the verify-all workload writes these records; they must still pass
+    spec = importlib.util.spec_from_file_location("perfbench_groups", PERFBENCH / "groups.py")
+    groups = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(groups)
+    rows = groups.degree_records(23)
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert [r.name for r in cli.ingest_degree_records(path)] == [r["name"] for r in rows]
 
 
 def test_e_of_command(capsys):
@@ -159,6 +190,17 @@ def test_tracer_hook_points_resolve():
     missing = [f"{modname}.{attr}" for modname, attr in hooks
                if not hasattr(importlib.import_module(f"chardeg.{modname}"), attr)]
     assert missing == []
+
+
+def test_tracer_installs_in_a_fresh_interpreter():
+    # install also wraps class methods and groupengine functions that the
+    # entry-point tables above do not list
+    src = Path(__file__).parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PERFBENCH), str(src)])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "from tracer import Tracer, install; install(Tracer())"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_epsilon_with_bad_degrees_file_fails(tmp_path, capsys):

@@ -6,9 +6,9 @@ import pytest
 
 from chardeg.cli import LIE_MAX_Q, LIE_MAX_RANK, SITUATION_MAX_DK, SITUATION_NS
 from chardeg.errors import ExcludedCaseError
-from chardeg.exactmath import is_prime_power
+from chardeg.exactmath import is_prime_power, p_part
 from chardeg.lie import (
-    AMBIENTS, CentralizerShape, ClassicalFactor, SimpleGroupId, _order_parts,
+    AMBIENTS, CentralizerShape, ClassicalFactor, SimpleGroupId,
     ambient_order, applicable_situations, centralizer_order, comparison_shapes,
     euler_tail_lower, factor_availability, gl_order, iter_simple_ids,
     iter_situation_instances, iter_situation_ratios,
@@ -333,6 +333,35 @@ def test_semisimple_degree_matches_index_formula():
         checked += 1
 
 
+def _reference_semisimple_degree(shape):
+    """The degree as the explicit product it was first written as: the odd
+    part of [S : C] times the Steinberg degree 2^(m^2) (Sp) or 2^(m(m-1))
+    (orthogonal) of K and 2^(d k(k-1)/2) of each GL-type factor."""
+    index = ambient_order(shape.ambient, shape.n) // centralizer_order(shape)
+    while index % 2 == 0:
+        index //= 2
+    if shape.ambient == "SL" or shape.m == 0:
+        k_steinberg = 1
+    elif shape.ambient == "Sp":
+        k_steinberg = 2 ** (shape.m * shape.m)
+    else:
+        k_steinberg = 2 ** (shape.m * (shape.m - 1))
+    return index * k_steinberg * prod(_factor_steinberg(f) for f in shape.factors)
+
+
+def test_semisimple_degree_matches_the_explicit_product():
+    shapes = set()
+    for shape, i, j, situation in iter_situation_instances():
+        shapes |= {shape, situation_shape(shape, i, j, situation)}
+    assert len(shapes) == 651
+    shapes |= {make_shape("SL", 3, 0, None, [(1, 1, 1), (2, 1, 1)]),
+               make_shape("SL", 10, 0, None, [(4, 1, 1), (3, 1, 1), (2, 1, 1), (1, 1, 1)]),
+               make_shape("SL", 7, 0, None, [(1, 3, 1), (2, 2, 1)]),
+               make_shape("SL", 6, 0, None, [(3, 2, 1)])}
+    for shape in shapes:
+        assert semisimple_degree(shape) == _reference_semisimple_degree(shape), shape
+
+
 def test_factor_availability_values():
     assert factor_availability("Sp", 1, 1) == 0   # no degree-1 reversal pairs
     assert factor_availability("Sp", 1, -1) == 1  # x^2+x+1 only
@@ -482,6 +511,6 @@ def test_comparison_shapes_agree_with_situation_shape():
 def test_steinberg_degree_is_the_q_power_part_over_the_lie_38_range():
     count = 0
     for gid in iter_simple_ids(LIE_MAX_RANK, LIE_MAX_Q):
-        assert steinberg_degree(gid) == _order_parts(gid)[0], gid
+        assert steinberg_degree(gid) == p_part(simple_order(gid), gid.characteristic), gid
         count += 1
     assert count > 1243   # the lie-38 groups and the rank-one linear ones
