@@ -25,6 +25,8 @@ class EDecomposition:
 
 def e_of(order: int, d: int) -> EDecomposition:
     """The unique decomposition order = d (d + e) with e = order/d - d."""
+    if order < 1:
+        raise ValueError("order must be positive")
     if d < 1:
         raise ValueError("degree must be positive")
     if order % d:

@@ -22,14 +22,10 @@ from math import factorial
 from pathlib import Path
 from typing import NoReturn
 
-from . import bounds, gf2poly, groupengine, lie, partitions, psl2, symalt
+from . import bounds, gf2poly, lie, partitions, psl2, symalt
 from .degrees import DegreeMultiset
 from .errors import PrecisionCapError, ResourceLimitError
 from .exactmath import p_part, prime_power
-
-# imported after the package modules: the same modules loaded with this one
-# first give a verify-all process about 1 MB more peak RSS
-from concurrent.futures import ProcessPoolExecutor
 
 PASS, FAIL, INCONCLUSIVE, OUT_OF_SCOPE = "pass", "fail", "inconclusive", "out-of-scope"
 ERROR = "error"
@@ -337,6 +333,8 @@ WITNESS_QS = (2, 3, 4, 5)
 
 
 def _check_equality_family(cfg: RunConfig):
+    from . import groupengine
+
     bad = []
     for q in WITNESS_QS:
         group = groupengine.build_example_group("isaacs_K", q)
@@ -360,6 +358,8 @@ def _check_equality_family(cfg: RunConfig):
 
 
 def _check_gagola_arithmetic(cfg: RunConfig):
+    from . import groupengine
+
     bad = []
     for q in WITNESS_QS:
         group = groupengine.build_example_group("isaacs_K", q)
@@ -468,6 +468,11 @@ def run_claims(claims: list[str], cfg: RunConfig) -> list[VerificationReport]:
     jobs = min(cfg.jobs, len(claims))
     if jobs <= 1:
         return [_run_claim((c, cfg)) for c in claims]
+    # loaded before the fork, so the workers share numpy instead of each
+    # importing it again
+    from . import groupengine
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_run_claim, [(c, cfg) for c in claims]))
 
@@ -507,8 +512,9 @@ def _config_from_args(args) -> RunConfig:
                    f"{args.induct_max} is below {symalt.INDUCTION_START}")
         cfg = replace(cfg, rho_induct_max=args.induct_max)
     if getattr(args, "max_q", None) is not None:
-        if args.max_q < 5:
-            _abort(f"configuration error: --max-q {args.max_q} is below 5")
+        if not 5 <= args.max_q <= lie.SIEVE_MAX_Q:
+            _abort(f"configuration error: --max-q {args.max_q} "
+                   f"outside 5..{lie.SIEVE_MAX_Q}")
         cfg = replace(cfg, psl2_max_q=args.max_q)
     if getattr(args, "torus_table", None):
         if not Path(args.torus_table).is_file():
@@ -578,6 +584,8 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "analyze-group":
+        from . import groupengine
+
         # a malformed file raises json.JSONDecodeError, a ValueError
         try:
             name, group = groupengine.load_group_file(args.group_spec)

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
-
 from .errors import ResourceLimitError
 from .exactmath import factorize
 
@@ -138,6 +136,8 @@ def irreducible_polys(d: int) -> Iterator[int]:
         raise ValueError("degree must be >= 1")
     if d > SIEVE_MAX_D:
         raise ResourceLimitError(f"the sieve is limited to d <= {SIEVE_MAX_D}")
+    import numpy as np
+
     top = 1 << d
     irreducible = np.ones(top, dtype=bool)  # indexed by f - x**d
     for e in range(1, d // 2 + 1):

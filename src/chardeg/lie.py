@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterator
 
 from . import gf2poly
-from .errors import ExcludedCaseError
+from .errors import ExcludedCaseError, ResourceLimitError
 from .exactmath import GREATER, factorize, p_part, pow_compare, prime_power
 
 FAMILIES = (
@@ -176,10 +176,16 @@ def verify_lie_38(gid: SimpleGroupId) -> bool:
     return pow_compare(steinberg_degree(gid), 8, simple_order(gid), 3) == GREATER
 
 
+# the sieve holds two bytearrays of limit + 1 bytes (20 MB at the cap)
+SIEVE_MAX_Q = 10**7
+
+
 def prime_powers_up_to(limit: int) -> list[int]:
     """Every prime power q <= limit, ascending, by one sieve of Eratosthenes:
     each prime p <= sqrt(limit) strikes its multiples from p*p on and marks
     its powers p**k, k >= 2, which the primes left unstruck complete."""
+    if limit > SIEVE_MAX_Q:
+        raise ResourceLimitError(f"the prime-power sieve is limited to q <= {SIEVE_MAX_Q}")
     if limit < 2:
         return []
     prime = bytearray([1]) * (limit + 1)

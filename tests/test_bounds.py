@@ -25,6 +25,12 @@ def test_e_of_rejections():
         e_of(60, 10)    # 100 > 60
 
 
+@pytest.mark.parametrize("order, d", [(-5, 1), (0, 1), (-6, -2), (0, 0)])
+def test_e_of_rejects_non_positive_orders(order, d):
+    with pytest.raises(ValueError, match="order must be positive"):
+        e_of(order, d)
+
+
 def test_e_of_round_trip():
     for order in range(1, 10_001):
         for d in range(1, order + 1):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import importlib.util
 import json
 import os
@@ -7,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from chardeg import cli, symalt
+from chardeg import cli, lie, symalt
 from chardeg.psl2 import psl2_degrees
 
 TORUS_TABLE = str(Path(__file__).parent.parent / "data" / "torus_orders.json")
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def test_ingest_valid_records(tmp_path):
@@ -95,6 +97,66 @@ def test_poly_subcommand_report(tmp_path, capsys):
     assert {entry["claim"] for entry in payload} == {
         "lem3.3/srim-table", "sec3/nd-counts"}
     assert all(entry["status"] == "pass" for entry in payload)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["e-of", "-5", "1"], "input error: order must be positive"),
+    (["e-of", "0", "1"], "input error: order must be positive"),
+    (["psl2", "--max-q", str(lie.SIEVE_MAX_Q + 1)],
+     f"configuration error: --max-q {lie.SIEVE_MAX_Q + 1} outside 5..{lie.SIEVE_MAX_Q}"),
+])
+def test_out_of_range_input_is_named_in_its_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", message + "\n")
+
+
+def _modules_after(code: str) -> set[str]:
+    """The modules loaded once `code` has run in a fresh interpreter, so that
+    no other test's imports count."""
+    code += "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+HEAVY_MODULES = ("numpy", "chardeg.groupengine", "concurrent.futures", "multiprocessing")
+
+
+@pytest.mark.parametrize("code", [
+    "import chardeg.cli",
+    "from chardeg import cli; cli.main(['e-of', '168', '6'])",
+    "from chardeg import cli; cli.main(['epsilon'])",
+])
+def test_cli_loads_neither_numpy_nor_the_worker_pool_until_needed(code):
+    loaded = _modules_after(code)
+    assert [name for name in HEAVY_MODULES if name in loaded] == []
+
+
+def test_gagola_loads_numpy_and_the_group_engine():
+    loaded = _modules_after("from chardeg import cli; cli.main(['gagola'])")
+    assert {"numpy", "chardeg.groupengine"} <= loaded
+
+
+def test_worker_pool_forks_after_numpy_is_loaded():
+    # the workers then share the parent's numpy instead of each importing it
+    code = (
+        "import concurrent.futures, sys\n"
+        "from chardeg import cli\n"
+        "seen = []\n"
+        "class Pool:\n"
+        "    def __init__(self, max_workers): seen.append('numpy' in sys.modules)\n"
+        "    def __enter__(self): return self\n"
+        "    def __exit__(self, *exc): return False\n"
+        "    def map(self, fn, items): return map(fn, items)\n"
+        "concurrent.futures.ProcessPoolExecutor = Pool\n"
+        "cli.run_claims(['lem3.2/euler-tail', 'lem3.5/composition-bound'],\n"
+        "               cli.RunConfig(jobs=2))\n"
+        "assert seen == [True], seen\n")
+    assert "numpy" in _modules_after(code)
 
 
 def test_seitz_out_of_scope_without_torus_table(capsys):
@@ -334,7 +396,7 @@ class _RecordingPool:
 @pytest.mark.parametrize("jobs, pool_sizes", [(1000, [3]), (2, [2]), (1, [])])
 def test_worker_pool_is_capped_at_the_number_of_claims(jobs, pool_sizes, monkeypatch):
     sizes = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda max_workers: _RecordingPool(sizes, max_workers))
     claims = ["lem3.2/euler-tail", "lem3.5/composition-bound", "lem5.1/extendible-witness"]
     reports = cli.run_claims(claims, cli.RunConfig(jobs=jobs))

@@ -5,10 +5,10 @@ from math import prod
 import pytest
 
 from chardeg.cli import LIE_MAX_Q, LIE_MAX_RANK, SITUATION_MAX_DK, SITUATION_NS
-from chardeg.errors import ExcludedCaseError
+from chardeg.errors import ExcludedCaseError, ResourceLimitError
 from chardeg.exactmath import is_prime_power, p_part
 from chardeg.lie import (
-    AMBIENTS, CentralizerShape, ClassicalFactor, SimpleGroupId,
+    AMBIENTS, SIEVE_MAX_Q, CentralizerShape, ClassicalFactor, SimpleGroupId,
     ambient_order, applicable_situations, centralizer_order, comparison_shapes,
     euler_tail_lower, factor_availability, gl_order, iter_simple_ids,
     iter_situation_instances, iter_situation_ratios,
@@ -66,6 +66,11 @@ def test_rank_one_matches_two_dimensional_linear_groups():
 def test_prime_power_sieve_matches_factoring(limit):
     assert prime_powers_up_to(limit) == [
         q for q in range(2, limit + 1) if is_prime_power(q)]
+
+
+def test_prime_power_sieve_rejects_a_limit_above_its_cap():
+    with pytest.raises(ResourceLimitError, match=str(SIEVE_MAX_Q)):
+        prime_powers_up_to(SIEVE_MAX_Q + 1)
 
 
 def test_omega_plus_18_formula_value():
