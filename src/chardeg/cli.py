@@ -44,7 +44,8 @@ def ingest_degree_records(path) -> list[DegreeRecord]:
     """Read one JSON object per line with fields name/order/degrees; the
     multiplicity-weighted squared degrees must sum to the order and names
     must be unique.  The name is a string, and the order, the degrees and the
-    multiplicities are JSON integers: never floats, and never booleans."""
+    multiplicities are JSON integers: never floats, and never booleans.  Each
+    degree and multiplicity is at least 1, checked before equal degrees merge."""
     records = []
     seen = set()
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -64,6 +65,8 @@ def ingest_degree_records(path) -> list[DegreeRecord]:
         if type(name) is not str or any(type(x) is not int for x in integers):
             raise ValueError(f"{path}:{lineno}: expected a string name and integer "
                              "order, degrees and multiplicities")
+        if any(x < 1 for pair in pairs for x in pair):
+            raise ValueError(f"{path}:{lineno}: degrees and multiplicities must be positive")
         if name in seen:
             raise ValueError(f"{path}:{lineno}: duplicate record name {name!r}")
         seen.add(name)

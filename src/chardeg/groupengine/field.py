@@ -4,11 +4,20 @@ Elements are encoded as integers 0..q-1: the base-p digits of the code are
 the coefficients of the element on the power basis 1, t, t**2, ... of the
 field over its prime subfield.  Fields up to order 81 are supported, which
 covers every matrix group this package constructs.
+
+The field is GF(p)[t]/(f) for the monic f = t**a + c of degree a whose lower
+coefficients c are the first code, in code order, that gives a field.  No
+polynomial is divided: the addition table comes from the digits, and the
+multiplication table from addition and one map, z -> t*z, which shifts the
+digits of z up one place and adds z's top digit times t**a = -c.  For any c
+that builds the ring GF(p)[t]/(f); it is a field exactly when f is
+irreducible, that is when the table has no zero product of two nonzero
+elements.  A zero constant term makes t a zero divisor, so those codes are
+rejected by the same test.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -16,72 +25,6 @@ import numpy as np
 from ..exactmath import prime_power
 
 MAX_ORDER = 81
-
-
-def poly_trim(a: list[int]) -> list[int]:
-    """Drop zero leading coefficients in place, keeping [0] for zero."""
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by b over GF(p).
-
-    Coefficients run from the constant term up; b needs a nonzero leading
-    coefficient.  Both results are trimmed, with [0] for zero.
-    """
-    rem = [x % p for x in a]
-    db = len(b) - 1
-    inv_lead = pow(b[-1], -1, p)
-    quo = [0] * max(len(rem) - db, 1)
-    for shift in range(len(rem) - 1 - db, -1, -1):
-        coef = rem[shift + db] * inv_lead % p
-        if coef:
-            quo[shift] = coef
-            for i in range(db + 1):
-                rem[shift + i] = (rem[shift + i] - coef * b[i]) % p
-    return poly_trim(quo), poly_trim(rem[:db] or [0])
-
-
-def _poly_mul_mod_p(a: tuple[int, ...], b: tuple[int, ...], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _find_irreducible(p: int, a: int) -> tuple[int, ...]:
-    """Lexicographically first monic irreducible of degree a over GF(p)."""
-    for code in range(p**a):
-        coeffs = []
-        c = code
-        for _ in range(a):
-            coeffs.append(c % p)
-            c //= p
-        f = tuple(coeffs) + (1,)
-        if f[0] == 0:
-            continue
-        d = a
-        reducible = False
-        for deg in range(1, d // 2 + 1):
-            for gcode in range(p**deg):
-                g = []
-                gc = gcode
-                for _ in range(deg):
-                    g.append(gc % p)
-                    gc //= p
-                g.append(1)
-                if poly_divmod(f, g, p)[1] == [0]:
-                    reducible = True
-                    break
-            if reducible:
-                break
-        if not reducible:
-            return f
-    raise AssertionError(f"no irreducible of degree {a} over GF({p})")
 
 
 class GF:
@@ -94,55 +37,40 @@ class GF:
         self.q = q
         self.p = p
         self.a = a
-        if a == 1:
-            self._mul = [[(x * y) % p for y in range(p)] for x in range(p)]
-            self._add = [[(x + y) % p for y in range(p)] for x in range(p)]
-        else:
-            modulus = _find_irreducible(p, a)
-            decode = [self._digits(x) for x in range(q)]
-            self._add = [[self._encode([(u + v) % p for u, v in zip(decode[x], decode[y])])
-                          for y in range(q)] for x in range(q)]
-            mul = []
-            for x in range(q):
-                row = []
-                for y in range(q):
-                    prod = _poly_mul_mod_p(tuple(decode[x]), tuple(decode[y]), p)
-                    row.append(self._encode(poly_divmod(prod, modulus, p)[1]))
-                mul.append(row)
-            self._mul = mul
+        digits = [[x // p**i % p for i in range(a)] for x in range(q)]
+        self._add = [[sum((u + v) % p * p**i for i, (u, v) in enumerate(zip(dx, dy)))
+                      for dy in digits] for dx in digits]
+        self._neg = [row.index(0) for row in self._add]
+        self._mul = next(mul for mul in map(self._products, range(q))
+                         if all(0 not in row[1:] for row in mul[1:]))
         # the same tables as arrays, for products of many matrices at once
         self.mul_table = np.array(self._mul, dtype=np.uint8)
         self.add_table = np.array(self._add, dtype=np.uint8)
-        self._inv = [0] * q
-        for x in range(1, q):
-            for y in range(1, q):
-                if self._mul[x][y] == 1:
-                    self._inv[x] = y
-                    break
+        self._inv = [0] + [row.index(1) for row in self._mul[1:]]
         self._frob = [self.pow(x, p) for x in range(q)]
-        self.generator = self._find_generator()
+        self.generator = next(g for g in range(1, q)
+                              if all(self.pow(g, k) != 1 for k in range(1, q - 1)))
 
-    def _digits(self, x: int) -> list[int]:
-        out = []
-        for _ in range(self.a):
-            out.append(x % self.p)
-            x //= self.p
-        return out
-
-    def _encode(self, digits) -> int:
-        x = 0
-        for d in reversed(list(digits)[: self.a]):
-            x = x * self.p + d
-        return x
+    def _products(self, c: int) -> list[list[int]]:
+        """Multiplication table of GF(p)[t]/(t**a + c), with c an element code."""
+        q, p, add = self.q, self.p, self._add
+        top = [0]  # the multiples of t**a = -c
+        for _ in range(p - 1):
+            top.append(add[top[-1]][self._neg[c]])
+        times_t = [add[z * p % q][top[z * p // q]] for z in range(q)]
+        mul = [[0] * q]
+        for x in range(1, q):
+            if x % p:  # x = (x - 1) + 1
+                mul.append([add[m][y] for y, m in enumerate(mul[x - 1])])
+            else:  # x = t * (x / p)
+                mul.append([times_t[m] for m in mul[x // p]])
+        return mul
 
     def add(self, x: int, y: int) -> int:
         return self._add[x][y]
 
     def sub(self, x: int, y: int) -> int:
-        if self.a == 1:
-            return (x - y) % self.p
-        dx, dy = self._digits(x), self._digits(y)
-        return self._encode([(u - v) % self.p for u, v in zip(dx, dy)])
+        return self._add[x][self._neg[y]]
 
     def mul(self, x: int, y: int) -> int:
         return self._mul[x][y]
@@ -166,18 +94,6 @@ class GF:
         for _ in range(k % self.a):
             x = self._frob[x]
         return x
-
-    def _find_generator(self) -> int:
-        target = self.q - 1
-        for g in range(1, self.q):
-            seen = 1
-            x = g
-            while x != 1:
-                x = self._mul[x][g]
-                seen += 1
-            if seen == target:
-                return g
-        raise AssertionError("no multiplicative generator found")
 
     @property
     def basis(self) -> list[int]:

@@ -10,13 +10,37 @@ degree (q+1)/2 or (q-1)/2 appear according to q mod 4.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .degrees import DegreeMultiset
 from .errors import UnsupportedFamilyError
 from .exactmath import prime_power
 
-FAMILIES = ("trivial", "steinberg", "chi", "theta", "xi", "eta")
+
+@lru_cache(maxsize=1)  # every character of one q validates against this
+def _series(q: int) -> dict[str, tuple[int, Sequence]]:
+    """The character series of PSL2(q), q >= 4, as family -> (degree, indices).
+
+    The one statement of which series exist for q and which indices each
+    takes; trivial and steinberg take the single index None.
+    """
+    p, _ = prime_power(q)
+    if q < 4:
+        raise ValueError("q must be a prime power >= 4")
+    series = {"trivial": (1, (None,)), "steinberg": (q, (None,))}
+    if p == 2:
+        series["chi"] = (q + 1, range(1, (q - 2) // 2 + 1))
+        series["theta"] = (q - 1, range(1, q // 2 + 1))
+    else:
+        series["chi"] = (q + 1, range(2, (q - 3) // 2 + 1, 2))
+        series["theta"] = (q - 1, range(2, (q - 1) // 2 + 1, 2))
+        if q % 4 == 1:
+            series["xi"] = ((q + 1) // 2, range(1, 3))
+        else:
+            series["eta"] = ((q - 1) // 2, range(1, 3))
+    return series
 
 
 @dataclass(frozen=True)
@@ -28,50 +52,15 @@ class Psl2Char:
     index: int | None = None
 
     def __post_init__(self):
-        p, f = prime_power(self.q)
-        if self.q < 4:
-            raise ValueError("q must be a prime power >= 4")
-        fam, i = self.family, self.index
-        if fam not in FAMILIES:
-            raise ValueError(f"unknown family {fam!r}")
-        if fam in ("trivial", "steinberg"):
-            if i is not None:
-                raise ValueError(f"{fam} takes no index")
-        elif fam == "chi":
-            if p == 2:
-                if not (i is not None and 1 <= i <= (self.q - 2) // 2):
-                    raise ValueError(f"chi index {i} out of range for q = {self.q}")
-            else:
-                if not (i is not None and 1 <= i <= (self.q - 3) // 2 and i % 2 == 0):
-                    raise ValueError(f"chi index {i} must be even and <= {(self.q - 3) // 2}")
-        elif fam == "theta":
-            if p == 2:
-                if not (i is not None and 1 <= i <= self.q // 2):
-                    raise ValueError(f"theta index {i} out of range for q = {self.q}")
-            else:
-                if not (i is not None and 1 <= i <= (self.q - 1) // 2 and i % 2 == 0):
-                    raise ValueError(f"theta index {i} must be even and <= {(self.q - 1) // 2}")
-        elif fam == "xi":
-            if self.q % 4 != 1:
-                raise ValueError("xi characters exist only for q = 1 mod 4")
-            if i not in (1, 2):
-                raise ValueError("xi index must be 1 or 2")
-        elif fam == "eta":
-            if self.q % 4 != 3:
-                raise ValueError("eta characters exist only for q = 3 mod 4")
-            if i not in (1, 2):
-                raise ValueError("eta index must be 1 or 2")
+        series = _series(self.q)
+        if self.family not in series:
+            raise ValueError(f"no {self.family!r} series for q = {self.q}")
+        if self.index not in series[self.family][1]:
+            raise ValueError(f"{self.family} index {self.index!r} out of range for q = {self.q}")
 
     @property
     def degree(self) -> int:
-        return {
-            "trivial": 1,
-            "steinberg": self.q,
-            "chi": self.q + 1,
-            "theta": self.q - 1,
-            "xi": (self.q + 1) // 2,
-            "eta": (self.q - 1) // 2,
-        }[self.family]
+        return _series(self.q)[self.family][0]
 
 
 def psl2_order(q: int) -> int:
@@ -81,41 +70,14 @@ def psl2_order(q: int) -> int:
 
 def psl2_characters(q: int) -> list[Psl2Char]:
     """The full list of irreducible characters of PSL2(q), q >= 4."""
-    if q < 4:
-        raise ValueError("q must be a prime power >= 4")
-    p, _ = prime_power(q)
-    chars = [Psl2Char(q, "trivial"), Psl2Char(q, "steinberg")]
-    if p == 2:
-        chars.extend(Psl2Char(q, "chi", i) for i in range(1, (q - 2) // 2 + 1))
-        chars.extend(Psl2Char(q, "theta", j) for j in range(1, q // 2 + 1))
-    else:
-        chars.extend(Psl2Char(q, "chi", i) for i in range(2, (q - 3) // 2 + 1, 2))
-        chars.extend(Psl2Char(q, "theta", j) for j in range(2, (q - 1) // 2 + 1, 2))
-        if q % 4 == 1:
-            chars.extend(Psl2Char(q, "xi", i) for i in (1, 2))
-        else:
-            chars.extend(Psl2Char(q, "eta", i) for i in (1, 2))
-    return chars
+    return [Psl2Char(q, family, i)
+            for family, (_, indices) in _series(q).items() for i in indices]
 
 
 def psl2_degrees(q: int) -> DegreeMultiset:
     """Degree multiset of PSL2(q); multiplicities are index counts of the series."""
-    if q < 4:
-        raise ValueError("q must be a prime power >= 4")
-    p, _ = prime_power(q)
-    pairs = [(1, 1), (q, 1)]
-    if p == 2:
-        n_chi = len(range(1, (q - 2) // 2 + 1))
-        n_theta = len(range(1, q // 2 + 1))
-    else:
-        n_chi = len(range(2, (q - 3) // 2 + 1, 2))
-        n_theta = len(range(2, (q - 1) // 2 + 1, 2))
-        pairs.append(((q + 1) // 2 if q % 4 == 1 else (q - 1) // 2, 2))
-    if n_chi:
-        pairs.append((q + 1, n_chi))
-    if n_theta:
-        pairs.append((q - 1, n_theta))
-    return DegreeMultiset.from_pairs(pairs)
+    return DegreeMultiset.from_pairs((d, len(indices))
+                                     for d, indices in _series(q).values() if indices)
 
 
 def field_invariance(c: Psl2Char, k: int) -> bool:

@@ -62,6 +62,20 @@ def test_ingest_rejects_non_integer_fields(record, tmp_path, capsys):
     assert "typed.jsonl:1" in out and "error" not in out.lower()
 
 
+@pytest.mark.parametrize("record", [
+    # merged, the pairs would read as S3's degrees [[1, 2], [2, 1]]
+    '{"name": "S3", "order": 6, "degrees": [[1, 2], [2, 2], [2, -1]]}',
+    '{"name": "C5", "order": 5, "degrees": [[1, 5], [5, 0]]}',
+])
+def test_ingest_rejects_non_positive_degrees_and_multiplicities(record, tmp_path, capsys):
+    path = tmp_path / "signs.jsonl"
+    path.write_text(record + "\n")
+    with pytest.raises(ValueError, match=r"signs\.jsonl:1: degrees and multiplicities must be positive"):
+        cli.ingest_degree_records(path)
+    assert cli.main(["epsilon", "--degrees", str(path)]) == 1
+    assert "signs.jsonl:1: degrees and multiplicities must be positive" in capsys.readouterr().out
+
+
 def test_ingest_accepts_the_benchmark_degree_records(tmp_path):
     # the verify-all workload writes these records; they must still pass
     spec = importlib.util.spec_from_file_location("perfbench_groups", PERFBENCH / "groups.py")

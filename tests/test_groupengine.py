@@ -9,9 +9,10 @@ import pytest
 
 from chardeg import groupengine as ge
 from chardeg.errors import ResourceLimitError
+from chardeg.exactmath import is_prime_power, prime_power
 from chardeg.groupengine import dixon
 from chardeg.groupengine.elements import FrobMat, Mat, Perm
-from chardeg.groupengine.field import gf
+from chardeg.groupengine.field import MAX_ORDER, gf
 
 
 # --- fields and elements ---------------------------------------------------
@@ -39,6 +40,59 @@ def test_extension_field_arithmetic():
                 assert F.frobenius(F.mul(x, y)) == F.mul(F.frobenius(x), F.frobenius(y))
                 assert F.frobenius(F.add(x, y)) == F.add(F.frobenius(x), F.frobenius(y))
         assert all(F.frobenius(x, F.a) == x for x in range(q))
+
+
+def _reference_field(q):
+    """Addition and multiplication tables by polynomial arithmetic: the first
+    monic irreducible f of degree a in code order, found by trial division,
+    and every product of two elements reduced mod f."""
+    p, a = prime_power(q)
+
+    def poly(code, degree):  # t**degree plus the polynomial of code's digits
+        return [code // p**i % p for i in range(degree)] + [1]
+
+    def rem(u, g):  # remainder of u by the monic g over GF(p)
+        u = list(u)
+        for k in range(len(u) - len(g), -1, -1):
+            c = u[k + len(g) - 1]
+            for i, gi in enumerate(g):
+                u[k + i] = (u[k + i] - c * gi) % p
+        return u[:len(g) - 1]
+
+    f = next(f for f in (poly(c, a) for c in range(q)) if f[0] and all(
+        any(rem(f, poly(c, d))) for d in range(1, a // 2 + 1) for c in range(p**d)))
+
+    def product(x, y):
+        u, v = poly(x, a)[:-1], poly(y, a)[:-1]
+        uv = [sum(u[i] * v[k - i] for i in range(a) if 0 <= k - i < a) % p
+              for k in range(2 * a - 1)]
+        return sum(d * p**i for i, d in enumerate(rem(uv, f)))
+
+    add = [[sum((x // p**i + y // p**i) % p * p**i for i in range(a)) for y in range(q)]
+           for x in range(q)]
+    return add, [[product(x, y) for y in range(q)] for x in range(q)]
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, MAX_ORDER + 1) if is_prime_power(q)])
+def test_field_tables_match_the_polynomial_reference(q):
+    F, (add, mul) = gf(q), _reference_field(q)
+    pairs = [(x, y) for x in range(q) for y in range(q)]
+    assert all(F.add(x, y) == add[x][y] and F.mul(x, y) == mul[x][y] for x, y in pairs)
+    assert all(add[F.sub(x, y)][y] == x for x, y in pairs)
+    assert all(mul[x][F.inv(x)] == 1 for x in range(1, q))
+    for x in range(q):
+        power = 1
+        for _ in range(F.p):
+            power = mul[power][x]
+        assert F.frobenius(x) == power
+
+    def order(g):
+        n, y = 1, g
+        while y != 1:
+            n, y = n + 1, mul[y][g]
+        return n
+
+    assert F.generator == next(g for g in range(1, q) if order(g) == q - 1)
 
 
 def test_perm_basics():

@@ -1,6 +1,7 @@
 import pytest
 
 from chardeg.bounds import epsilon_of
+from chardeg.degrees import DegreeMultiset
 from chardeg.errors import UnsupportedFamilyError
 from chardeg.exactmath import LESS, pow_compare
 from chardeg.lie import prime_powers_up_to
@@ -24,12 +25,10 @@ def test_exceptional_isomorphism_4_vs_5():
 
 
 def test_degree_multiset_matches_character_list():
-    for q in (4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32):
-        ds = psl2_degrees(q)
-        chars = psl2_characters(q)
-        assert ds.sum_squares == psl2_order(q)
-        assert sorted(c.degree for c in chars) == sorted(
-            d for d, m in ds for _ in range(m))
+    for q in prime_powers_up_to(2000):
+        if q >= 4:
+            chars = psl2_characters(q)
+            assert psl2_degrees(q) == DegreeMultiset.from_degrees(c.degree for c in chars)
 
 
 def test_sum_identity_sweep():
