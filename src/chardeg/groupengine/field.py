@@ -12,8 +12,8 @@ multiplication table from addition and one map, z -> t*z, which shifts the
 digits of z up one place and adds z's top digit times t**a = -c.  For any c
 that builds the ring GF(p)[t]/(f); it is a field exactly when f is
 irreducible, that is when the table has no zero product of two nonzero
-elements.  A zero constant term makes t a zero divisor, so those codes are
-rejected by the same test.
+elements.  For a >= 2 a zero constant term makes t a zero divisor, so those
+codes fail the same test; for a = 1 every c gives the same table.
 """
 
 from __future__ import annotations

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .degrees import DegreeMultiset
 from .errors import UnsupportedFamilyError
 from .exactmath import prime_power
 
 
-@lru_cache(maxsize=1)  # every character of one q validates against this
 def _series(q: int) -> dict[str, tuple[int, Sequence]]:
     """The character series of PSL2(q), q >= 4, as family -> (degree, indices).
 

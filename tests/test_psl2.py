@@ -29,6 +29,9 @@ def test_degree_multiset_matches_character_list():
         if q >= 4:
             chars = psl2_characters(q)
             assert psl2_degrees(q) == DegreeMultiset.from_degrees(c.degree for c in chars)
+            assert psl2_degrees(q).sum_squares == psl2_order(q)
+            # one character per conjugacy class
+            assert len(chars) == (q + 1 if q % 2 == 0 else (q + 5) // 2)
 
 
 def test_sum_identity_sweep():
