@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -44,8 +44,9 @@ def ingest_degree_records(path) -> list[DegreeRecord]:
     """Read one JSON object per line with fields name/order/degrees; the
     multiplicity-weighted squared degrees must sum to the order and names
     must be unique.  The name is a string, and the order, the degrees and the
-    multiplicities are JSON integers: never floats, and never booleans.  Each
-    degree and multiplicity is at least 1, checked before equal degrees merge."""
+    multiplicities are JSON integers: never floats, and never booleans.  The
+    order, each degree and each multiplicity is at least 1, checked before
+    equal degrees merge, and a record lists at least one degree."""
     records = []
     seen = set()
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -65,8 +66,9 @@ def ingest_degree_records(path) -> list[DegreeRecord]:
         if type(name) is not str or any(type(x) is not int for x in integers):
             raise ValueError(f"{path}:{lineno}: expected a string name and integer "
                              "order, degrees and multiplicities")
-        if any(x < 1 for pair in pairs for x in pair):
-            raise ValueError(f"{path}:{lineno}: degrees and multiplicities must be positive")
+        if order < 1 or not pairs or any(x < 1 for pair in pairs for x in pair):
+            raise ValueError(f"{path}:{lineno}: degrees and multiplicities must be "
+                             "positive, with at least one degree and an order of at least 1")
         if name in seen:
             raise ValueError(f"{path}:{lineno}: duplicate record name {name!r}")
         seen.add(name)
@@ -81,11 +83,9 @@ def ingest_degree_records(path) -> list[DegreeRecord]:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The ranges and inputs a caller can set; every other range is a
-    constant beside the claim that reads it."""
+    """The inputs a caller can set; every range is a constant beside the
+    claim that reads it."""
 
-    rho_induct_max: int = 10_000
-    psl2_max_q: int = 10_000
     torus_table: str | None = None
     degrees_path: str | None = None
     jobs: int = 1
@@ -153,13 +153,14 @@ def _check_rho_direct(cfg: RunConfig):
         [[n, list(lam)] for n, lam in certs]]
 
 
+RHO_INDUCT_MAX = 10_000
 RHO_SPOTS = (10**6,)
 
 
 def _check_rho_induction(cfg: RunConfig):
-    bad = symalt.verify_rho_growth(cfg.rho_induct_max, RHO_SPOTS)
+    bad = symalt.verify_rho_growth(RHO_INDUCT_MAX, RHO_SPOTS)
     return (FAIL if bad else PASS), [
-        f"induction n={symalt.INDUCTION_START}..{cfg.rho_induct_max}",
+        f"induction n={symalt.INDUCTION_START}..{RHO_INDUCT_MAX}",
         f"spots={list(RHO_SPOTS)}",
         f"failures={bad}",
     ]
@@ -170,24 +171,26 @@ LIE_MAX_Q = 32
 
 
 def _check_lie_38(cfg: RunConfig):
-    max_q = min(cfg.psl2_max_q, LIE_MAX_Q)
     bad = []
     count = 0
-    for gid in lie.iter_simple_ids(LIE_MAX_RANK, max_q):
+    for gid in lie.iter_simple_ids(LIE_MAX_RANK, LIE_MAX_Q):
         if gid.family == "A" and gid.rank == 1:
             continue
         count += 1
         if not lie.verify_lie_38(gid):
             bad.append(f"{gid.family}:{gid.rank}:{gid.q}")
     return (FAIL if bad else PASS), [
-        f"rank<={LIE_MAX_RANK}", f"q<={max_q}",
+        f"rank<={LIE_MAX_RANK}", f"q<={LIE_MAX_Q}",
         f"groups={count}", f"exceptions={bad}"]
 
 
+PSL2_MAX_Q = 10_000
+
+
 def _check_psl2_sums(cfg: RunConfig):
-    bad = [q for q in lie.prime_powers_up_to(cfg.psl2_max_q) if q >= 4
+    bad = [q for q in lie.prime_powers_up_to(PSL2_MAX_Q) if q >= 4
            and psl2.psl2_degrees(q).sum_squares != psl2.psl2_order(q)]
-    return (FAIL if bad else PASS), [f"q=4..{cfg.psl2_max_q}", f"failures={bad}"]
+    return (FAIL if bad else PASS), [f"q=4..{PSL2_MAX_Q}", f"failures={bad}"]
 
 
 def _check_extendible_witness(cfg: RunConfig):
@@ -202,14 +205,14 @@ def _check_extendible_witness(cfg: RunConfig):
 
 
 def _check_theta2_stabilizer(cfg: RunConfig):
-    bad = [q for q in lie.prime_powers_up_to(cfg.psl2_max_q)
+    bad = [q for q in lie.prime_powers_up_to(PSL2_MAX_Q)
            if q >= 5 and q % 2 == 1 and not psl2.theta2_stabilizer_odd(q).all_pass]
-    return (FAIL if bad else PASS), [f"odd q=5..{cfg.psl2_max_q}", f"failures={bad}"]
+    return (FAIL if bad else PASS), [f"odd q=5..{PSL2_MAX_Q}", f"failures={bad}"]
 
 
 def _check_epsilon_psl2(cfg: RunConfig):
     bad = []
-    for q in lie.prime_powers_up_to(cfg.psl2_max_q):
+    for q in lie.prime_powers_up_to(PSL2_MAX_Q):
         if q < 5:
             continue
         ds = psl2.psl2_degrees(q)
@@ -217,7 +220,7 @@ def _check_epsilon_psl2(cfg: RunConfig):
         if not (bounds.epsilon_of(ds) > 1 and rep.gt_2b2 and rep.lt_2e2
                 and rep.chain_ok):
             bad.append(q)
-    return (FAIL if bad else PASS), [f"q=5..{cfg.psl2_max_q}", f"failures={bad}"]
+    return (FAIL if bad else PASS), [f"q=5..{PSL2_MAX_Q}", f"failures={bad}"]
 
 
 def _check_epsilon_an(cfg: RunConfig):
@@ -504,36 +507,19 @@ def _abort(message: str) -> NoReturn:
 
 
 def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "max_n", None) is not None:
-        if not 7 <= args.max_n <= symalt.MAX_N:
-            _abort(f"configuration error: --max-n {args.max_n} "
-                   f"outside 7..{symalt.MAX_N}")
-    if getattr(args, "induct_max", None) is not None:
-        if args.induct_max < symalt.INDUCTION_START:
-            _abort(f"configuration error: --induct-max "
-                   f"{args.induct_max} is below {symalt.INDUCTION_START}")
-        cfg = replace(cfg, rho_induct_max=args.induct_max)
-    if getattr(args, "max_q", None) is not None:
-        if not 5 <= args.max_q <= lie.SIEVE_MAX_Q:
-            _abort(f"configuration error: --max-q {args.max_q} "
-                   f"outside 5..{lie.SIEVE_MAX_Q}")
-        cfg = replace(cfg, psl2_max_q=args.max_q)
-    if getattr(args, "torus_table", None):
-        if not Path(args.torus_table).is_file():
-            _abort(f"configuration error: torus table "
-                   f"{args.torus_table!r} does not exist")
-        cfg = replace(cfg, torus_table=args.torus_table)
-    if getattr(args, "degrees", None):
-        if not Path(args.degrees).is_file():
-            _abort(f"configuration error: degree file "
-                   f"{args.degrees!r} does not exist")
-        cfg = replace(cfg, degrees_path=args.degrees)
-    if getattr(args, "jobs", None) is not None:
-        if args.jobs < 1:
-            _abort(f"configuration error: --jobs {args.jobs} is below 1")
-        cfg = replace(cfg, jobs=args.jobs)
-    return cfg
+    if args.max_n is not None and not 7 <= args.max_n <= symalt.MAX_N:
+        _abort(f"configuration error: --max-n {args.max_n} "
+               f"outside 7..{symalt.MAX_N}")
+    if args.torus_table and not Path(args.torus_table).is_file():
+        _abort(f"configuration error: torus table "
+               f"{args.torus_table!r} does not exist")
+    if args.degrees and not Path(args.degrees).is_file():
+        _abort(f"configuration error: degree file "
+               f"{args.degrees!r} does not exist")
+    if args.jobs < 1:
+        _abort(f"configuration error: --jobs {args.jobs} is below 1")
+    return RunConfig(torus_table=args.torus_table or None,
+                     degrees_path=args.degrees or None, jobs=args.jobs)
 
 
 def main(argv=None) -> int:
@@ -550,10 +536,6 @@ def main(argv=None) -> int:
                        help="accepted for old command lines and ignored: "
                             "rho-direct always certifies n=7..74; "
                             "values outside 7..60 are still rejected")
-        p.add_argument("--induct-max", type=int, dest="induct_max",
-                       help="cap for the induction inequality range")
-        p.add_argument("--max-q", type=int, dest="max_q",
-                       help="cap for prime-power sweeps")
         p.add_argument("--torus-table", dest="torus_table",
                        help="JSON table of twisted-type minimal torus orders")
         p.add_argument("--degrees", help="JSONL file of user degree records")

@@ -14,7 +14,7 @@ from ..errors import ResourceLimitError
 from ..exactmath import prime_power
 from .elements import FrobMat, Mat, Perm
 from .field import gf
-from .table import GroupTable, close_group
+from .table import MAX_ELEMENTS, GroupTable, close_group
 
 EXAMPLE_KINDS = ("isaacs_K", "p_semidirect_L", "heisenberg")
 
@@ -53,7 +53,7 @@ def build_example_group(kind: str, q: int) -> GroupTable:
         group = close_group(_unitriangular_generators(field))
         assert group.order == q**3
         return group
-    if q**3 * (q - 1) > 5000:
+    if q**3 * (q - 1) > MAX_ELEMENTS:
         raise ResourceLimitError(f"order q**3 (q-1) = {q**3 * (q - 1)} exceeds the closure bound")
     field = gf(q)
     gens = _unitriangular_generators(field)
@@ -74,13 +74,13 @@ def build_galois_twisted_group(q: int) -> GroupTable:
     if a == 1:
         raise ValueError("the Galois twist is trivial over a prime field")
     order = q**3 * (q - 1) * a
-    if order > 5000:
+    if order > MAX_ELEMENTS:
         raise ResourceLimitError(f"twisted order {order} exceeds the closure bound")
     field = gf(q)
     gens = [FrobMat(g, 0) for g in _unitriangular_generators(field)]
     gens.append(FrobMat(_diag_last(field, field.generator), 0))
     gens.append(FrobMat(Mat.identity(field, 3), 1))
-    group = close_group(gens, limit=5000)
+    group = close_group(gens)
     assert group.order == order
     return group
 

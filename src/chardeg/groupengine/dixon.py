@@ -38,9 +38,7 @@ import numpy as np
 from ..degrees import DegreeMultiset
 from ..errors import ResourceLimitError
 from ..exactmath import factorize, is_prime
-from .table import GroupTable
-
-DIXON_MAX_ORDER = 5000
+from .table import MAX_ELEMENTS, GroupTable
 
 
 # --------------------------------------------------------------------------
@@ -260,9 +258,8 @@ def _lift(values_mod: np.ndarray, power_class: np.ndarray, orders: np.ndarray,
 
 
 def dixon_character_table(group: GroupTable) -> CharacterTable:
-    if group.order > DIXON_MAX_ORDER:
-        raise ResourceLimitError(
-            f"character tables limited to order {DIXON_MAX_ORDER}")
+    if group.order > MAX_ELEMENTS:
+        raise ResourceLimitError(f"character tables limited to order {MAX_ELEMENTS}")
     classes = group.conjugacy_classes()
     class_of = group.class_of()
     k = len(classes)

@@ -201,9 +201,9 @@ def prime_powers_up_to(limit: int) -> list[int]:
     return [q for q in range(2, limit + 1) if prime[q] or higher[q]]
 
 
-def iter_simple_ids(max_rank: int, max_q: int) -> Iterator[SimpleGroupId]:
-    """Every valid id with rank <= max_rank and q <= max_q, deterministically."""
-    qs = prime_powers_up_to(max_q)
+def iter_simple_ids(max_rank: int, q_limit: int) -> Iterator[SimpleGroupId]:
+    """Every valid id with rank <= max_rank and q <= q_limit, deterministically."""
+    qs = prime_powers_up_to(q_limit)
     for fam in FAMILIES:
         fixed = _FIXED_RANK.get(fam)
         ranks = [fixed] if fixed is not None else range(1, max_rank + 1)

@@ -170,16 +170,16 @@ def _induction_failures(a: int, b: int) -> list[int]:
 
 
 def verify_rho_growth(
-    n_induct_max: int,
+    n_max: int,
     spot_checks: tuple[int, ...] = (10**6,),
 ) -> list[int]:
-    """The n among 75..n_induct_max and the spot values at which one of the
+    """The n among 75..n_max and the spot values at which one of the
     three induction inequalities fails; below 75 the certificates take over.
 
     The range is proved on whole blocks of n by bisection
     (`_induction_failures`), so its cost grows with the number of blocks the
-    enclosures need, about logarithmically in n_induct_max, not with the
+    enclosures need, about logarithmically in n_max, not with the
     number of n; each spot value is a block of one n.
     """
-    return [*_induction_failures(INDUCTION_START, n_induct_max),
+    return [*_induction_failures(INDUCTION_START, n_max),
             *(n for spot in spot_checks for n in _induction_failures(spot, spot))]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from chardeg import cli, lie, symalt
+from chardeg import cli, symalt
 from chardeg.psl2 import psl2_degrees
 
 TORUS_TABLE = str(Path(__file__).parent.parent / "data" / "torus_orders.json")
@@ -66,6 +66,8 @@ def test_ingest_rejects_non_integer_fields(record, tmp_path, capsys):
     # merged, the pairs would read as S3's degrees [[1, 2], [2, 1]]
     '{"name": "S3", "order": 6, "degrees": [[1, 2], [2, 2], [2, -1]]}',
     '{"name": "C5", "order": 5, "degrees": [[1, 5], [5, 0]]}',
+    # the empty sum of squares would equal the order 0
+    '{"name": "E", "order": 0, "degrees": []}',
 ])
 def test_ingest_rejects_non_positive_degrees_and_multiplicities(record, tmp_path, capsys):
     path = tmp_path / "signs.jsonl"
@@ -116,8 +118,6 @@ def test_poly_subcommand_report(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["e-of", "-5", "1"], "input error: order must be positive"),
     (["e-of", "0", "1"], "input error: order must be positive"),
-    (["psl2", "--max-q", str(lie.SIEVE_MAX_Q + 1)],
-     f"configuration error: --max-q {lie.SIEVE_MAX_Q + 1} outside 5..{lie.SIEVE_MAX_Q}"),
 ])
 def test_out_of_range_input_is_named_in_its_error(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -198,8 +198,6 @@ def test_missing_torus_table_aborts_before_running(capsys):
 @pytest.mark.parametrize("argv", [
     ["rho", "--max-n", "61"],
     ["rho", "--max-n", "6"],
-    ["rho", "--induct-max", "74"],
-    ["psl2", "--max-q", "4"],
     ["e-of", "55", "6"],
     ["e-of", "54", "0"],
     ["analyze-group", "--group-spec", "bad-perm.json"],
@@ -211,6 +209,7 @@ def test_missing_torus_table_aborts_before_running(capsys):
     ["analyze-group", "--group-spec", "str-entry.json"],
     ["verify-all", "--jobs", "0"],
     ["lie38", "--jobs", "-3"],
+    ["epsilon", "--degrees", "missing.jsonl"],
 ])
 def test_bad_input_aborts_before_running(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -243,7 +242,7 @@ def test_claim_exception_is_reported_and_the_rest_still_run(tmp_path, monkeypatc
 
     monkeypatch.setitem(cli._CLAIM_MAP, "lem5.1/extendible-witness", broken)
     report = tmp_path / "psl2.json"
-    assert cli.main(["psl2", "--max-q", "50", "--report", str(report)]) == 1
+    assert cli.main(["psl2", "--report", str(report)]) == 1
     assert "ERROR" in capsys.readouterr().out
     statuses = {entry["claim"]: (entry["status"], entry["witnesses"])
                 for entry in json.loads(report.read_text())}
@@ -266,6 +265,20 @@ def test_tracer_hook_points_resolve():
     missing = [f"{modname}.{attr}" for modname, attr in hooks
                if not hasattr(importlib.import_module(f"chardeg.{modname}"), attr)]
     assert missing == []
+
+
+def test_benchmark_command_line_passes_every_claim(tmp_path, monkeypatch, capsys):
+    # perfbench/run.py runs verify-all with these flags; removing one that it
+    # passes breaks every benchmark run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    inputs = run.Inputs("verify-all", 7, tmp_path)
+    out = inputs.output_path("cli")
+    assert cli.main(inputs.cli_args(out)) == 0
+    capsys.readouterr()
+    assert run.count_failed(inputs, out) == 0
 
 
 def test_tracer_installs_in_a_fresh_interpreter():
@@ -310,8 +323,7 @@ def test_report_determinism(tmp_path, capsys):
 
 def test_rho_subcommand_single_witness(tmp_path, capsys):
     report = tmp_path / "rho.json"
-    assert cli.main(["rho", "--max-n", "7", "--induct-max", "80",
-                     "--report", str(report)]) == 0
+    assert cli.main(["rho", "--max-n", "7", "--report", str(report)]) == 0
     out = capsys.readouterr().out
     assert "thm2.1/rho-direct" in out and "n=7..74" in out
     direct = json.loads(report.read_text())[0]
@@ -321,24 +333,13 @@ def test_rho_subcommand_single_witness(tmp_path, capsys):
 
 def test_rho_benchmark_command_covers_7_to_74(tmp_path, capsys):
     report = tmp_path / "rho.json"
-    assert cli.main(["rho", "--max-n", "50", "--induct-max", "80",
-                     "--report", str(report)]) == 0
+    assert cli.main(["rho", "--max-n", "50", "--report", str(report)]) == 0
     capsys.readouterr()
     direct, induction = json.loads(report.read_text())
     assert direct["status"] == induction["status"] == "pass"
     assert direct["witnesses"][:2] == ["n=7..74", "failures=[]"]
     assert [n for n, _ in direct["witnesses"][2]] == list(range(7, 75))
-    assert induction["witnesses"][0] == "induction n=75..80"
-
-
-def test_rho_induction_proves_a_range_no_per_n_loop_could(tmp_path, capsys):
-    report = tmp_path / "rho.json"
-    assert cli.main(["rho", "--induct-max", "1000000000", "--report", str(report)]) == 0
-    capsys.readouterr()
-    induction = json.loads(report.read_text())[1]
-    assert induction["status"] == "pass"
-    assert induction["witnesses"][0] == "induction n=75..1000000000"
-    assert induction["witnesses"][2] == "failures=[]"
+    assert induction["witnesses"][0] == "induction n=75..10000"
 
 
 @pytest.mark.parametrize("n, bad_lam", [

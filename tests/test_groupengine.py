@@ -528,7 +528,8 @@ def test_int64_products_are_exact_for_every_accepted_group():
     # largest accepted order bounds every group the engine takes
     from math import isqrt
 
-    from chardeg.groupengine.dixon import DIXON_MAX_ORDER as N, _split_prime
+    from chardeg.groupengine.dixon import _split_prime
+    from chardeg.groupengine.table import MAX_ELEMENTS as N
 
     for m in range(1, N + 1):
         ell = _split_prime(2 * isqrt(N) + 1, m)

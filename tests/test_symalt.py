@@ -85,6 +85,10 @@ def test_induction_fails_at_74_so_certificates_must_reach_it():
     assert _induction_failures(74, 10**4) == [74]
 
 
+def test_rho_induction_proves_a_range_no_per_n_loop_could():
+    assert verify_rho_growth(10**9, ()) == []
+
+
 def test_block_proof_agrees_with_each_n_decided_alone():
     reference = [n for n in range(75, 3001) if not all(_induction_inequalities(n, n))]
     assert verify_rho_growth(3000, spot_checks=()) == reference
