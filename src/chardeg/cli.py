@@ -25,7 +25,7 @@ from typing import NoReturn
 from . import bounds, gf2poly, lie, partitions, psl2, symalt
 from .degrees import DegreeMultiset
 from .errors import PrecisionCapError, ResourceLimitError
-from .exactmath import p_part, prime_power
+from .exactmath import p_part, positive_from, prime_power
 
 PASS, FAIL, INCONCLUSIVE, OUT_OF_SCOPE = "pass", "fail", "inconclusive", "out-of-scope"
 ERROR = "error"
@@ -184,43 +184,45 @@ def _check_lie_38(cfg: RunConfig):
         f"groups={count}", f"exceptions={bad}"]
 
 
-PSL2_MAX_Q = 10_000
+# the class polynomials decide each residue class of q from this q on; q = 5
+# has no chi character, so its largest degree is q and it is decided alone
+PSL2_CLASS_FROM = {"even": 4, "3 mod 4": 7, "1 mod 4": 9}
 
 
 def _check_psl2_sums(cfg: RunConfig):
-    bad = [q for q in lie.prime_powers_up_to(PSL2_MAX_Q) if q >= 4
-           and psl2.psl2_degrees(q).sum_squares != psl2.psl2_order(q)]
-    return (FAIL if bad else PASS), [f"q=4..{PSL2_MAX_Q}", f"failures={bad}"]
+    polys = {c: psl2.class_polynomials(c) for c in psl2.CLASSES}
+    bad = [c for c, p in polys.items() if any(p["sum of squares - order"])]
+    identities = {c: {k: list(map(str, p[k])) for k in ("order", "sum of squares - order")}
+                  for c, p in polys.items()}
+    return (FAIL if bad else PASS), ["every q>=4", identities, f"failures={bad}"]
 
 
 def _check_extendible_witness(cfg: RunConfig):
-    bad = []
-    for f in range(3, 21):
-        w = psl2.extendible_witness_even(2**f)
-        if not all(psl2.field_invariance(w, k) for k in range(1, f + 1)):
-            bad.append(f)
-        if w.degree not in (2**f - 1, 2**f + 1):
-            bad.append(f)
-    return (FAIL if bad else PASS), ["f=3..20", f"failures={bad}"]
+    # the witness index i = (2**f -+ 1)/3 has criterion modulus 3i, so it is
+    # fixed when 3 | 2**k -+ 1: both hold as 2**k mod 3 alternates 2, 1
+    cycle = [pow(2, k, 3) for k in (1, 2, 3)]
+    bad = [] if cycle == [2, 1, 2] else [cycle]
+    return (FAIL if bad else PASS), [
+        "every f>=3", {"2^k mod 3, k=1,2,3": cycle}, f"failures={bad}"]
 
 
 def _check_theta2_stabilizer(cfg: RunConfig):
-    bad = [q for q in lie.prime_powers_up_to(PSL2_MAX_Q)
-           if q >= 5 and q % 2 == 1 and not psl2.theta2_stabilizer_odd(q).all_pass]
-    return (FAIL if bad else PASS), [f"odd q=5..{PSL2_MAX_Q}", f"failures={bad}"]
+    # for odd p, f >= 2 and 1 <= k < f, 0 < 2(p**k -+ 1) < p**f + 1, as
+    # p**(f-1) * (p - 2) >= p(p - 2) > 1; so p**f + 1 divides neither
+    bad = [] if positive_from([-1, -2, 1], 3) else ["p^2-2p-1"]
+    return (FAIL if bad else PASS), [
+        "every odd q>=5", {"p^2-2p-1": ["-1", "-2", "1"], "from": 3}, f"failures={bad}"]
 
 
 def _check_epsilon_psl2(cfg: RunConfig):
-    bad = []
-    for q in lie.prime_powers_up_to(PSL2_MAX_Q):
-        if q < 5:
-            continue
-        ds = psl2.psl2_degrees(q)
-        rep = bounds.simple_bound_report(ds)
-        if not (bounds.epsilon_of(ds) > 1 and rep.gt_2b2 and rep.lt_2e2
-                and rep.chain_ok):
-            bad.append(q)
-    return (FAIL if bad else PASS), [f"q=5..{PSL2_MAX_Q}", f"failures={bad}"]
+    rep = bounds.simple_bound_report(psl2.psl2_degrees(5))
+    bad = [] if rep.epsilon_gt_1 and rep.chain_ok else [5]
+    certs = {}
+    for c, q0 in PSL2_CLASS_FROM.items():
+        margins = psl2.class_polynomials(c)["margins"]
+        bad += [f"{c}: {k}" for k, poly in margins.items() if not positive_from(poly, q0)]
+        certs[c] = {"from": q0, "margins": {k: list(map(str, v)) for k, v in margins.items()}}
+    return (FAIL if bad else PASS), ["every q>=4", "q=5 by its degrees", certs, f"failures={bad}"]
 
 
 def _check_epsilon_an(cfg: RunConfig):
@@ -234,14 +236,13 @@ def _check_epsilon_an(cfg: RunConfig):
 
 
 def _check_euler_tail(cfg: RunConfig):
-    bad = [q for q in range(2, 11)
-           if not lie.euler_tail_lower(q, 2, 40) > Fraction(9, 16)]
-    return (FAIL if bad else PASS), ["q=2..10", "terms=40", f"failures={bad}"]
+    # each factor 1 - q**-i grows with q, so the bound at q = 2 holds for every q
+    bad = [] if lie.euler_tail_lower(2, 2, 40) > Fraction(9, 16) else [2]
+    return (FAIL if bad else PASS), ["every q>=2", "terms=40", f"failures={bad}"]
 
 
 POLY_BRUTE_MAX_D = 10
 POLY_EXHAUSTIVE_MAX_D = 16
-ND_BOUND_MAX_D = 30
 
 
 def _check_srim_table(cfg: RunConfig):
@@ -262,12 +263,15 @@ def _check_nd_counts(cfg: RunConfig):
     for d in range(1, POLY_EXHAUSTIVE_MAX_D + 1):
         if gf2poly.count_irreducible_monic(d) != sum(1 for _ in gf2poly.irreducible_polys(d)):
             bad.append(("count", d))
-    for d in range(3, ND_BOUND_MAX_D + 1):
+    # from d = 5 on only the divisors e <= d/2 subtract from d*N(d) = 2**d - ...,
+    # so 4d*N(d) - 3*2**d >= 2**floor(d/2) * (2**ceil(d/2) - 8) + 8 > 0
+    for d in (3, 4):
         if not 4 * d * gf2poly.count_irreducible_monic(d) >= 3 * 2**d:
             bad.append(("bound", d))
     return (FAIL if bad else PASS), [
         f"exhaustive d<={POLY_EXHAUSTIVE_MAX_D}",
-        f"lower bound d=3..{ND_BOUND_MAX_D}", f"failures={bad}"]
+        "lower bound every d>=3: d=3,4 by count, d>=5 by "
+        "4d*N(d)-3*2^d >= 2^floor(d/2)*(2^ceil(d/2)-8)+8", f"failures={bad}"]
 
 
 def _check_seitz_untwisted(cfg: RunConfig):

@@ -145,6 +145,29 @@ def pow_compare(a: int, x: int, b: int, y: int) -> int:
     return EQUAL
 
 
+def poly_mul(*factors: list) -> list:
+    """Product of polynomials given as ascending coefficient lists."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def positive_from(coeffs: list, x0) -> bool:
+    """Certify P(x) > 0 for every real x >= x0, P given by ascending
+    coefficients: P(x0 + s), expanded by Taylor shift, must have a positive
+    constant term and no negative coefficient."""
+    c = list(coeffs)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += x0 * c[j + 1]
+    return bool(c) and c[0] > 0 and min(c) >= 0
+
+
 def iroot(m: int, k: int) -> int:
     """Floor of the k-th root of m >= 0, by Newton iteration on integers."""
     if m < 0 or k < 1:

@@ -18,13 +18,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, prod
 from pathlib import Path
 from typing import Iterator
 
 from . import gf2poly
-from .errors import ExcludedCaseError, ResourceLimitError
-from .exactmath import GREATER, factorize, p_part, pow_compare, prime_power
+from .errors import ExcludedCaseError
+from .exactmath import GREATER, factorize, is_prime_power, p_part, pow_compare, prime_power
 
 FAMILIES = (
     "A", "2A", "B", "C", "D", "2D",
@@ -176,29 +176,9 @@ def verify_lie_38(gid: SimpleGroupId) -> bool:
     return pow_compare(steinberg_degree(gid), 8, simple_order(gid), 3) == GREATER
 
 
-# the sieve holds two bytearrays of limit + 1 bytes (20 MB at the cap)
-SIEVE_MAX_Q = 10**7
-
-
 def prime_powers_up_to(limit: int) -> list[int]:
-    """Every prime power q <= limit, ascending, by one sieve of Eratosthenes:
-    each prime p <= sqrt(limit) strikes its multiples from p*p on and marks
-    its powers p**k, k >= 2, which the primes left unstruck complete."""
-    if limit > SIEVE_MAX_Q:
-        raise ResourceLimitError(f"the prime-power sieve is limited to q <= {SIEVE_MAX_Q}")
-    if limit < 2:
-        return []
-    prime = bytearray([1]) * (limit + 1)
-    prime[:2] = b"\0\0"
-    higher = bytearray(limit + 1)
-    for p in range(2, isqrt(limit) + 1):
-        if prime[p]:
-            prime[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
-            q = p * p
-            while q <= limit:
-                higher[q] = 1
-                q *= p
-    return [q for q in range(2, limit + 1) if prime[q] or higher[q]]
+    """Every prime power q <= limit, ascending."""
+    return [q for q in range(2, limit + 1) if is_prime_power(q)]
 
 
 def iter_simple_ids(max_rank: int, q_limit: int) -> Iterator[SimpleGroupId]:

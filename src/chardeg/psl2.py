@@ -5,40 +5,76 @@ the extendibility witnesses built on them.
 For even q the group coincides with SL2(q) and its nontrivial degrees are q,
 q+1 (the chi series) and q-1 (the theta series).  For odd q the chi and
 theta indices are restricted to even values and two extra characters of
-degree (q+1)/2 or (q-1)/2 appear according to q mod 4.
+degree (q+1)/2 or (q-1)/2 appear according to q mod 4.  On each residue class
+the degrees and series lengths are linear in q (`CLASSES`), so one table
+gives the per-q degree lists and the polynomials that decide a whole class.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .degrees import DegreeMultiset
 from .errors import UnsupportedFamilyError
-from .exactmath import prime_power
+from .exactmath import poly_mul, prime_power
+
+# residue class -> family -> (degree, count, step).  Degree and count are
+# (a, b, c), meaning (a*q + b)/c; the indices are step, 2*step, ...,
+# count*step, and step 0 stands for the single index None.
+_ONE = (0, 1, 1)
+_SHARED = {"trivial": (_ONE, _ONE, 0), "steinberg": ((1, 0, 1), _ONE, 0)}
+CLASSES = {
+    "even": {**_SHARED, "chi": ((1, 1, 1), (1, -2, 2), 1),
+             "theta": ((1, -1, 1), (1, 0, 2), 1)},
+    "1 mod 4": {**_SHARED, "chi": ((1, 1, 1), (1, -5, 4), 2),
+                "theta": ((1, -1, 1), (1, -1, 4), 2), "xi": ((1, 1, 2), (0, 2, 1), 1)},
+    "3 mod 4": {**_SHARED, "chi": ((1, 1, 1), (1, -3, 4), 2),
+                "theta": ((1, -1, 1), (1, -3, 4), 2), "eta": ((1, -1, 2), (0, 2, 1), 1)},
+}
 
 
-def _series(q: int) -> dict[str, tuple[int, Sequence]]:
-    """The character series of PSL2(q), q >= 4, as family -> (degree, indices).
-
-    The one statement of which series exist for q and which indices each
-    takes; trivial and steinberg take the single index None.
-    """
+def _series(q: int) -> dict[str, tuple[int, range | tuple]]:
+    """The character series of PSL2(q), q >= 4, as family -> (degree, indices)."""
     p, _ = prime_power(q)
     if q < 4:
         raise ValueError("q must be a prime power >= 4")
-    series = {"trivial": (1, (None,)), "steinberg": (q, (None,))}
-    if p == 2:
-        series["chi"] = (q + 1, range(1, (q - 2) // 2 + 1))
-        series["theta"] = (q - 1, range(1, q // 2 + 1))
-    else:
-        series["chi"] = (q + 1, range(2, (q - 3) // 2 + 1, 2))
-        series["theta"] = (q - 1, range(2, (q - 1) // 2 + 1, 2))
-        if q % 4 == 1:
-            series["xi"] = ((q + 1) // 2, range(1, 3))
-        else:
-            series["eta"] = ((q - 1) // 2, range(1, 3))
-    return series
+    table = CLASSES["even" if p == 2 else f"{q % 4} mod 4"]
+
+    def at(t):
+        return (t[0] * q + t[1]) // t[2]
+
+    return {family: (at(d), range(step, (at(n) + 1) * step, step) if step else (None,))
+            for family, (d, n, step) in table.items()}
+
+
+def class_polynomials(cls: str) -> dict:
+    """Polynomials in q (ascending Fraction coefficients) for one residue
+    class: the sum of squared degrees less |G|, which must be zero, and
+    margins that must be positive.  b = q + 1 is the chi degree, m the chi
+    count and e = |G|/b - b; the last margins make b the largest degree."""
+    def lin(t):
+        return [Fraction(t[1], t[2]), Fraction(t[0], t[2])]
+
+    def total(*terms):  # the sum of c * product of factors over (c, *factors)
+        ps = [poly_mul([c], *factors) for c, *factors in terms]
+        return [sum(p[i] for p in ps if i < len(p)) for i in range(max(map(len, ps)))]
+
+    table = CLASSES[cls]
+    b, m = lin(table["chi"][0]), lin(table["chi"][1])
+    z = Fraction(1, 1 if cls == "even" else 2)
+    per_b = [0, -z, z]  # |G|/b = q(q - 1)/|Z|
+    order = poly_mul(per_b, b)
+    e = total((1, per_b), (-1, b))
+    margins = {"epsilon > 1": total((1, order), (-1, m, b, b), (-1, b, b)),
+               "order > 2b^2": total((1, order), (-2, b, b)),
+               "order < 2e^2": total((2, e, e), (-1, order)),
+               "e > b": total((1, e), (-1, b)), "chi count > 0": m}
+    margins.update((f"b > {f} degree", total((1, b), (-1, lin(d))))
+                   for f, (d, _, _) in table.items() if f != "chi")
+    squares = [(1, lin(n), lin(d), lin(d)) for d, n, _ in table.values()]
+    return {"order": order, "sum of squares - order": total(*squares, (-1, order)),
+            "margins": margins}
 
 
 @dataclass(frozen=True)
@@ -64,12 +100,6 @@ class Psl2Char:
 def psl2_order(q: int) -> int:
     p, _ = prime_power(q)
     return q * (q * q - 1) // (1 if p == 2 else 2)
-
-
-def psl2_characters(q: int) -> list[Psl2Char]:
-    """The full list of irreducible characters of PSL2(q), q >= 4."""
-    return [Psl2Char(q, family, i)
-            for family, (_, indices) in _series(q).items() for i in indices]
 
 
 def psl2_degrees(q: int) -> DegreeMultiset:
@@ -139,8 +169,6 @@ def theta2_stabilizer_odd(q: int) -> Theta2StabilizerReport:
     if p == 2 or q < 5:
         raise ValueError("requires an odd prime power q >= 5")
     modulus = p**f + 1
-    checks = []
-    for k in range(1, f):
-        divides = 2 * (p**k - 1) % modulus == 0 or 2 * (p**k + 1) % modulus == 0
-        checks.append((k, not divides))
+    checks = [(k, 2 * (p**k - 1) % modulus != 0 and 2 * (p**k + 1) % modulus != 0)
+              for k in range(1, f)]
     return Theta2StabilizerReport(q=q, p=p, f=f, checks=checks, stabilizer_index=f)

@@ -8,9 +8,40 @@ from hypothesis import given, settings, strategies as st
 from chardeg.errors import PrecisionCapError
 from chardeg.exactmath import (
     EQUAL, GREATER, LESS,
-    DyadicInterval, factorize, interval_gt, iroot, is_prime, p_part,
-    pow_compare, prime_power, root_interval, sqrt_interval,
+    DyadicInterval, factorize, interval_gt, iroot, is_prime, p_part, poly_mul,
+    positive_from, pow_compare, prime_power, root_interval, sqrt_interval,
 )
+
+
+def test_positive_from_examples():
+    # x**2 - 2x - 1 is 2 at x = 3 and -1 at x = 2
+    assert positive_from([-1, -2, 1], 3)
+    assert not positive_from([-1, -2, 1], 2)
+    # x**2 - x + 1 is positive everywhere, but its unshifted middle
+    # coefficient is negative, so it is not certified from 0
+    assert not positive_from([1, -1, 1], 0)
+    assert positive_from([1, -1, 1], 1)
+    # a zero constant term after the shift is a root at x0
+    assert not positive_from([0, 1], 0)
+    assert not positive_from([-2, 1], 2)
+    assert positive_from([Fraction(-5, 4), Fraction(1, 4)], 9)
+    assert not positive_from([], 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=1, max_size=6), st.integers(-5, 5),
+       st.integers(0, 30))
+def test_positive_from_is_sound(coeffs, x0, s):
+    # a certified polynomial is positive at every sampled point from x0 on
+    if positive_from(coeffs, x0):
+        x = x0 + Fraction(s, 3)
+        assert sum(c * x**i for i, c in enumerate(coeffs)) > 0
+
+
+def test_poly_mul():
+    assert poly_mul([1, 1], [-1, 1]) == [-1, 0, 1]
+    assert poly_mul([Fraction(1, 2)], [0, 2], [3]) == [0, 3]
+    assert poly_mul() == [1]
 
 
 def test_p_part_examples():

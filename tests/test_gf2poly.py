@@ -135,7 +135,14 @@ def test_pool_size_against_enumeration():
 
 def test_lower_bound_on_irreducible_count():
     for d in range(3, 31):
-        assert 4 * d * count_irreducible_monic(d) >= 3 * 2**d
+        n = count_irreducible_monic(d)
+        assert 4 * d * n >= 3 * 2**d
+        if d >= 5:
+            # the steps by which sec3/nd-counts decides every d >= 5: only
+            # divisors e <= d/2 subtract from d*N(d)
+            assert d * n >= 2**d - 2 ** (d // 2 + 1) + 2
+            tail = 2 ** (d // 2) * (2 ** ((d + 1) // 2) - 8) + 8
+            assert 4 * d * n - 3 * 2**d >= tail > 0
 
 
 def test_hex_round_trip():

@@ -1,14 +1,14 @@
 import random
 from fractions import Fraction
-from math import prod
+from math import isqrt, prod
 
 import pytest
 
 from chardeg.cli import LIE_MAX_Q, LIE_MAX_RANK, SITUATION_MAX_DK, SITUATION_NS
-from chardeg.errors import ExcludedCaseError, ResourceLimitError
-from chardeg.exactmath import is_prime_power, p_part
+from chardeg.errors import ExcludedCaseError
+from chardeg.exactmath import p_part
 from chardeg.lie import (
-    AMBIENTS, SIEVE_MAX_Q, CentralizerShape, ClassicalFactor, SimpleGroupId,
+    AMBIENTS, CentralizerShape, ClassicalFactor, SimpleGroupId,
     ambient_order, applicable_situations, centralizer_order, comparison_shapes,
     euler_tail_lower, factor_availability, gl_order, iter_simple_ids,
     iter_situation_instances, iter_situation_ratios,
@@ -64,13 +64,15 @@ def test_rank_one_matches_two_dimensional_linear_groups():
 
 @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 10**4])
 def test_prime_power_sieve_matches_factoring(limit):
-    assert prime_powers_up_to(limit) == [
-        q for q in range(2, limit + 1) if is_prime_power(q)]
-
-
-def test_prime_power_sieve_rejects_a_limit_above_its_cap():
-    with pytest.raises(ResourceLimitError, match=str(SIEVE_MAX_Q)):
-        prime_powers_up_to(SIEVE_MAX_Q + 1)
+    # a sieve of Eratosthenes and the powers of its primes, against the
+    # library's factoring of each q
+    prime = [False, False] + [True] * (limit - 1)
+    for p in range(2, isqrt(limit) + 1):
+        if prime[p]:
+            prime[p * p::p] = [False] * len(range(p * p, limit + 1, p))
+    powers = {p**k for p in range(2, limit + 1) if prime[p]
+              for k in range(1, limit.bit_length() + 1) if p**k <= limit}
+    assert prime_powers_up_to(limit) == sorted(powers)
 
 
 def test_omega_plus_18_formula_value():
@@ -398,6 +400,9 @@ def test_part3_bound_for_few_factors():
 def test_euler_tail_examples():
     assert euler_tail_lower(2, 2, 40) > Fraction(9, 16)
     assert euler_tail_lower(3, 2, 20) > Fraction(9, 16)
+    # lem3.2/euler-tail evaluates q = 2 alone, as the bound grows with q
+    values = [euler_tail_lower(q, 2, 40) for q in range(2, 11)]
+    assert values == sorted(values)
     # zero terms: pure geometric tail bound
     assert euler_tail_lower(2, 2, 0) == Fraction(1, 2)
     with pytest.raises(ValueError):

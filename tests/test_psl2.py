@@ -1,14 +1,32 @@
 import pytest
 
-from chardeg.bounds import epsilon_of
+from chardeg import cli
+from chardeg.bounds import epsilon_of, simple_bound_report
 from chardeg.degrees import DegreeMultiset
 from chardeg.errors import UnsupportedFamilyError
 from chardeg.exactmath import LESS, pow_compare
 from chardeg.lie import prime_powers_up_to
 from chardeg.psl2 import (
-    Psl2Char, extendible_witness_even, field_invariance, psl2_characters,
+    CLASSES, Psl2Char, class_polynomials, extendible_witness_even, field_invariance,
     psl2_degrees, psl2_order, theta2_stabilizer_odd,
 )
+
+
+def psl2_characters(q):
+    """Every irreducible character of PSL2(q), q >= 4, listed from the index
+    ranges of each series directly rather than from the residue-class table;
+    Psl2Char refuses an index the table does not hold."""
+    if q % 2 == 0:
+        series = {"chi": range(1, (q - 2) // 2 + 1), "theta": range(1, q // 2 + 1)}
+    else:
+        series = {"chi": range(2, (q - 3) // 2 + 1, 2), "theta": range(2, (q - 1) // 2 + 1, 2),
+                  "xi" if q % 4 == 1 else "eta": range(1, 3)}
+    return [Psl2Char(q, "trivial"), Psl2Char(q, "steinberg")] + [
+        Psl2Char(q, family, i) for family, indices in series.items() for i in indices]
+
+
+def _value(poly, q):
+    return sum(c * q**i for i, c in enumerate(poly))
 
 
 def test_degree_lists_examples():
@@ -86,9 +104,11 @@ def test_extendible_witness_examples():
 
 
 def test_extendible_witness_invariance():
-    for f in range(3, 16):
+    # the per-q oracle for lem5.1/extendible-witness, which decides every f
+    for f in range(3, 21):
         w = extendible_witness_even(2**f)
         assert all(field_invariance(w, k) for k in range(1, f + 1))
+        assert w.degree in (2**f - 1, 2**f + 1)
 
 
 def test_extendible_witness_rejects_small_or_odd():
@@ -125,3 +145,54 @@ def test_character_index_validation():
         Psl2Char(9, "eta", 1)  # q = 1 mod 4 has xi, not eta
     with pytest.raises(ValueError):
         Psl2Char(7, "xi", 1)
+
+
+def test_class_polynomials_agree_with_each_q():
+    # the per-q degree lists are the oracle for the class polynomials, and
+    # the bound report for the signs of the margins
+    polys = {cls: class_polynomials(cls) for cls in CLASSES}
+    assert not any(c for p in polys.values() for c in p["sum of squares - order"])
+    for q in prime_powers_up_to(10**4):
+        if q < 4:
+            continue
+        p = polys["even" if q % 2 == 0 else f"{q % 4} mod 4"]
+        ds = psl2_degrees(q)
+        assert _value(p["order"], q) == psl2_order(q) == ds.sum_squares
+        if q == 5:  # no chi character: the largest degree is q, decided alone
+            assert ds.max_degree == 5
+            continue
+        margins = {k: _value(v, q) for k, v in p["margins"].items()}
+        b = ds.max_degree
+        m = ds.multiplicity(b)
+        rep = simple_bound_report(ds)
+        assert b == q + 1 and margins["chi count > 0"] == m
+        assert margins["epsilon > 1"] == ds.sum_squares - (m + 1) * b * b
+        assert margins["order > 2b^2"] == ds.sum_squares - 2 * b * b
+        assert margins["order < 2e^2"] == 2 * rep.e_at_b**2 - ds.sum_squares
+        assert margins["e > b"] == rep.e_at_b - b
+        assert (margins["epsilon > 1"] > 0) == rep.epsilon_gt_1
+        assert (margins["order > 2b^2"] > 0) == rep.gt_2b2
+        assert (margins["order < 2e^2"] > 0) == rep.lt_2e2
+        assert all(v > 0 for v in margins.values())
+
+
+def test_theta2_stabilizer_sweep():
+    # the per-q oracle for lem6.2/theta2-stabilizer, which decides every odd q
+    for q in prime_powers_up_to(10**4):
+        if q >= 5 and q % 2:
+            assert theta2_stabilizer_odd(q).all_pass
+
+
+def test_wrong_class_entry_fails_the_degree_sum_claim(monkeypatch):
+    wrong = {**CLASSES["1 mod 4"], "chi": ((1, 1, 1), (1, -1, 4), 2)}
+    monkeypatch.setitem(CLASSES, "1 mod 4", wrong)
+    [report] = cli.run_claims(["sec5-6/psl2-degree-sums"], cli.RunConfig())
+    assert (report.status, report.witnesses[-1]) == (cli.FAIL, "failures=['1 mod 4']")
+
+
+def test_threshold_below_the_class_start_fails_the_epsilon_claim(monkeypatch):
+    # from q = 5 the 1 mod 4 class has no chi character, so its margins fail
+    monkeypatch.setitem(cli.PSL2_CLASS_FROM, "1 mod 4", 5)
+    [report] = cli.run_claims(["thm3.1/epsilon-psl2"], cli.RunConfig())
+    assert report.status == cli.FAIL
+    assert "1 mod 4: chi count > 0" in report.witnesses[-1]
