@@ -61,4 +61,7 @@ def group_from_dict(data: dict) -> GroupTable:
 def load_group_file(path) -> tuple[str, GroupTable]:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     group = group_from_dict(data)
-    return data.get("name", Path(path).stem), group
+    name = data.get("name", Path(path).stem)
+    if not isinstance(name, str):
+        raise ValueError(f"{path}: the group name must be a string, got {name!r}")
+    return name, group

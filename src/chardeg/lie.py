@@ -10,7 +10,9 @@ The degree of the irreducible character attached to (class, Steinberg of C)
 is the odd part of [S : C] times the Steinberg degree of C, and all ratio
 bounds are evaluated as exact rationals.  Every order, of a simple group or
 of a GF(2) ambient or centralizer factor, is read from one formula per
-family (`_order_parts`); St(C) is the 2-part of |C|.
+family (`_order_parts`); St(C) is the 2-part of |C|.  Every shape that a
+claim checks, with few factors (part 3) or as a merge situation (part 4),
+comes from one deterministic enumerator, `iter_shapes`.
 """
 
 from __future__ import annotations
@@ -264,13 +266,24 @@ def seitz_check(gid: SimpleGroupId, torus_order: int | None = None) -> SeitzRepo
 
 
 def load_torus_table(path) -> dict[tuple[str, int, int], int]:
-    """Read a torus-order table: JSON object mapping "family/rank/q" keys to
-    decimal order strings."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a torus-order table: a JSON object mapping "family/rank/q" keys,
+    rank and q in decimal digits, to orders written as strings of decimal
+    digits above 0.  Anything else is refused with a ValueError naming the
+    path and, where there is one, the key."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: expected a JSON object of family/rank/q keys")
     table = {}
     for key, value in raw.items():
-        fam, rank, q = key.split("/")
-        table[(fam, int(rank), int(q))] = int(value)
+        parts = key.split("/")
+        if (len(parts) != 3 or not isinstance(value, str)
+                or not all(x.isdecimal() for x in (*parts[1:], value)) or int(value) < 1):
+            raise ValueError(f"{path}: key {key!r}: expected a family/rank/q key and "
+                             "an order written as a string of decimal digits above 0")
+        table[(parts[0], int(parts[1]), int(parts[2]))] = int(value)
     return table
 
 
@@ -545,10 +558,13 @@ def factor_availability(ambient: str, d: int, eps: int) -> int:
     return gf2poly.count_self_reciprocal(d)
 
 
-def _situation_moves(ns, ambients, r: int, max_dk: int):
-    """Yield (shape, moves) for every realizable shape that has at least one
-    instance, with moves its (i, j, situation, comparison shape) in the
-    order of `iter_situation_instances`."""
+def iter_shapes(ns, ambients, r: int, max_dk: int) -> Iterator[CentralizerShape]:
+    """Every realizable shape with exactly r GL-type factors, each with
+    d*k <= max_dk, whose ambient is one of the symplectic and orthogonal
+    ones named in ambients and whose parameter n is in ns; no shape comes
+    twice.  Shapes come factor combination by combination in lexicographic
+    order, then n in the order of ns, then Sp, then the orthogonal ambient
+    of block sign beta = +1, then -1."""
     top = max(ns, default=0)
     # each (d, eps) availability is a Moebius sum: look it up, never redo it
     avail = {(d, eps): factor_availability("Sp", d, eps)
@@ -572,9 +588,6 @@ def _situation_moves(ns, ambients, r: int, max_dk: int):
             yield from multisets(t, count - 1, chosen, dims + d * k)
             chosen.pop()
 
-    want_sp = "Sp" in ambients
-    want_o = {"O+": 1, "O-": -1}
-    wanted_signs = {sign for a, sign in want_o.items() if a in ambients}
     for combo in multisets(0, r, [], 0):
         dims = sum(d * k for d, k, _ in combo)
         sign = prod(e**k for _, k, e in combo)
@@ -582,49 +595,29 @@ def _situation_moves(ns, ambients, r: int, max_dk: int):
             m = n - dims
             if m < 0:
                 continue
-            shapes = []
-            if want_sp:
-                shapes.append(make_shape("Sp", n, m, None, combo))
-            if m == 0:
-                if sign in wanted_signs:
-                    amb = "O+" if sign == 1 else "O-"
-                    shapes.append(make_shape(amb, n, 0, None, combo))
-            else:
-                for beta in (1, -1):
-                    if beta * sign in wanted_signs:
-                        amb = "O+" if beta * sign == 1 else "O-"
-                        shapes.append(make_shape(amb, n, m, beta, combo))
-            for shape in shapes:
-                moves = []
-                for i in range(1, r + 1):
-                    for j in range(i + 1, r + 1):
-                        fi, fj = shape.factors[i - 1], shape.factors[j - 1]
-                        d0 = fi.ndim + fj.ndim
-                        if d0 % 2 or d0 < 4:
-                            continue
-                        moves.extend((i, j, situation, t_shape) for situation, t_shape
-                                     in comparison_shapes(shape, i, j))
-                if moves:
-                    yield shape, moves
+            if "Sp" in ambients:
+                yield make_shape("Sp", n, m, None, combo)
+            # an absent block (m = 0) carries no sign
+            for beta in ((None,) if m == 0 else (1, -1)):
+                amb = "O+" if (beta or 1) * sign == 1 else "O-"
+                if amb in ambients:
+                    yield make_shape(amb, n, m, beta, combo)
 
 
 def iter_situation_instances(ns=(9, 10, 11, 12), ambients=("Sp", "O+", "O-"),
                              r: int = 4, max_dk: int = 6):
-    """Exhaustively yield (shape, i, j, situation) for every realizable shape
-    with exactly r GL-type factors of dimension contribution at most max_dk,
-    every even pair of dimension at least 4, and every applicable situation.
-    """
-    for shape, moves in _situation_moves(ns, ambients, r, max_dk):
-        for i, j, situation, _ in moves:
-            yield shape, i, j, situation
+    """The (shape, i, j, situation) of every row of `iter_situation_ratios`."""
+    for shape, i, j, situation, _ in iter_situation_ratios(ns, ambients, r, max_dk):
+        yield shape, i, j, situation
 
 
 def iter_situation_ratios(ns=(9, 10, 11, 12), ambients=("Sp", "O+", "O-"),
                           r: int = 4, max_dk: int = 6):
-    """Yield (shape, i, j, situation, ratio) over `iter_situation_instances`,
-    ratio being `situation_ratio(shape, i, j, situation)`; each comparison
-    shape is built once, and the degree of each distinct shape, enumerated
-    or compared, is computed once per call."""
+    """Yield (shape, i, j, situation, ratio) for every shape of `iter_shapes`,
+    every pair i < j of its factors and every situation that applies to the
+    pair, ratio being `situation_ratio(shape, i, j, situation)`.  Each
+    comparison shape is built once, and the degree of each distinct shape,
+    enumerated or compared, is computed once per call."""
     degrees: dict[CentralizerShape, int] = {}
 
     def degree(shape: CentralizerShape) -> int:
@@ -632,52 +625,19 @@ def iter_situation_ratios(ns=(9, 10, 11, 12), ambients=("Sp", "O+", "O-"),
             degrees[shape] = semisimple_degree(shape)
         return degrees[shape]
 
-    for shape, moves in _situation_moves(ns, ambients, r, max_dk):
-        chi = degree(shape)
-        for i, j, situation, t_shape in moves:
-            yield shape, i, j, situation, Fraction(degree(t_shape), chi)
+    for shape in iter_shapes(ns, ambients, r, max_dk):
+        for i in range(1, r + 1):
+            for j in range(i + 1, r + 1):
+                for situation, t_shape in comparison_shapes(shape, i, j):
+                    yield shape, i, j, situation, Fraction(degree(t_shape), degree(shape))
 
 
 def random_shape(rng, n: int, r_max: int = 3, ambient_pool=("O+", "O-")):
-    """Draw a realizable shape with at most r_max GL-type factors in an
-    orthogonal (or symplectic) ambient of parameter n."""
-    while True:
-        r = rng.randint(0, r_max)
-        factors = []
-        budget = n
-        ok = True
-        for _ in range(r):
-            if budget < 1:
-                ok = False
-                break
-            d = rng.randint(1, budget)
-            k = rng.randint(1, budget // d)
-            eps = rng.choice((1, -1))
-            used = sum(1 for f in factors if (f.d, f.eps) == (d, eps))
-            if used + 1 > factor_availability("Sp", d, eps):
-                ok = False
-                break
-            factors.append(ClassicalFactor(d, k, eps))
-            budget -= d * k
-        if not ok:
-            continue
-        m = budget
-        sign = prod(f.sign for f in factors)
-        if "Sp" in ambient_pool and rng.random() < 0.5:
-            return make_shape("Sp", n, m, None, factors)
-        if m == 0:
-            amb = "O+" if sign == 1 else "O-"
-            if amb not in ambient_pool:
-                continue
-            return make_shape(amb, n, 0, None, factors)
-        beta = rng.choice((1, -1))
-        amb = "O+" if beta * sign == 1 else "O-"
-        if amb not in ambient_pool:
-            beta = -beta
-            amb = "O+" if beta * sign == 1 else "O-"
-            if amb not in ambient_pool:
-                continue
-        return make_shape(amb, n, m, beta, factors)
+    """A shape drawn by `rng.choice` from every realizable shape of parameter
+    n with at most r_max GL-type factors in the ambients of ambient_pool.
+    No claim draws one: the claims enumerate with `iter_shapes`."""
+    return rng.choice([shape for r in range(r_max + 1)
+                       for shape in iter_shapes((n,), ambient_pool, r, n)])
 
 
 def euler_tail_lower(q: int, start: int = 2, terms: int = 40) -> Fraction:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from chardeg import cli, symalt
+from chardeg import cli, lie, symalt
 from chardeg.psl2 import psl2_degrees
 
 TORUS_TABLE = str(Path(__file__).parent.parent / "data" / "torus_orders.json")
@@ -195,6 +195,45 @@ def test_missing_torus_table_aborts_before_running(capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("table, key", [
+    ({"2A/8/2": 5.5}, "2A/8/2"),
+    ({"2A/8/2": 6561}, "2A/8/2"),
+    ({"2A/x/2": "3"}, "2A/x/2"),
+    ({"2A/8": "6561"}, "2A/8"),
+    ({"2A/8/2": "0"}, "2A/8/2"),
+    ({"2A/8/2": "-3"}, "2A/8/2"),
+    ({"2A/8/2": "6561.0"}, "2A/8/2"),
+    ([], None),
+    ("6561", None),
+])
+def test_bad_torus_table_fails_the_twisted_claim(table, key, tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(table))
+    with pytest.raises(ValueError) as exc:
+        lie.load_torus_table(path)
+    message = str(exc.value)
+    assert message.startswith(f"{path}: ")
+    assert key is None or repr(key) in message
+    report = tmp_path / "seitz.json"
+    assert cli.main(["seitz", "--torus-table", str(path), "--report", str(report)]) == 1
+    capsys.readouterr()
+    entries = {e["claim"]: e for e in json.loads(report.read_text())}
+    assert entries["sec3/seitz-twisted"]["status"] == "fail"
+    assert entries["sec3/seitz-twisted"]["witnesses"] == [message]
+    assert entries["sec3/seitz-untwisted"]["status"] == "pass"
+
+
+def test_part3_checks_every_shape_and_names_each_failure(monkeypatch):
+    assert cli._check_part3(cli.RunConfig()) == (
+        cli.PASS, ["shapes=1539", "ns=[9, 10, 11]", "r<=3", "failures=[]"])
+    bad = lie.make_shape("O-", 11, 2, 1, [(3, 3, -1)])
+    true_degree = lie.semisimple_degree
+    monkeypatch.setattr(lie, "semisimple_degree",
+                        lambda shape: true_degree(shape) * (1 << 200 if shape == bad else 1))
+    assert cli._check_part3(cli.RunConfig()) == (
+        cli.FAIL, ["shapes=1539", "ns=[9, 10, 11]", "r<=3", f"failures={[str(bad)]}"])
+
+
 @pytest.mark.parametrize("argv", [
     ["rho", "--max-n", "61"],
     ["rho", "--max-n", "6"],
@@ -210,6 +249,7 @@ def test_missing_torus_table_aborts_before_running(capsys):
     ["verify-all", "--jobs", "0"],
     ["lie38", "--jobs", "-3"],
     ["epsilon", "--degrees", "missing.jsonl"],
+    ["analyze-group", "--group-spec", "list-name.json"],
 ])
 def test_bad_input_aborts_before_running(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -224,7 +264,9 @@ def test_bad_input_aborts_before_running(argv, tmp_path, monkeypatch, capsys):
                        ("top-level-list.json", [{"kind": "permutation", "degree": 2,
                                                  "generators": [[1, 0]]}]),
                        ("str-entry.json", {"kind": "permutation", "degree": 2,
-                                           "generators": [["a", 0]]})):
+                                           "generators": [["a", 0]]}),
+                       ("list-name.json", {"name": ["x"], "kind": "permutation",
+                                           "degree": 2, "generators": [[1, 0]]})):
         (tmp_path / name).write_text(json.dumps(spec))
     (tmp_path / "truncated.json").write_text('{"kind": "permutation", "degree"')
     with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import isqrt, prod
 
 import pytest
@@ -11,7 +13,7 @@ from chardeg.lie import (
     AMBIENTS, CentralizerShape, ClassicalFactor, SimpleGroupId,
     ambient_order, applicable_situations, centralizer_order, comparison_shapes,
     euler_tail_lower, factor_availability, gl_order, iter_simple_ids,
-    iter_situation_instances, iter_situation_ratios,
+    iter_shapes, iter_situation_instances, iter_situation_ratios,
     k_factor_order, load_torus_table, make_shape, prime_powers_up_to,
     random_shape, seitz_check, seitz_ids, semisimple_degree, simple_order,
     simply_connected_order, situation_ratio, situation_shape, split_torus_order,
@@ -321,23 +323,23 @@ def test_semisimple_degree_matches_index_formula():
     # orthogonal ambient with a nontrivial block: the degree equals
     # 2^(m(m-1) + sum d k(k-1)/2) (2^n - eps) prod_{j=m}^{n-1} (2^(2j) - 1)
     # / ((2^m - beta) prod over factors of prod_i (2^(i d) - eps^i))
-    rng = random.Random(99)
     checked = 0
-    while checked < 200:
-        n = rng.randint(9, 13)
-        shape = random_shape(rng, n, 4)
-        if shape.ambient not in ("O+", "O-") or shape.m == 0:
-            continue
-        eps = 1 if shape.ambient == "O+" else -1
-        num = (2 ** (shape.m * (shape.m - 1)
-                     + sum(f.d * f.k * (f.k - 1) // 2 for f in shape.factors))
-               * (2**n - eps)
-               * prod(2 ** (2 * j) - 1 for j in range(shape.m, n)))
-        den = (2**shape.m - shape.beta) * prod(
-            _factor_odd_part(f) for f in shape.factors)
-        assert num % den == 0
-        assert semisimple_degree(shape) == num // den, shape
-        checked += 1
+    for r in range(5):
+        for shape in iter_shapes(range(9, 14), ("O+", "O-"), r, 13):
+            if shape.m == 0:
+                continue
+            n = shape.n
+            eps = 1 if shape.ambient == "O+" else -1
+            num = (2 ** (shape.m * (shape.m - 1)
+                         + sum(f.d * f.k * (f.k - 1) // 2 for f in shape.factors))
+                   * (2**n - eps)
+                   * prod(2 ** (2 * j) - 1 for j in range(shape.m, n)))
+            den = (2**shape.m - shape.beta) * prod(
+                _factor_odd_part(f) for f in shape.factors)
+            assert num % den == 0
+            assert semisimple_degree(shape) == num // den, shape
+            checked += 1
+    assert checked == 3576
 
 
 def _reference_semisimple_degree(shape):
@@ -379,22 +381,63 @@ def test_factor_availability_values():
 
 
 def test_random_shapes_divide_ambient_order():
-    rng = random.Random(7)
-    for _ in range(10_000):
-        shape = random_shape(rng, rng.randint(9, 14), 6,
-                             ambient_pool=("O+", "O-", "Sp"))
-        degree = semisimple_degree(shape)
-        assert ambient_order(shape.ambient, shape.n) % degree == 0
+    # every shape `random_shape(rng, n, 6, ("O+", "O-", "Sp"))` can draw, n = 9..14
+    count = 0
+    for r in range(7):
+        for shape in iter_shapes(range(9, 15), ("O+", "O-", "Sp"), r, 14):
+            degree = semisimple_degree(shape)
+            assert ambient_order(shape.ambient, shape.n) % degree == 0
+            count += 1
+    assert count == 11_484
 
 
-def test_part3_bound_for_few_factors():
-    rng = random.Random(11)
-    for _ in range(300):
-        n = rng.choice((9, 10, 11))
-        shape = random_shape(rng, n, 3)
-        degree = semisimple_degree(shape)
-        assert degree < 9 * (1 << (n * (n - 1)))
-        assert ambient_order(shape.ambient, shape.n) > 2 * degree * degree
+def _brute_force_shapes(ambient, n, r):
+    """Every shape of r factors (d, k, eps) with d*k <= n that `make_shape`
+    accepts in the given ambient and parameter n, with every block sign,
+    and whose factors of each (d, eps) do not outnumber the availability."""
+    types = [(d, k, eps) for d in range(1, n + 1) for k in range(1, n // d + 1)
+             for eps in (1, -1)]
+    shapes = set()
+    for combo in combinations_with_replacement(types, r):
+        m = n - sum(d * k for d, k, _ in combo)
+        if m < 0:
+            continue
+        for beta in (None, 1, -1):
+            try:
+                shape = make_shape(ambient, n, m, beta, combo)
+            except ValueError:
+                continue
+            counts = Counter((f.d, f.eps) for f in shape.factors)
+            if all(c <= factor_availability(ambient, d, eps)
+                   for (d, eps), c in counts.items()):
+                shapes.add(shape)
+    return shapes
+
+
+@pytest.mark.parametrize("ambient", ["Sp", "O+", "O-"])
+def test_iter_shapes_matches_brute_force(ambient):
+    for n in range(2 if ambient == "Sp" else 3, 9):
+        for r in range(4):
+            shapes = list(iter_shapes((n,), (ambient,), r, n))
+            assert len(shapes) == len(set(shapes)), (n, r)
+            assert set(shapes) == _brute_force_shapes(ambient, n, r), (n, r)
+
+
+def test_iter_shapes_of_several_ambients_and_ns_is_the_union():
+    ambients = ("O-", "Sp", "O+")
+    shapes = list(iter_shapes((8, 5, 7), ambients, 3, 8))
+    assert len(shapes) == len(set(shapes))
+    assert set(shapes) == {s for amb in ambients for n in (5, 7, 8)
+                           for s in iter_shapes((n,), (amb,), 3, n)}
+
+
+def test_random_shape_draws_from_the_enumerated_shapes():
+    rng = random.Random(5)
+    for n, r_max, pool in ((9, 3, ("O+", "O-")), (10, 2, ("Sp",)),
+                           (10, 4, ("O+", "O-", "Sp"))):
+        allowed = {s for r in range(r_max + 1) for s in iter_shapes((n,), pool, r, n)}
+        for _ in range(20):
+            assert random_shape(rng, n, r_max, ambient_pool=pool) in allowed
 
 
 def test_euler_tail_examples():
