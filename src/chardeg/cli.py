@@ -311,7 +311,7 @@ def _check_part3(cfg: RunConfig):
         for shape in lie.iter_shapes(PART3_NS, ("O+", "O-"), r, max(PART3_NS)):
             count += 1
             deg = lie.semisimple_degree(shape)
-            order = lie.shape_ambient_order(shape)
+            order = lie.ambient_order(shape.ambient, shape.n)
             if deg >= 9 * (1 << (shape.n * (shape.n - 1))) or order <= 2 * deg * deg:
                 bad.append(str(shape))
     return (FAIL if bad else PASS), [
@@ -477,9 +477,10 @@ def run_claims(claims: list[str], cfg: RunConfig) -> list[VerificationReport]:
     jobs = min(cfg.jobs, len(claims))
     if jobs <= 1:
         return [_run_claim((c, cfg)) for c in claims]
-    # loaded before the fork, so the workers share numpy instead of each
-    # importing it again
-    from . import groupengine
+    # loaded before the fork when a claim builds groups, so the workers
+    # share numpy instead of each importing it again
+    if set(claims) & set(SUBCOMMAND_CLAIMS["gagola"]):
+        from . import groupengine  # noqa: F401
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -2,7 +2,9 @@
 arithmetic modulo primes that split completely in Q(zeta_m).
 
 The class-sum multiplication constants give commuting matrices whose common
-eigenvectors are the central characters.  Working over GF(ell) with
+eigenvectors are the central characters.  They and the power maps read the
+group's products only as the columns x -> x z of the class representatives
+z, so no order-squared array is built.  Working over GF(ell) with
 ell = 1 (mod exponent) and ell > 2 sqrt(|G|) + 1, they are split out of one
 vector: the unit vector e_0 at the identity class is sum_t (d_t**2/|G|) w_t,
 and no coefficient vanishes mod ell.  For each class matrix M, every vector
@@ -166,7 +168,8 @@ class CharacterTable:
         conjugate, and B = max(sum |C_c|, rows) max d**2 + |G| bounds each
         conjugate of both orthogonality differences and of every value; for
         a genuine table it is |G| max d**2 + |G|.  p is the least prime
-        = 1 (mod m) above B."""
+        = 1 (mod m) above B.  Classes are evaluated one element order at a
+        time, each on the only coefficients that can be nonzero there."""
         values, m = self.values, self.exponent
         if (values < 0).any() or (values.sum(axis=2)
                                   != np.array(self.degrees)[:, np.newaxis]).any():
@@ -179,8 +182,16 @@ class CharacterTable:
         _assert_int64(max(rows, k), p)
         units = [u for u in range(m) if gcd(u, m) == 1]
         at_units = _root_powers(p, m)[np.outer(np.arange(m), units) % m]
-        ev = values.reshape(rows * k, m) @ at_units % p
-        return p, np.moveaxis(ev.reshape(rows, k, len(units)), 2, 0)
+        # a class whose coefficients vanish off the multiples of s reads only
+        # those; for a genuine table s = m/o on a class of order o, since
+        # the regular character there has every o-th root as an eigenvalue
+        support = (values != 0).any(axis=0)
+        steps = np.array([gcd(m, *np.flatnonzero(row).tolist()) for row in support])
+        ev = np.empty((len(units), rows, k), dtype=np.int64)
+        for s in set(steps.tolist()):
+            cls = np.flatnonzero(steps == s)
+            ev[:, :, cls] = np.moveaxis(values[:, cls, ::s] @ at_units[::s] % p, 2, 0)
+        return p, ev
 
     def verify_row_orthogonality(self, evaluated=None) -> bool:
         """sum_c |C_c| chi_s(g_c) conj(chi_t(g_c)) = delta_st |G|, exactly.
@@ -209,29 +220,31 @@ class CharacterTable:
         return (ev != 0).any(axis=0).sum(axis=1).tolist()
 
 
-def _class_matrix(group: GroupTable, classes, class_of: np.ndarray, i: int,
+def _class_matrix(inverses: np.ndarray, cols: np.ndarray, members, class_of: np.ndarray,
                   ell: int) -> np.ndarray:
-    """Matrix of the i-th class sum acting on central characters:
+    """Matrix of the class sum of C_i = members acting on central characters:
     entry (j, l) counts the x in C_i with x^-1 z_l in C_j, that is the pairs
-    (x in C_i, y in C_j) with x y = z_l for the representative z_l of C_l."""
-    k = len(classes)
-    reps = [c[0] for c in classes]
-    hits = class_of[group.table[np.ix_(group.inverses[classes[i]], reps)]]
+    (x in C_i, y in C_j) with x y = z_l for the representative z_l of C_l,
+    whose product column w -> w z_l is cols[:, l]."""
+    k = cols.shape[1]
+    hits = class_of[cols[inverses[members]]]
     counts = np.zeros((k, k), dtype=np.int64)
     np.add.at(counts, (hits, np.arange(k)), 1)
     return counts % ell
 
 
-def _power_maps(group: GroupTable, reps, class_of: np.ndarray):
+def _power_maps(cols: np.ndarray, class_of: np.ndarray):
     """(power_class, orders): orders[c] is the order o_c of the c-th
-    representative g_c, and power_class[c, v] the class of g_c**v for
-    v < o_c, from one walk up to the largest o_c."""
-    orders = np.zeros(len(reps), dtype=np.int64)
+    representative g_c, whose product column is cols[:, c], and
+    power_class[c, v] the class of g_c**v for v < o_c, from one walk up to
+    the largest o_c."""
+    k = cols.shape[1]
+    orders = np.zeros(k, dtype=np.int64)
     columns = []
-    powers = np.zeros(len(reps), dtype=np.intp)
+    powers = np.zeros(k, dtype=np.intp)
     while not orders.all():
         columns.append(class_of[powers])
-        powers = group.table[powers, reps]
+        powers = cols[powers, np.arange(k)]
         orders[(powers == 0) & (orders == 0)] = len(columns)
     return np.stack(columns, axis=1), orders
 
@@ -265,7 +278,8 @@ def dixon_character_table(group: GroupTable) -> CharacterTable:
     k = len(classes)
     sizes = [len(c) for c in classes]
     reps = [c[0] for c in classes]
-    power_class, orders = _power_maps(group, reps, class_of)
+    cols = group.product_columns(reps)
+    power_class, orders = _power_maps(cols, class_of)
     m = lcm(*orders.tolist())  # every element is conjugate to a representative
     ell = _split_prime(2 * isqrt(group.order) + 1, m)
     _assert_int64(max(k, m), ell)
@@ -275,7 +289,8 @@ def dixon_character_table(group: GroupTable) -> CharacterTable:
     for i in range(1, k):
         if vectors.shape[1] == k:
             break
-        vectors = _split(vectors, _class_matrix(group, classes, class_of, i, ell), ell)
+        mat = _class_matrix(group.inverses, cols, classes[i], class_of, ell)
+        vectors = _split(vectors, mat, ell)
     if vectors.shape[1] != k:
         raise AssertionError("central characters not fully separated")
     if not vectors[0].all():

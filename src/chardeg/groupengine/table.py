@@ -1,15 +1,21 @@
-"""Explicit small groups: breadth-first closure of a generating set into a
-dense multiplication table, then conjugacy classes, element orders,
-generated and normal subgroups, and derived series, each computed by numpy
-gathers on that table rather than element by element.
+"""Explicit small groups: breadth-first closure of a generating set, then
+conjugacy classes, element orders, products, generated and normal subgroups,
+and derived series, each computed by numpy gathers rather than element by
+element.
 
 The closure itself multiplies no element objects and builds none per
-element: each element is a row of integer codes, a whole breadth-first level
-is multiplied by the generators in one batched gather, and the table is
-filled a row at a time by gathers on rows already filled.  The rows are kept,
+element: each element is a row of integer codes, and a whole breadth-first
+level is multiplied by the generators in one batched gather.  What it keeps
+is linear in the order: the product of every element with every generator
+on either side, and each element's parent (x, k), with the element equal to
+x times the k-th generator.  Inverses, conjugation by the generators and any
+product column x -> x z are gathers on those arrays; the dense Cayley table
+is built only when a query that reads it asks for it.  The rows are kept,
 and element objects are decoded from them only when asked for."""
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -20,27 +26,33 @@ MAX_ELEMENTS = 5000  # below 2**15, so element indices fit the int16 table
 
 
 class GroupTable:
-    """A closed list of group elements with its Cayley table.
+    """A closed list of group elements, with products by the generators.
 
     Index 0 is the identity, and indices follow the breadth-first order of
     the closure (each element times each generator in turn, new products
-    numbered at first occurrence).  table[i, j] is the index of
-    elements[i] * elements[j]; close_group fills it once, so every product
-    and inverse is a lookup and no element is multiplied afterwards.
+    numbered at first occurrence).  right[x, k] is the index of x * g_k and
+    left[k, x] that of g_k * x for the k-th generator g_k; every element
+    y > 0 has the parent parents[y - 1] = K x + k (K generators) with
+    y = x * g_k and x < y.  So every product is a walk of gathers on
+    `right` along the parents, and no element is multiplied afterwards.
+    `table` is the dense Cayley table, built from these on first read;
+    only element_orders and the subgroup and derived-series queries read it.
 
     The elements are kept as the closure's rows of integer codes, and
-    `elements` decodes them into element objects on first access: every
-    group query reads the table alone.
+    `elements` decodes them into element objects on first access: no group
+    query reads them.
     """
 
-    def __init__(self, rows: np.ndarray, decode, generator_indices, table: np.ndarray):
+    def __init__(self, rows: np.ndarray, decode, right: np.ndarray, left: np.ndarray,
+                 parents: np.ndarray, inverses: np.ndarray):
         self._rows = rows
         self._decode = decode
         self._elements = None
-        self.generators = list(generator_indices)
-        self.table = table
-        # each row holds the identity exactly once, in the inverse's column
-        self.inverses = table.argmin(axis=1)
+        self._right = right
+        self._left = left
+        self._parents = parents
+        self.inverses = inverses
+        self.generators = sorted(set(right[0].tolist()))
         self._class_of = None
 
     @property
@@ -50,17 +62,53 @@ class GroupTable:
         return self._elements
 
     def __len__(self) -> int:
-        return len(self.table)
+        return len(self.inverses)
 
     @property
     def order(self) -> int:
-        return len(self.table)
+        return len(self.inverses)
+
+    def _word(self, z: int) -> list[int]:
+        """Generator positions k_1, ..., k_r with z = g_k1 ... g_kr, read up
+        the parents."""
+        count = self._right.shape[1]
+        word = []
+        while z:
+            z, k = divmod(int(self._parents[z - 1]), count)
+            word.append(k)
+        return word[::-1]
 
     def mult(self, i: int, j: int) -> int:
-        return int(self.table[i, j])
+        for k in self._word(j):
+            i = self._right[i, k]
+        return int(i)
 
     def inverse(self, i: int) -> int:
         return int(self.inverses[i])
+
+    def product_columns(self, zs) -> np.ndarray:
+        """The (order, len(zs)) array whose c-th column is x -> x * zs[c]:
+        the identity's column carried along the word of zs[c], one gather
+        on `right` per letter."""
+        out = np.empty((self.order, len(zs)), dtype=np.intp)
+        for c, z in enumerate(zs):
+            column = np.arange(self.order)
+            for k in self._word(z):
+                column = self._right[column, k]
+            out[:, c] = column
+        return out
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """table[i, j] is the index of elements[i] * elements[j], filled row
+        by row from (x g_k) z = x (g_k z)."""
+        n, count = self._right.shape
+        table = np.empty((n, n), dtype=np.int16)
+        table[0] = np.arange(n)
+        for y, pos in enumerate(self._parents.tolist(), 1):
+            x, k = divmod(pos, count)
+            table[y] = table[x][self._left[k]]
+        return table
 
     def element_orders(self) -> np.ndarray:
         """Order of every element, one power of all elements per step."""
@@ -80,9 +128,10 @@ class GroupTable:
         smallest member.
         """
         if self._class_of is None:
-            # conj[k][x] is the index of g^-1 x g for the k-th generator g
-            conj = [self.table[self.inverses[g], self.table[:, g]]
-                    for g in self.generators]
+            # conj[k][x] is the index of g^-1 x g for the k-th generator g:
+            # g^-1 w = (w^-1 g)^-1 for w = x g
+            inv, right = self.inverses, self._right
+            conj = [inv[right[inv[right[:, k]], k]] for k in range(right.shape[1])]
             label = np.arange(self.order)
             while True:
                 new = label
@@ -214,8 +263,7 @@ def _rows_of_kind(gens):
 
 
 def close_group(generators, limit: int = MAX_ELEMENTS) -> GroupTable:
-    """Breadth-first closure of a generating set under multiplication, and
-    its Cayley table.
+    """Breadth-first closure of a generating set under multiplication.
 
     All generators must share one representation kind; matrix generators
     must be invertible.  Raises ResourceLimitError when the closure exceeds
@@ -227,7 +275,8 @@ def close_group(generators, limit: int = MAX_ELEMENTS) -> GroupTable:
     level-element-major, generator-minor, each new one taking the next
     index.  That is the order in which a one-element-at-a-time closure
     meets them, so the indices do not depend on the batching.  The rows
-    are handed to the GroupTable undecoded.
+    are handed to the GroupTable undecoded, with the products by the
+    generators, the parents and the inverses.
     """
     gens = list(generators)
     if not gens:
@@ -266,20 +315,24 @@ def close_group(generators, limit: int = MAX_ELEMENTS) -> GroupTable:
         frontier = products[first_at]
         levels.append(frontier)
     n = len(index)
-    right = np.concatenate(right)
-    # left[k, z] is the index of gens[k] * z, from g (x h) = (g x) h
+    right = np.concatenate(right).reshape(n, count)
+    # left[k, z] is the index of gens[k] * z, from g (x h) = (g x) h, and
+    # unleft[k] is its inverse permutation, z -> gens[k]**-1 * z
     left = np.empty((count, n), dtype=np.intp)
-    left[:, 0] = right[:count]
+    left[:, 0] = right[0]
     y = 1
     for level in parents:
         xs, ks = divmod(level, count)
-        left[:, y:y + len(level)] = right[count * left[:, xs] + ks]
+        left[:, y:y + len(level)] = right[left[:, xs], ks]
         y += len(level)
-    # row by row, from (x h) z = x (h z)
-    table = np.empty((n, n), dtype=np.int16)
-    table[0] = np.arange(n)
-    for y, pos in enumerate(np.concatenate(parents).tolist(), 1):
-        x, k = divmod(pos, count)
-        table[y] = table[x][left[k]]
-    return GroupTable(np.concatenate(levels), decode,
-                      sorted(set(right[:count].tolist())), table)
+    unleft = np.empty_like(left)
+    np.put_along_axis(unleft, left, np.arange(n), axis=1)
+    # level by level, from (x g)^-1 = g^-1 x^-1
+    inverses = np.zeros(n, dtype=np.intp)
+    y = 1
+    for level in parents:
+        xs, ks = divmod(level, count)
+        inverses[y:y + len(level)] = unleft[ks, inverses[xs]]
+        y += len(level)
+    return GroupTable(np.concatenate(levels), decode, right, left,
+                      np.concatenate(parents), inverses)

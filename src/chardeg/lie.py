@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, prod
 from pathlib import Path
 from typing import Iterator
@@ -306,6 +307,7 @@ def gl_order(d: int, k: int, eps: int) -> int:
     return ((1 << d) - eps) * _simply_connected("A" if eps == 1 else "2A", k - 1, 1 << d)
 
 
+@cache  # a handful of (kind, n) pairs, each read for thousands of shapes
 def ambient_order(kind: str, n: int) -> int:
     if kind not in _AMBIENT_FAMILY:
         raise ValueError(f"unknown ambient {kind!r}")

@@ -156,7 +156,8 @@ def test_gagola_loads_numpy_and_the_group_engine():
 
 
 def test_worker_pool_forks_after_numpy_is_loaded():
-    # the workers then share the parent's numpy instead of each importing it
+    # with a claim that builds groups selected, the workers then share the
+    # parent's numpy instead of each importing it
     code = (
         "import concurrent.futures, sys\n"
         "from chardeg import cli\n"
@@ -167,10 +168,18 @@ def test_worker_pool_forks_after_numpy_is_loaded():
         "    def __exit__(self, *exc): return False\n"
         "    def map(self, fn, items): return map(fn, items)\n"
         "concurrent.futures.ProcessPoolExecutor = Pool\n"
-        "cli.run_claims(['lem3.2/euler-tail', 'lem3.5/composition-bound'],\n"
+        "cli.run_claims(['lem3.2/euler-tail', 'lem7.1/gagola-arithmetic'],\n"
         "               cli.RunConfig(jobs=2))\n"
         "assert seen == [True], seen\n")
     assert "numpy" in _modules_after(code)
+
+
+def test_worker_pool_leaves_numpy_unloaded_without_group_claims():
+    # no psl2 claim builds a group, so the group engine is not loaded
+    # before the fork
+    loaded = _modules_after("from chardeg import cli; cli.main(['psl2', '--jobs', '2'])")
+    assert "concurrent.futures" in loaded
+    assert "numpy" not in loaded and "chardeg.groupengine" not in loaded
 
 
 def test_seitz_out_of_scope_without_torus_table(capsys):

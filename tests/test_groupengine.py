@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -183,17 +184,40 @@ def test_closure_order_matches_sequential_reference():
 
 def test_cayley_table_matches_element_products():
     # one group per element kind: Perm, Mat, FrobMat, and Mat over GF(9),
-    # where addition is not XOR (rows sampled)
+    # where addition is not XOR (rows sampled).  Products, inverses and
+    # product columns walk the parents and build no table; the table, built
+    # on first read, then holds the same products
     for g, rows in ((ge.symmetric_group(4), range(24)), (ge.gl2_3(), range(48)),
                     (ge.build_galois_twisted_group(4), range(0, 384, 37)),
                     (ge.build_example_group("heisenberg", 9), range(0, 729, 41))):
-        index = {x: i for i, x in enumerate(g.elements)}
-        for i in rows:
+        elts = g.elements
+        index = {x: i for i, x in enumerate(elts)}
+        products = [[index[elts[i] * y] for y in elts] for i in rows]
+        for i, row in zip(rows, products):
             assert g.mult(i, g.inverse(i)) == g.mult(g.inverse(i), i) == 0
-            for j in range(g.order):
-                assert g.mult(i, j) == index[g.elements[i] * g.elements[j]]
+            assert [g.mult(i, j) for j in range(g.order)] == row
+        assert g.product_columns(list(rows)).T.tolist() == [
+            [index[x * elts[j]] for x in elts] for j in rows]
+        assert "table" not in vars(g)
+        assert g.table[list(rows)].tolist() == products
         identity = list(range(g.order))
         assert g.table[0].tolist() == g.table[:, 0].tolist() == identity
+
+
+def test_character_table_holds_no_order_squared_array():
+    # closure and Dixon together stay below the n**2 * 2 bytes of one int16
+    # Cayley table
+    for model in (ge.alternating_group(7), ge.build_example_group("isaacs_K", 7)):
+        n, gens = model.order, [model.elements[i] for i in model.generators]
+        del model
+        tracemalloc.start()
+        try:
+            table = ge.dixon_character_table(ge.close_group(gens))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(d * d for d in table.degrees) == n
+        assert peak < 2 * n * n, (n, peak)
 
 
 def _count_constructions(monkeypatch):
