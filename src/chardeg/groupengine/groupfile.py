@@ -11,7 +11,9 @@ A group specification is a JSON object with:
     }
 
 Matrix entries are field codes 0..q-1 (base-p digit encoding of the
-coefficients on the power basis of GF(q) over its prime field).
+coefficients on the power basis of GF(q) over its prime field).  Every
+integer field must be a JSON integer: `true` and `false` are refused, though
+Python reads them as 1 and 0.
 """
 
 from __future__ import annotations
@@ -30,12 +32,12 @@ def group_from_dict(data: dict) -> GroupTable:
     kind = data.get("kind")
     gens_raw = data.get("generators")
     if (not isinstance(gens_raw, list) or not gens_raw
-            or not all(isinstance(g, list) and all(isinstance(x, int) for x in g)
+            or not all(isinstance(g, list) and all(type(x) is int for x in g)
                        for g in gens_raw)):
         raise ValueError("group specification needs a nonempty list of integer lists")
     if kind == "permutation":
         degree = data.get("degree")
-        if not isinstance(degree, int):
+        if type(degree) is not int:
             raise ValueError("permutation specification needs an integer degree")
         gens = []
         for images in gens_raw:
@@ -46,7 +48,7 @@ def group_from_dict(data: dict) -> GroupTable:
     if kind == "matrix":
         dim = data.get("dimension")
         q = data.get("field")
-        if not isinstance(dim, int) or not isinstance(q, int):
+        if type(dim) is not int or type(q) is not int:
             raise ValueError("matrix specification needs dimension and field order")
         field = gf(q)
         gens = []

@@ -1,28 +1,27 @@
 """Explicit small groups: breadth-first closure of a generating set, then
-conjugacy classes, element orders, products, generated and normal subgroups,
-and derived series, each computed by numpy gathers rather than element by
-element.
+conjugacy classes, products, generated and normal subgroups, and derived
+series, each computed by numpy gathers rather than element by element.
 
 The closure itself multiplies no element objects and builds none per
 element: each element is a row of integer codes, and a whole breadth-first
 level is multiplied by the generators in one batched gather.  What it keeps
 is linear in the order: the product of every element with every generator
-on either side, and each element's parent (x, k), with the element equal to
-x times the k-th generator.  Inverses, conjugation by the generators and any
-product column x -> x z are gathers on those arrays; the dense Cayley table
-is built only when a query that reads it asks for it.  The rows are kept,
-and element objects are decoded from them only when asked for."""
+on the right, each element's parent (x, k), with the element equal to x
+times the k-th generator, and the inverses.  Conjugation by the generators
+and any product column x -> x z are gathers on those arrays, and no query
+builds an n x n array.  The rows are kept, and element objects are decoded
+from them only when asked for."""
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
 from ..errors import ResourceLimitError
 from .elements import FrobMat, Mat, Perm
 
-MAX_ELEMENTS = 5000  # below 2**15, so element indices fit the int16 table
+# the closure limit; the int64 exactness of the character-table arithmetic
+# is checked up to this order
+MAX_ELEMENTS = 5000
 
 
 class GroupTable:
@@ -30,26 +29,26 @@ class GroupTable:
 
     Index 0 is the identity, and indices follow the breadth-first order of
     the closure (each element times each generator in turn, new products
-    numbered at first occurrence).  right[x, k] is the index of x * g_k and
-    left[k, x] that of g_k * x for the k-th generator g_k; every element
-    y > 0 has the parent parents[y - 1] = K x + k (K generators) with
-    y = x * g_k and x < y.  So every product is a walk of gathers on
-    `right` along the parents, and no element is multiplied afterwards.
-    `table` is the dense Cayley table, built from these on first read;
-    only element_orders and the subgroup and derived-series queries read it.
+    numbered at first occurrence).  right[x, k] is the index of x * g_k for
+    the k-th generator g_k; every element y > 0 has the parent
+    parents[y - 1] = K x + k (K generators) with y = x * g_k and x < y.
+    So every product is a walk of gathers on `right` along the parents, and
+    no element is multiplied afterwards.  Conjugacy classes conjugate by the
+    generators; a generated subgroup grows each frontier by the product
+    columns of its generators; the derived series takes each term as the
+    normal closure of the commutators of the last term's generators.
 
     The elements are kept as the closure's rows of integer codes, and
     `elements` decodes them into element objects on first access: no group
     query reads them.
     """
 
-    def __init__(self, rows: np.ndarray, decode, right: np.ndarray, left: np.ndarray,
+    def __init__(self, rows: np.ndarray, decode, right: np.ndarray,
                  parents: np.ndarray, inverses: np.ndarray):
         self._rows = rows
         self._decode = decode
         self._elements = None
         self._right = right
-        self._left = left
         self._parents = parents
         self.inverses = inverses
         self.generators = sorted(set(right[0].tolist()))
@@ -83,9 +82,6 @@ class GroupTable:
             i = self._right[i, k]
         return int(i)
 
-    def inverse(self, i: int) -> int:
-        return int(self.inverses[i])
-
     def product_columns(self, zs) -> np.ndarray:
         """The (order, len(zs)) array whose c-th column is x -> x * zs[c]:
         the identity's column carried along the word of zs[c], one gather
@@ -97,28 +93,6 @@ class GroupTable:
                 column = self._right[column, k]
             out[:, c] = column
         return out
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        """table[i, j] is the index of elements[i] * elements[j], filled row
-        by row from (x g_k) z = x (g_k z)."""
-        n, count = self._right.shape
-        table = np.empty((n, n), dtype=np.int16)
-        table[0] = np.arange(n)
-        for y, pos in enumerate(self._parents.tolist(), 1):
-            x, k = divmod(pos, count)
-            table[y] = table[x][self._left[k]]
-        return table
-
-    def element_orders(self) -> np.ndarray:
-        """Order of every element, one power of all elements per step."""
-        everything = np.arange(self.order)
-        orders = np.zeros(self.order, dtype=np.int64)
-        power, step = everything, 1
-        while not orders.all():
-            orders[(power == 0) & (orders == 0)] = step
-            power, step = self.table[power, everything], step + 1
-        return orders
 
     def class_of(self) -> np.ndarray:
         """Index of each element's class in conjugacy_classes().
@@ -152,12 +126,14 @@ class GroupTable:
         ends = np.cumsum(np.bincount(labels))[:-1]
         return [c.tolist() for c in np.split(members, ends)]
 
-    def subgroup_generated(self, idxs) -> frozenset[int]:
-        """Subgroup generated by an array-like of element indices.
+    def _generate(self, idxs) -> tuple[np.ndarray, list[int]]:
+        """Membership mask of the subgroup generated by an array-like of
+        element indices, and the generators it was grown from.
 
         Only candidates outside the subgroup built so far join the
         generators, so each one at least doubles it; after each, the whole
-        subgroup is multiplied by the generators, then each new frontier.
+        subgroup is multiplied by the generators' product columns, then each
+        new frontier.
         """
         wanted = np.zeros(self.order, dtype=bool)
         wanted[np.asarray(idxs, dtype=np.intp)] = True
@@ -165,17 +141,21 @@ class GroupTable:
         inside[0] = True
         gens = []
         while (outside := np.flatnonzero(wanted & ~inside)).size:
-            gens.append(outside[0])
+            gens.append(int(outside[0]))
+            columns = self.product_columns(gens)
             frontier = np.flatnonzero(inside)
             while frontier.size:
-                products = self.table[np.ix_(frontier, gens)].ravel()
                 # the new products, sorted and distinct, by a mask: a bare
                 # np.unique would import numpy.ma for its masked-array check
                 grown = inside.copy()
-                grown[products] = True
+                grown[columns[frontier]] = True
                 frontier = np.flatnonzero(grown & ~inside)
                 inside = grown
-        return frozenset(np.flatnonzero(inside).tolist())
+        return inside, gens
+
+    def subgroup_generated(self, idxs) -> frozenset[int]:
+        """Subgroup generated by an array-like of element indices."""
+        return frozenset(np.flatnonzero(self._generate(idxs)[0]).tolist())
 
     def minimal_normal_subgroups(self) -> list[frozenset[int]]:
         """Minimal elements among the normal closures of nontrivial classes.
@@ -192,22 +172,24 @@ class GroupTable:
                 minimal.append(h)
         return sorted(minimal, key=lambda h: (len(h), sorted(h)))
 
-    def derived_subgroup(self, members: frozenset[int] | None = None) -> frozenset[int]:
-        """Commutator subgroup of the given subgroup (whole group if None)."""
-        pool = (np.arange(self.order) if members is None
-                else np.array(sorted(members)))
-        xy = self.table[np.ix_(pool, pool)]
-        # x^-1 y^-1 x y = (y x)^-1 (x y), and (y x) is the transpose of (x y)
-        commutators = self.table[self.inverses[xy.T], xy]
-        return self.subgroup_generated(commutators.ravel())
-
     def derived_series(self) -> list[frozenset[int]]:
-        series = [frozenset(range(self.order))]
+        """G, G', G'', ... down to the first term equal to its successor.
+
+        Each term H is normal in G, so H' is the normal closure in G of the
+        commutators of H's generators: the subgroup generated by their
+        conjugacy classes.  The commutator x^-1 y^-1 x y is (y x)^-1 (x y).
+        """
+        class_of, inv = self.class_of(), self.inverses
+        series, gens = [frozenset(range(self.order))], self.generators
         while True:
-            nxt = self.derived_subgroup(series[-1])
-            if nxt == series[-1]:
+            commutators = [self.mult(int(inv[self.mult(y, x)]), self.mult(x, y))
+                           for x in gens for y in gens]
+            wanted = np.zeros(class_of.max() + 1, dtype=bool)
+            wanted[class_of[commutators]] = True
+            inside, gens = self._generate(np.flatnonzero(wanted[class_of]))
+            if inside.sum() == len(series[-1]):
                 return series
-            series.append(nxt)
+            series.append(frozenset(np.flatnonzero(inside).tolist()))
 
     def is_solvable(self) -> bool:
         return self.derived_series()[-1] == frozenset({0})
@@ -317,7 +299,8 @@ def close_group(generators, limit: int = MAX_ELEMENTS) -> GroupTable:
     n = len(index)
     right = np.concatenate(right).reshape(n, count)
     # left[k, z] is the index of gens[k] * z, from g (x h) = (g x) h, and
-    # unleft[k] is its inverse permutation, z -> gens[k]**-1 * z
+    # unleft[k] is its inverse permutation, z -> gens[k]**-1 * z; both serve
+    # only to find the inverses
     left = np.empty((count, n), dtype=np.intp)
     left[:, 0] = right[0]
     y = 1
@@ -334,5 +317,5 @@ def close_group(generators, limit: int = MAX_ELEMENTS) -> GroupTable:
         xs, ks = divmod(level, count)
         inverses[y:y + len(level)] = unleft[ks, inverses[xs]]
         y += len(level)
-    return GroupTable(np.concatenate(levels), decode, right, left,
-                      np.concatenate(parents), inverses)
+    return GroupTable(np.concatenate(levels), decode, right, np.concatenate(parents),
+                      inverses)

@@ -299,6 +299,7 @@ AMBIENTS = ("SL", "Sp", "O+", "O-")
 _AMBIENT_FAMILY = {"SL": "A", "Sp": "C", "O+": "D", "O-": "2D"}
 
 
+@cache  # a few dozen (d, k, eps) triples, each read for thousands of factors
 def gl_order(d: int, k: int, eps: int) -> int:
     """Order of GL_k(2**d) for eps = +1, of the unitary group GU_k(2**d) for
     eps = -1: (2**d - eps) times the order of SL_k or SU_k over GF(2**d)."""

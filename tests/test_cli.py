@@ -259,6 +259,10 @@ def test_part3_checks_every_shape_and_names_each_failure(monkeypatch):
     ["lie38", "--jobs", "-3"],
     ["epsilon", "--degrees", "missing.jsonl"],
     ["analyze-group", "--group-spec", "list-name.json"],
+    ["analyze-group", "--group-spec", "bool-degree.json"],
+    ["analyze-group", "--group-spec", "bool-entry.json"],
+    ["analyze-group", "--group-spec", "bool-dimension.json"],
+    ["analyze-group", "--group-spec", "bool-field.json"],
 ])
 def test_bad_input_aborts_before_running(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -275,7 +279,17 @@ def test_bad_input_aborts_before_running(argv, tmp_path, monkeypatch, capsys):
                        ("str-entry.json", {"kind": "permutation", "degree": 2,
                                            "generators": [["a", 0]]}),
                        ("list-name.json", {"name": ["x"], "kind": "permutation",
-                                           "degree": 2, "generators": [[1, 0]]})):
+                                           "degree": 2, "generators": [[1, 0]]}),
+                       # JSON booleans are not integers, though Python reads
+                       # true as 1
+                       ("bool-degree.json", {"kind": "permutation", "degree": True,
+                                             "generators": [[0]]}),
+                       ("bool-entry.json", {"kind": "permutation", "degree": 3,
+                                            "generators": [[True, 0, 2]]}),
+                       ("bool-dimension.json", {"kind": "matrix", "dimension": True,
+                                                "field": 3, "generators": [[1]]}),
+                       ("bool-field.json", {"kind": "matrix", "dimension": 1,
+                                            "field": True, "generators": [[1]]})):
         (tmp_path / name).write_text(json.dumps(spec))
     (tmp_path / "truncated.json").write_text('{"kind": "permutation", "degree"')
     with pytest.raises(SystemExit) as exc:

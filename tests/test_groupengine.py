@@ -142,7 +142,7 @@ def test_close_group_resource_limit():
     rot = Perm([(i + 1) % 40 for i in range(40)])
     with pytest.raises(ResourceLimitError):
         ge.close_group([rot], limit=10)
-    with pytest.raises(ValueError):  # indices must fit the int16 table
+    with pytest.raises(ValueError):  # no closure limit above MAX_ELEMENTS
         ge.close_group([rot], limit=2**15)
 
 
@@ -185,8 +185,7 @@ def test_closure_order_matches_sequential_reference():
 def test_cayley_table_matches_element_products():
     # one group per element kind: Perm, Mat, FrobMat, and Mat over GF(9),
     # where addition is not XOR (rows sampled).  Products, inverses and
-    # product columns walk the parents and build no table; the table, built
-    # on first read, then holds the same products
+    # product columns walk the parents
     for g, rows in ((ge.symmetric_group(4), range(24)), (ge.gl2_3(), range(48)),
                     (ge.build_galois_twisted_group(4), range(0, 384, 37)),
                     (ge.build_example_group("heisenberg", 9), range(0, 729, 41))):
@@ -194,29 +193,34 @@ def test_cayley_table_matches_element_products():
         index = {x: i for i, x in enumerate(elts)}
         products = [[index[elts[i] * y] for y in elts] for i in rows]
         for i, row in zip(rows, products):
-            assert g.mult(i, g.inverse(i)) == g.mult(g.inverse(i), i) == 0
+            inverse = int(g.inverses[i])
+            assert g.mult(i, inverse) == g.mult(inverse, i) == 0
             assert [g.mult(i, j) for j in range(g.order)] == row
         assert g.product_columns(list(rows)).T.tolist() == [
             [index[x * elts[j]] for x in elts] for j in rows]
-        assert "table" not in vars(g)
-        assert g.table[list(rows)].tolist() == products
         identity = list(range(g.order))
-        assert g.table[0].tolist() == g.table[:, 0].tolist() == identity
+        assert g.product_columns([0])[:, 0].tolist() == identity
+        assert [g.mult(0, j) for j in identity] == identity
 
 
 def test_character_table_holds_no_order_squared_array():
-    # closure and Dixon together stay below the n**2 * 2 bytes of one int16
+    # closure, Dixon, the gagola analysis (minimal normal subgroups) and the
+    # derived series together stay below the n**2 * 2 bytes of one int16
     # Cayley table
     for model in (ge.alternating_group(7), ge.build_example_group("isaacs_K", 7)):
         n, gens = model.order, [model.elements[i] for i in model.generators]
         del model
         tracemalloc.start()
         try:
-            table = ge.dixon_character_table(ge.close_group(gens))
+            g = ge.close_group(gens)
+            table = ge.dixon_character_table(g)
+            report = ge.gagola_analyze(g, table)
+            solvable = g.is_solvable()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert sum(d * d for d in table.degrees) == n
+        assert solvable == (n != 2520) and report.minimal_normal_count == 1
         assert peak < 2 * n * n, (n, peak)
 
 
@@ -250,10 +254,12 @@ def test_close_group_decodes_elements_only_on_demand(monkeypatch):
 
 
 def test_group_engine_loads_only_the_modules_it_uses():
-    # a fresh interpreter, so that no other test's imports count; a table
-    # and the subgroup queries of a gagola analysis run before the check
+    # a fresh interpreter, so that no other test's imports count; a table,
+    # the subgroup queries of a gagola analysis and the derived series run
+    # before the check
     code = ("import json, sys; import chardeg.groupengine as ge; "
-            "ge.gagola_analyze(ge.build_example_group('isaacs_K', 3)); "
+            "g = ge.build_example_group('isaacs_K', 3); "
+            "ge.gagola_analyze(g); assert g.is_solvable(); "
             "print(json.dumps(sorted(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(Path(ge.__file__).parents[2]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -285,53 +291,98 @@ def test_class_sizes_divide_order():
         assert all(g.order % len(c) == 0 for c in classes)
 
 
+def _element_orders(g) -> list[int]:
+    """Order of every element, from powers of the element objects."""
+    elts, orders = g.elements, []
+    for x in elts:
+        power, order = x, 1
+        while power != elts[0]:
+            power, order = power * x, order + 1
+        orders.append(order)
+    return orders
+
+
+def _closure(g, idxs) -> frozenset[int]:
+    """Subgroup generated by the given element indices, from element
+    products alone."""
+    elts = g.elements
+    members = {elts[0]}
+    while True:
+        grown = members | {x * elts[i] for x in members for i in idxs}
+        if grown == members:
+            index = {x: i for i, x in enumerate(elts)}
+            return frozenset(index[x] for x in members)
+        members = grown
+
+
+def _conjugacy_orbits(g) -> list[list[int]]:
+    elts = g.elements
+    index = {x: i for i, x in enumerate(elts)}
+    orbits = {tuple(sorted({index[y.inverse() * x * y] for y in elts})) for x in elts}
+    return [list(c) for c in sorted(orbits)]
+
+
 def test_table_queries_match_element_arithmetic():
-    # reference answers from element products alone, never the table
+    # reference answers from element products alone
     for g in (ge.symmetric_group(4), ge.gl2_3(), ge.quaternion_group(),
               ge.build_example_group("isaacs_K", 3)):
-        elts = g.elements
-        index = {x: i for i, x in enumerate(elts)}
-        orbits = {tuple(sorted({index[y.inverse() * x * y] for y in elts}))
-                  for x in elts}
-        classes = [list(c) for c in sorted(orbits)]
+        classes = _conjugacy_orbits(g)
         assert g.conjugacy_classes() == classes
         assert g.class_of().tolist() == [
             next(c for c, members in enumerate(classes) if i in members)
             for i in range(g.order)]
 
-        orders = []
-        for x in elts:
-            power, order = x, 1
-            while power != elts[0]:
-                power, order = power * x, order + 1
-            orders.append(order)
-        assert g.element_orders().tolist() == orders
-
-        def closure(idxs):
-            members = {elts[0]}
-            while True:
-                grown = members | {x * elts[i] for x in members for i in idxs}
-                if grown == members:
-                    return frozenset(index[x] for x in members)
-                members = grown
-
         n = g.order
         for idxs in ([], [0], [0, 1, 1], [n - 1, 0, n - 1, g.mult(1, n - 1)],
                      [0, 2, 3, g.mult(2, 3), g.mult(3, 2), 2], classes[-1],
                      g.generators + [g.mult(g.generators[0], 1)]):
-            assert g.subgroup_generated(idxs) == closure(idxs)
+            assert g.subgroup_generated(idxs) == _closure(g, idxs)
 
 
-def test_minimal_normal_subgroups_of_d8():
-    d8 = ge.build_example_group("heisenberg", 2)
-    minimal = d8.minimal_normal_subgroups()
-    assert len(minimal) == 1 and len(minimal[0]) == 2
+# name, group, derived-series lengths, minimal normal subgroup orders
+STRUCTURE_CASES = [
+    ("S4", lambda: ge.symmetric_group(4), [24, 12, 4, 1], [4]),
+    ("GL2(3)", ge.gl2_3, [48, 24, 8, 2, 1], [2]),
+    ("SL2(3)", ge.sl2_3, [24, 8, 2, 1], [2]),
+    ("Q8", ge.quaternion_group, [8, 2, 1], [2]),
+    ("F21", ge.frobenius_21, [21, 7, 1], [7]),
+    ("A5", lambda: ge.alternating_group(5), [60], [60]),
+    ("isaacs_K(3)", lambda: ge.build_example_group("isaacs_K", 3), [54, 9, 1], [3]),
+    ("heisenberg(2)", lambda: ge.build_example_group("heisenberg", 2), [8, 2, 1], [2]),
+    ("heisenberg(3)", lambda: ge.build_example_group("heisenberg", 3), [27, 3, 1], [3]),
+    # centre GF(4)+ = C2 x C2: three minimal normal subgroups
+    ("heisenberg(4)", lambda: ge.build_example_group("heisenberg", 4), [64, 4, 1],
+     [2, 2, 2]),
+]
 
 
-def test_derived_series_and_solvability():
-    assert ge.symmetric_group(4).is_solvable()
-    assert not ge.alternating_group(5).is_solvable()
-    assert ge.build_example_group("isaacs_K", 4).is_solvable()
+@pytest.mark.parametrize("name, build, lengths, minimal_orders", STRUCTURE_CASES,
+                         ids=[case[0] for case in STRUCTURE_CASES])
+def test_structure_queries_match_element_arithmetic(name, build, lengths, minimal_orders):
+    # every derived term is the closure of all commutators of the term
+    # before, and the minimal normal subgroups are the minimal normal
+    # closures of the classes, both from element products alone
+    g = build()
+    elts = g.elements
+    index = {x: i for i, x in enumerate(elts)}
+    series = [frozenset(range(g.order))]
+    while True:
+        members = [elts[i] for i in series[-1]]
+        commutators = {index[x.inverse() * y.inverse() * x * y]
+                       for x in members for y in members}
+        term = _closure(g, sorted(commutators))
+        if term == series[-1]:
+            break
+        series.append(term)
+    assert g.derived_series() == series
+    assert [len(h) for h in series] == lengths
+    assert g.is_solvable() == (series[-1] == {0})
+
+    closures = {_closure(g, c) for c in _conjugacy_orbits(g)[1:]}
+    minimal = sorted((h for h in closures if not any(o < h for o in closures)),
+                     key=lambda h: (len(h), sorted(h)))
+    assert g.minimal_normal_subgroups() == minimal
+    assert [len(h) for h in minimal] == minimal_orders
 
 
 # --- character tables ------------------------------------------------------
@@ -385,8 +436,8 @@ def test_a5_values_on_five_cycles_are_golden_ratio_pair():
     table = ge.dixon_character_table(g)
     rows = [t for t, d in enumerate(table.degrees) if d == 3]
     assert len(rows) == 2
-    five_cycle_classes = [c for c, rep in enumerate(table.class_reps)
-                          if g.element_orders()[rep] == 5]
+    orders = _element_orders(g)
+    five_cycle_classes = [c for c, rep in enumerate(table.class_reps) if orders[rep] == 5]
     assert len(five_cycle_classes) == 2
     p, ev = table.evaluations()
     for c in five_cycle_classes:
@@ -413,11 +464,12 @@ def _full_lift(group, values_mod, ell, m):
     class_of = group.class_of()
     reps = [c[0] for c in group.conjugacy_classes()]
     k = len(reps)
+    columns = group.product_columns(reps)
     power_class = np.zeros((k, m), dtype=np.int64)
     powers = np.zeros(k, dtype=np.intp)
     for v in range(m):
         power_class[:, v] = class_of[powers]
-        powers = group.table[powers, reps]
+        powers = columns[powers, np.arange(k)]
     exps = np.arange(m)
     transform = (dixon._root_powers(ell, m)[-np.outer(exps, exps) % m]
                  * pow(m, -1, ell) % ell)
@@ -442,7 +494,7 @@ def test_lift_by_element_order_matches_the_full_lift(monkeypatch):
     for g in groups:
         table = ge.dixon_character_table(g)
         values_mod, ell, m, out = calls.pop()
-        assert m == table.exponent == int(np.lcm.reduce(g.element_orders()))
+        assert m == table.exponent == int(np.lcm.reduce(_element_orders(g)))
         full = _full_lift(g, values_mod, ell, m)
         assert full.dtype == out.dtype and (full == out).all(), g.order
         assert sorted(map(np.ndarray.tolist, full)) == sorted(map(np.ndarray.tolist,
@@ -515,7 +567,8 @@ def test_evaluations_run_over_every_primitive_root():
     p, ev = table.evaluations()
     primitive = [x for x in range(1, p) if pow(x, 60, p) == 1
                  and all(pow(x, 60 // q, p) != 1 for q in (2, 3, 5))]
-    c = next(c for c, rep in enumerate(table.class_reps) if g.element_orders()[rep] == 60)
+    orders = _element_orders(g)
+    c = next(c for c, rep in enumerate(table.class_reps) if orders[rep] == 60)
     faithful = [t for t in range(60) if sorted(ev[:, t, c].tolist()) == primitive]
     assert len(primitive) == len(faithful) == 16
 
@@ -599,7 +652,7 @@ def test_example_group_orders():
     assert ge.build_example_group("isaacs_K", 4).order == 192
     heis = ge.build_example_group("heisenberg", 3)
     assert heis.order == 27
-    assert set(heis.element_orders().tolist()) == {1, 3}
+    assert set(_element_orders(heis)) == {1, 3}
 
 
 def test_p_semidirect_l_equals_full_group():

@@ -553,6 +553,25 @@ def test_situation_ratios_compute_each_distinct_degree_once(monkeypatch):
     assert len(asked) == len(set(asked)) == len(shapes)
 
 
+def test_part3_and_part4_compute_each_order_once(monkeypatch):
+    # gl_order and ambient_order are cached, so the two claims together
+    # order each distinct (d, k, eps) triple and each ambient group once
+    import chardeg.cli as cli
+    import chardeg.lie as lie
+
+    calls = []
+    true_order = lie._simply_connected
+    monkeypatch.setattr(lie, "_simply_connected",
+                        lambda *args: calls.append(args) or true_order(*args))
+    gl_order.cache_clear()
+    ambient_order.cache_clear()
+    assert cli._check_part3(cli.RunConfig())[0] == cli.PASS
+    assert cli._check_situations(cli.RunConfig())[0] == cli.PASS
+    triples, ambients = gl_order.cache_info(), ambient_order.cache_info()
+    assert triples.hits > 100 * triples.currsize
+    assert len(calls) <= triples.currsize + ambients.currsize
+
+
 def test_comparison_shapes_agree_with_situation_shape():
     shape = make_shape("Sp", 11, 0, None,
                        [(4, 1, -1), (3, 1, 1), (2, 1, -1), (1, 2, -1)])
