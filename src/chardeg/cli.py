@@ -18,6 +18,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from pathlib import Path
 from typing import NoReturn
@@ -341,12 +342,21 @@ def _check_situations(cfg: RunConfig):
 WITNESS_QS = (2, 3, 4, 5)
 
 
+@cache
+def _witness_group(q: int):
+    """isaacs_K(q), built once per process and shared by the two gagola
+    claims."""
+    from . import groupengine
+
+    return groupengine.build_example_group("isaacs_K", q)
+
+
 def _check_equality_family(cfg: RunConfig):
     from . import groupengine
 
     bad = []
     for q in WITNESS_QS:
-        group = groupengine.build_example_group("isaacs_K", q)
+        group = _witness_group(q)
         d = q * (q - 1) if q > 2 else 2
         if group.order != q**3 * (q - 1):
             bad.append((q, "order"))
@@ -367,11 +377,9 @@ def _check_equality_family(cfg: RunConfig):
 
 
 def _check_gagola_arithmetic(cfg: RunConfig):
-    from . import groupengine
-
     bad = []
     for q in WITNESS_QS:
-        group = groupengine.build_example_group("isaacs_K", q)
+        group = _witness_group(q)
         p = prime_power(q)[0]
         d = q * (q - 1) if q > 2 else 2
         rep = bounds.gagola_arithmetic(group.order, d, q, p, p_part(group.order, p))

@@ -17,7 +17,11 @@ pins them down), and the character values are lifted to exact cyclotomic
 integers by inverting the power-map transform one element order at a time:
 a class of order o reads only its first o powers, through an o x o
 transform, so the lift costs what the class orders need, not what the
-exponent m (the lcm of the representatives' orders) would.
+exponent m (the lcm of the representatives' orders) would.  The lifted
+coefficients are the multiplicities of the m-th roots of unity among the
+eigenvalues, so each lies in 0..d for the degree d <= isqrt(MAX_ELEMENTS)
+= 70, and the table stores them as int8; the lift refuses a residue that
+does not fit rather than wrap it.
 
 Every later check reads the values through their evaluations at the phi(m)
 primitive m-th roots of unity modulo a second prime p = 1 (mod m).  Such a
@@ -140,7 +144,9 @@ class CharacterTable:
 
     values[t, c, u] is the coefficient of zeta_m**u in the value of
     character t on class c (m = exponent), as the lift wrote it: the
-    multiplicity of that root of unity among the eigenvalues.
+    multiplicity of that root of unity among the eigenvalues, stored as
+    int8 since it is at most the degree; evaluations() reads any integer
+    dtype.
     """
 
     group: GroupTable
@@ -148,7 +154,7 @@ class CharacterTable:
     class_sizes: list[int]
     exponent: int
     degrees: list[int]
-    values: np.ndarray  # (characters, classes, m) int64 coefficients
+    values: np.ndarray  # (characters, classes, m) int8 multiplicities
 
     @property
     def num_classes(self) -> int:
@@ -194,24 +200,25 @@ class CharacterTable:
         return p, ev
 
     def verify_row_orthogonality(self, evaluated=None) -> bool:
-        """sum_c |C_c| chi_s(g_c) conj(chi_t(g_c)) = delta_st |G|, exactly.
-        `evaluated` is the (p, ev) of evaluations() on the current values;
-        by default they are evaluated here."""
+        """sum_c |C_c| chi_s(g_c) conj(chi_t(g_c)) = delta_st |G|, exactly,
+        at each evaluation root in turn.  `evaluated` is the (p, ev) of
+        evaluations() on the current values; by default they are evaluated
+        here."""
         p, ev = self.evaluations() if evaluated is None else evaluated
         sizes = np.array(self.class_sizes, dtype=np.int64)
-        sums = (ev * sizes % p) @ ev[::-1].transpose(0, 2, 1) % p
         targets = self.group.order % p * np.eye(len(self.values), dtype=np.int64)
-        return bool((sums == targets).all())
+        return all(((at * sizes % p) @ conj.T % p == targets).all()
+                   for at, conj in zip(ev, ev[::-1]))
 
     def verify_column_orthogonality(self, evaluated=None) -> bool:
-        """sum_t chi_t(g_i) conj(chi_t(g_j)) = delta_ij |G| / |C_i|, exactly.
-        `evaluated` is as for verify_row_orthogonality."""
+        """sum_t chi_t(g_i) conj(chi_t(g_j)) = delta_ij |G| / |C_i|, exactly,
+        at each evaluation root in turn.  `evaluated` is as for
+        verify_row_orthogonality."""
         p, ev = self.evaluations() if evaluated is None else evaluated
-        sums = ev.transpose(0, 2, 1) @ ev[::-1] % p
         sizes = np.array(self.class_sizes, dtype=np.int64)
         targets = np.where(np.eye(self.num_classes, dtype=bool),
-                           self.group.order // sizes, 0)
-        return bool((sums == targets % p).all())
+                           self.group.order // sizes, 0) % p
+        return all((at.T @ conj % p == targets).all() for at, conj in zip(ev, ev[::-1]))
 
     def nonzero_class_counts(self) -> list[int]:
         """Per character, the number of classes where its value is nonzero;
@@ -252,21 +259,27 @@ def _power_maps(cols: np.ndarray, class_of: np.ndarray):
 def _lift(values_mod: np.ndarray, power_class: np.ndarray, orders: np.ndarray,
           ell: int, m: int) -> np.ndarray:
     """The root multiplicities c_u = (1/m) sum_{v<m} X(g**v) lambda**(-uv)
-    of every modular character value X(g), lambda = _root_powers(ell, m)[1].
+    of every modular character value X(g), lambda = _root_powers(ell, m)[1],
+    as int8.
 
     Every eigenvalue of rho(g) is an o-th root of unity for o = ord(g), so
     c_u = 0 unless u = (m/o) w, and then
     c_u = (1/o) sum_{v<o} X(g**v) lambda**(-(m/o) w v): one (rows, o) @ (o, o)
-    transform for all the classes of order o, written at every (m/o)-th u."""
+    transform per class of order o, written at every (m/o)-th u.  A genuine
+    c_u is at most the degree, at most isqrt(MAX_ELEMENTS) < 128; a residue
+    that does not fit int8 is refused rather than wrapped."""
     k = len(values_mod)
     root = _root_powers(ell, m)
-    values = np.zeros((k, len(orders), m), dtype=np.int64)
+    values = np.zeros((k, len(orders), m), dtype=np.int8)
     for o in sorted(set(orders.tolist())):
-        cls = np.flatnonzero(orders == o)
         exps = np.arange(o)
         transform = root[-np.outer(exps, exps) * (m // o) % m] * pow(o, -1, ell) % ell
-        block = values_mod[:, power_class[cls, :o]].reshape(k * len(cls), o)
-        values[:, cls, ::m // o] = (block @ transform % ell).reshape(k, len(cls), o)
+        for c in np.flatnonzero(orders == o):
+            block = values_mod[:, power_class[c, :o]] @ transform
+            block %= ell
+            if block.max() > np.iinfo(np.int8).max:
+                raise AssertionError("lifted multiplicity does not fit int8")
+            values[:, c, ::m // o] = block
     return values
 
 
@@ -321,7 +334,9 @@ def dixon_character_table(group: GroupTable) -> CharacterTable:
     if (values.sum(axis=2) != np.array(degrees)[:, np.newaxis]).any():
         raise AssertionError("lifted multiplicities do not sum to the degree")
 
-    order_rows = sorted(range(k), key=lambda t: (degrees[t], values[t].tolist()))
+    # the bytes of a C-contiguous row of coefficients in 0..127 compare in
+    # the order of its flattened values
+    order_rows = sorted(range(k), key=lambda t: (degrees[t], values[t].tobytes()))
     table = CharacterTable(
         group=group,
         class_reps=reps,

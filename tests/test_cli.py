@@ -484,6 +484,22 @@ def test_worker_pool_is_capped_at_the_number_of_claims(jobs, pool_sizes, monkeyp
     assert [(r.claim, r.status) for r in reports] == [(c, "pass") for c in claims]
 
 
+def test_gagola_claims_build_each_witness_group_once(monkeypatch):
+    from chardeg import groupengine
+
+    built = []
+    build = groupengine.build_example_group
+    monkeypatch.setattr(groupengine, "build_example_group",
+                        lambda family, q: built.append((family, q)) or build(family, q))
+    cli._witness_group.cache_clear()
+    try:
+        reports = cli.run_claims(cli.SUBCOMMAND_CLAIMS["gagola"], cli.RunConfig())
+    finally:
+        cli._witness_group.cache_clear()
+    assert [r.status for r in reports] == ["pass", "pass"]
+    assert built == [("isaacs_K", q) for q in cli.WITNESS_QS]
+
+
 def test_run_claims_rejects_fewer_than_one_job():
     with pytest.raises(ValueError, match="jobs"):
         cli.run_claims(["lem3.2/euler-tail"], cli.RunConfig(jobs=0))

@@ -496,9 +496,37 @@ def test_lift_by_element_order_matches_the_full_lift(monkeypatch):
         values_mod, ell, m, out = calls.pop()
         assert m == table.exponent == int(np.lcm.reduce(_element_orders(g)))
         full = _full_lift(g, values_mod, ell, m)
-        assert full.dtype == out.dtype and (full == out).all(), g.order
+        assert out.dtype == np.int8 and (full == out).all(), g.order
         assert sorted(map(np.ndarray.tolist, full)) == sorted(map(np.ndarray.tolist,
                                                                   table.values))
+        # rows come out by degree, then by the flattened coefficient list
+        keys = [(d, row.tolist()) for d, row in zip(table.degrees, table.values)]
+        assert sorted(range(len(keys)), key=keys.__getitem__) == list(range(len(keys)))
+
+
+def test_lift_refuses_a_coefficient_that_does_not_fit_int8():
+    # one character on the trivial group: the lift of X(1) is c_0 = X(1),
+    # and 128 or 255 would wrap to -128 or -1 in int8
+    ell = 257
+    one = (np.zeros((1, 1), dtype=np.intp), np.ones(1, dtype=np.int64), ell, 1)
+    assert dixon._lift(np.array([[127]]), *one).tolist() == [[[127]]]
+    for x in (128, 255):
+        with pytest.raises(AssertionError, match="int8"):
+            dixon._lift(np.array([[x]]), *one)
+
+
+def test_dixon_peak_memory_is_a_few_bytes_per_coefficient():
+    # the int8 table, its int64 lift blocks and one (k, k) orthogonality
+    # product at a time stay below 12 bytes per (character, class, root)
+    for g in (ge.cyclic_group(60), ge.dihedral_group(63)):
+        tracemalloc.start()
+        try:
+            table = ge.dixon_character_table(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        k, m = table.num_classes, table.exponent
+        assert peak < 12 * k * k * m, (g.order, peak, k, m)
 
 
 def test_each_build_checks_both_relations_on_one_evaluation(monkeypatch):
@@ -528,7 +556,7 @@ def test_orthogonality_refuses_coefficients_that_are_not_multiplicities():
     # rows: non-negative coefficients summing to the degree
     table = ge.dixon_character_table(ge.cyclic_group(3))
     good = table.values
-    too_big = np.zeros_like(good)
+    too_big = np.zeros(good.shape, dtype=np.int64)
     too_big[:, :, 0] = 2**30
     extra_unit = good.copy()
     extra_unit[0, 0, 0] += 1
@@ -613,6 +641,15 @@ def test_int64_products_are_exact_for_every_accepted_group():
         p = _split_prime(N * N + N, m)
         assert N * (ell - 1) ** 2 < 2**63, m
         assert N * (p - 1) ** 2 < 2**63, m
+
+
+def test_every_multiplicity_of_an_accepted_group_fits_int8():
+    # a root multiplicity is at most the degree, and d**2 <= |G|
+    from math import isqrt
+
+    from chardeg.groupengine.table import MAX_ELEMENTS
+
+    assert isqrt(MAX_ELEMENTS) <= np.iinfo(np.int8).max
 
 
 def test_table_resource_limit():
