@@ -23,15 +23,21 @@ eigenvalues, so each lies in 0..d for the degree d <= isqrt(MAX_ELEMENTS)
 = 70, and the table stores them as int8; the lift refuses a residue that
 does not fit rather than wrap it.
 
-Every later check reads the values through their evaluations at the phi(m)
-primitive m-th roots of unity modulo a second prime p = 1 (mod m).  Such a
-prime splits completely in Z[zeta_m] (Washington, Introduction to Cyclotomic
-Fields, Thm 2.13), so a cyclotomic integer alpha that vanishes at every
-primitive root has p**phi(m) dividing its norm; if every conjugate of alpha
-is at most B < p in absolute value, the norm is below p**phi(m) and
-alpha = 0.  Both orthogonality relations are verified this way before a
-table is returned, from one evaluation of the table per build.  Every matrix
-product is int64 with its bound asserted.
+Every later check reads the values through their evaluations at one
+primitive m-th root of unity lambda modulo a second prime p = 1 (mod m).
+Such a prime splits completely in Z[zeta_m] (Washington, Introduction to
+Cyclotomic Fields, Thm 2.13), so a cyclotomic integer alpha that vanishes at
+every primitive root has p**phi(m) dividing its norm; if every conjugate of
+alpha is at most B < p in absolute value, the norm is below p**phi(m) and
+alpha = 0.  The other primitive roots need no evaluation of their own: the
+table is first checked to be Galois-stable, sigma_u chi(g) = chi(g**u) for
+a generating set of units u mod m, as exact equalities of multiplicities.
+Then the value of class c at lambda**u is the value of the class of g_c**u
+at lambda, and the power map by u permutes the classes and keeps their
+sizes, so an orthogonality relation that holds at lambda holds at every
+primitive root.  Both relations are verified this way before a table is
+returned, from one evaluation of the table per build.  Every matrix product
+is int64 with its bound asserted.
 """
 
 from __future__ import annotations
@@ -62,6 +68,26 @@ def _split_prime(bound: int, m: int) -> int:
     while not is_prime(p):
         p += m
     return p
+
+
+def _units(m: int) -> list[int]:
+    """The units of Z/m in ascending order ([0] for m = 1)."""
+    return [u for u in range(m) if gcd(u, m) == 1]
+
+
+def _unit_generators(m: int) -> list[int]:
+    """Units that generate (Z/m)^x: each is the least unit outside the
+    subgroup generated by the ones before it."""
+    subgroup, gens = {1 % m}, []
+    for u in _units(m):
+        if u not in subgroup:
+            gens.append(u)
+            grown, power = set(subgroup), u
+            while power not in subgroup:  # one coset subgroup * u**i at a time
+                grown |= {x * power % m for x in subgroup}
+                power = power * u % m
+            subgroup = grown
+    return gens
 
 
 def _root_powers(p: int, m: int) -> np.ndarray:
@@ -138,6 +164,11 @@ def _split(vectors: np.ndarray, mat: np.ndarray, ell: int) -> np.ndarray:
 
 # --------------------------------------------------------------------------
 
+class NotGaloisStable(AssertionError):
+    """The values are not permuted by the Galois action as the power maps
+    permute the classes, so they are no character table."""
+
+
 @dataclass
 class CharacterTable:
     """Exact character table: cyclotomic values indexed by class.
@@ -146,7 +177,8 @@ class CharacterTable:
     character t on class c (m = exponent), as the lift wrote it: the
     multiplicity of that root of unity among the eigenvalues, stored as
     int8 since it is at most the degree; evaluations() reads any integer
-    dtype.
+    dtype.  galois[j, c] is the class of g_c**u for the j-th unit u mod m
+    in ascending order, so galois[-1] maps each class to its inverse class.
     """
 
     group: GroupTable
@@ -155,6 +187,7 @@ class CharacterTable:
     exponent: int
     degrees: list[int]
     values: np.ndarray  # (characters, classes, m) int8 multiplicities
+    galois: np.ndarray  # (phi(m), classes) power-map classes
 
     @property
     def num_classes(self) -> int:
@@ -164,18 +197,22 @@ class CharacterTable:
         return DegreeMultiset.from_degrees(self.degrees)
 
     def evaluations(self) -> tuple[int, np.ndarray]:
-        """(p, ev) with ev[j, t, c] the value of character t on class c at
-        the j-th primitive m-th root of unity mod p, the exponents j prime
-        to m taken in ascending order, so that reversing the first axis
-        evaluates at the inverse roots: complex conjugation.
+        """(p, ev) with ev[t, c] the value of character t on class c at one
+        primitive m-th root of unity lambda mod p.  The value at the j-th
+        primitive root lambda**u (u the j-th unit, ascending) is
+        ev[:, galois[j]], and ev[:, galois[-1]] is complex conjugation.
 
         The coefficients must be eigenvalue multiplicities (non-negative,
         summing to the degree), so |sigma chi(g)| <= chi(1) for every
         conjugate, and B = max(sum |C_c|, rows) max d**2 + |G| bounds each
         conjugate of both orthogonality differences and of every value; for
         a genuine table it is |G| max d**2 + |G|.  p is the least prime
-        = 1 (mod m) above B.  Classes are evaluated one element order at a
-        time, each on the only coefficients that can be nonzero there."""
+        = 1 (mod m) above B.  The table must then be Galois-stable:
+        sigma_u chi(g) = chi(g**u), that is, the multiplicity of zeta**(u i)
+        on the class of g**u equals that of zeta**i on the class of g, for
+        each generator u of the units mod m, hence for every unit; otherwise
+        NotGaloisStable is raised.  Classes are evaluated one element order
+        at a time, each on the only coefficients that can be nonzero there."""
         values, m = self.values, self.exponent
         if (values < 0).any() or (values.sum(axis=2)
                                   != np.array(self.degrees)[:, np.newaxis]).any():
@@ -186,45 +223,68 @@ class CharacterTable:
         # the relations sum over rows or classes; one value is at most
         # d * (p - 1) < (p - 1)**2, since d**2 < B < p
         _assert_int64(max(rows, k), p)
-        units = [u for u in range(m) if gcd(u, m) == 1]
-        at_units = _root_powers(p, m)[np.outer(np.arange(m), units) % m]
+        units = _units(m)
+        for u in _unit_generators(m):
+            # moved[t, c, i] = values[t, galois[u][c], u i], by two gathers:
+            # one index over both axes would broadcast to (classes, m) intp
+            moved = values[:, self.galois[units.index(u)]][:, :, np.arange(m) * u % m]
+            if not np.array_equal(moved, values):
+                raise NotGaloisStable(f"values are not Galois-stable under zeta -> zeta**{u}")
+        powers = _root_powers(p, m)
         # a class whose coefficients vanish off the multiples of s reads only
         # those; for a genuine table s = m/o on a class of order o, since
         # the regular character there has every o-th root as an eigenvalue
-        support = (values != 0).any(axis=0)
+        support = values.any(axis=0)
         steps = np.array([gcd(m, *np.flatnonzero(row).tolist()) for row in support])
-        ev = np.empty((len(units), rows, k), dtype=np.int64)
+        ev = np.empty((rows, k), dtype=np.int64)
         for s in set(steps.tolist()):
             cls = np.flatnonzero(steps == s)
-            ev[:, :, cls] = np.moveaxis(values[:, cls, ::s] @ at_units[::s] % p, 2, 0)
+            # einsum casts the int8 block to int64 in buffered chunks; @
+            # would cast the whole block first
+            ev[:, cls] = np.einsum("tci,i->tc", values[:, cls, ::s], powers[::s]) % p
         return p, ev
 
     def verify_row_orthogonality(self, evaluated=None) -> bool:
-        """sum_c |C_c| chi_s(g_c) conj(chi_t(g_c)) = delta_st |G|, exactly,
-        at each evaluation root in turn.  `evaluated` is the (p, ev) of
-        evaluations() on the current values; by default they are evaluated
-        here."""
-        p, ev = self.evaluations() if evaluated is None else evaluated
+        """sum_c |C_c| chi_s(g_c) conj(chi_t(g_c)) = delta_st |G|, exactly.
+        It is checked at one root: at the root lambda**u, the sum is the
+        same sum over the classes permuted by the power map by u, which
+        keeps their sizes.  `evaluated` is the (p, ev) of evaluations() on
+        the current values; by default they are evaluated here, and a table
+        that is not Galois-stable fails."""
+        try:
+            p, ev = self.evaluations() if evaluated is None else evaluated
+        except NotGaloisStable:
+            return False
         sizes = np.array(self.class_sizes, dtype=np.int64)
         targets = self.group.order % p * np.eye(len(self.values), dtype=np.int64)
-        return all(((at * sizes % p) @ conj.T % p == targets).all()
-                   for at, conj in zip(ev, ev[::-1]))
+        conj = ev[:, self.galois[-1]]
+        return bool(((ev * sizes % p) @ conj.T % p == targets).all())
 
     def verify_column_orthogonality(self, evaluated=None) -> bool:
         """sum_t chi_t(g_i) conj(chi_t(g_j)) = delta_ij |G| / |C_i|, exactly,
-        at each evaluation root in turn.  `evaluated` is as for
-        verify_row_orthogonality."""
-        p, ev = self.evaluations() if evaluated is None else evaluated
+        checked at one root as for verify_row_orthogonality: at lambda**u
+        the relation is that of the pair of classes the power map by u
+        sends (i, j) to.  `evaluated` is as for verify_row_orthogonality."""
+        try:
+            p, ev = self.evaluations() if evaluated is None else evaluated
+        except NotGaloisStable:
+            return False
         sizes = np.array(self.class_sizes, dtype=np.int64)
         targets = np.where(np.eye(self.num_classes, dtype=bool),
                            self.group.order // sizes, 0) % p
-        return all((at.T @ conj % p == targets).all() for at, conj in zip(ev, ev[::-1]))
+        conj = ev[:, self.galois[-1]]
+        return bool((ev.T @ conj % p == targets).all())
 
     def nonzero_class_counts(self) -> list[int]:
         """Per character, the number of classes where its value is nonzero;
-        a value is zero exactly when it vanishes at every primitive root."""
+        a value is zero exactly when it vanishes at every primitive root,
+        and at the j-th root the values are ev[:, galois[j]]."""
         _, ev = self.evaluations()
-        return (ev != 0).any(axis=0).sum(axis=1).tolist()
+        nonzero = ev != 0
+        anywhere = np.zeros_like(nonzero)
+        for classes in self.galois:
+            anywhere |= nonzero[:, classes]
+        return anywhere.sum(axis=1).tolist()
 
 
 def _class_matrix(inverses: np.ndarray, cols: np.ndarray, members, class_of: np.ndarray,
@@ -311,10 +371,13 @@ def dixon_character_table(group: GroupTable) -> CharacterTable:
     scale = np.array([pow(int(w), -1, ell) for w in vectors[0]], dtype=np.int64)
     omegas = (vectors * scale % ell).T
 
+    # the last unit is -1, so galois[-1] maps each class to its inverse
+    units = np.array(_units(m))
+    galois = power_class[np.arange(k), units[:, np.newaxis] % orders]
+
     # degrees from the averaged norm of each central character
-    inv_class = class_of[group.inverses[reps]]
     size_inv = np.array([pow(s, -1, ell) for s in sizes], dtype=np.int64)
-    norms = (omegas * omegas[:, inv_class] % ell * size_inv % ell).sum(axis=1) % ell
+    norms = (omegas * omegas[:, galois[-1]] % ell * size_inv % ell).sum(axis=1) % ell
     degrees = []
     sqrt_cap = isqrt(group.order)
     for s in norms.tolist():
@@ -344,6 +407,7 @@ def dixon_character_table(group: GroupTable) -> CharacterTable:
         exponent=m,
         degrees=[degrees[t] for t in order_rows],
         values=values[order_rows],
+        galois=galois,
     )
     for d in table.degrees:
         if group.order % d:

@@ -85,8 +85,9 @@ class GroupTable:
     def product_columns(self, zs) -> np.ndarray:
         """The (order, len(zs)) array whose c-th column is x -> x * zs[c]:
         the identity's column carried along the word of zs[c], one gather
-        on `right` per letter."""
-        out = np.empty((self.order, len(zs)), dtype=np.intp)
+        on `right` per letter.  It is int16, since the closure stops at
+        MAX_ELEMENTS < 2**15 elements."""
+        out = np.empty((self.order, len(zs)), dtype=np.int16)
         for c, z in enumerate(zs):
             column = np.arange(self.order)
             for k in self._word(z):

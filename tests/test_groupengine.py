@@ -394,6 +394,8 @@ def test_cyclic_3_table_values_are_cube_roots():
     # at each of the two primitive cube roots mod p, the two nontrivial rows
     # take each primitive cube root exactly once on the nontrivial classes
     p, ev = table.evaluations()
+    # at the j-th primitive root the values are ev[:, table.galois[j]]
+    ev = np.stack([ev[:, classes] for classes in table.galois])
     assert len(ev) == 2
     roots = [x for x in range(2, p) if pow(x, 3, p) == 1]
     nontrivial = [t for t in range(3) if (ev[:, t] != 1).any()]
@@ -440,6 +442,8 @@ def test_a5_values_on_five_cycles_are_golden_ratio_pair():
     five_cycle_classes = [c for c, rep in enumerate(table.class_reps) if orders[rep] == 5]
     assert len(five_cycle_classes) == 2
     p, ev = table.evaluations()
+    # at the j-th primitive root the values are ev[:, table.galois[j]]
+    ev = np.stack([ev[:, classes] for classes in table.galois])
     for c in five_cycle_classes:
         u, v = ev[:, rows[0], c], ev[:, rows[1], c]
         assert ((u + v) % p == 1).all()
@@ -587,12 +591,70 @@ def test_moved_multiplicity_breaks_both_relations():
         assert not table.verify_column_orthogonality()
 
 
+def test_galois_stable_but_wrong_table_fails_at_one_root():
+    # the trivial and sign characters of S4 swapped on one class of size 6:
+    # their values 1 and -1 there are the multiplicities at zeta**0 and
+    # zeta**6, which every unit mod 12 fixes, so the table stays
+    # Galois-stable and keeps its row sums; only the relations see it
+    table = ge.dixon_character_table(ge.symmetric_group(4))
+    linear = [t for t, d in enumerate(table.degrees) if d == 1]
+    c = table.class_sizes.index(6)
+    assert sorted(np.flatnonzero(table.values[t, c]).tolist() for t in linear) == [
+        [0], [table.exponent // 2]]
+    table.values[linear, c] = table.values[linear[::-1], c]
+    table.evaluations()  # still Galois-stable: nothing raised
+    assert not table.verify_row_orthogonality()
+    assert not table.verify_column_orthogonality()
+
+
+def test_table_that_is_not_galois_stable_is_refused():
+    # on C3, a faithful character given zeta on both nontrivial classes
+    # keeps its row sums, but sigma_2 chi(g) = zeta**2 is not chi(g**2)
+    table = ge.dixon_character_table(ge.cyclic_group(3))
+    t = next(t for t, row in enumerate(table.values) if (row[:, 0] != 1).any())
+    table.values[t, 2] = table.values[t, 1]
+    assert not table.verify_row_orthogonality()
+    assert not table.verify_column_orthogonality()
+    for check in (table.evaluations, table.nonzero_class_counts):
+        with pytest.raises(AssertionError, match="Galois-stable"):
+            check()
+
+
+def test_unit_generators_generate_every_unit_group():
+    # stability is checked on these generators only; 420 is A7's exponent
+    for m in range(1, 421):
+        gens = dixon._unit_generators(m)
+        reached, frontier = {1 % m}, {1 % m}
+        while frontier:
+            frontier = {x * u % m for x in frontier for u in gens} - reached
+            reached |= frontier
+        assert reached == set(dixon._units(m)), m
+
+
+def test_evaluation_and_relations_peak_at_a_few_bytes_per_coefficient():
+    # one root, the stability check and one (k, k) product per relation:
+    # nothing grows with phi(m), which is 96 for A7 (k = 9, m = 420)
+    table = ge.dixon_character_table(ge.alternating_group(7))
+    tracemalloc.start()
+    try:
+        evaluated = table.evaluations()
+        assert table.verify_row_orthogonality(evaluated)
+        assert table.verify_column_orthogonality(evaluated)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    k, m = table.num_classes, table.exponent
+    assert peak < 4 * k * k * m, (peak, k, m)
+
+
 def test_evaluations_run_over_every_primitive_root():
     # on C60 each faithful character takes, across the evaluations, every
     # primitive 60th root of unity mod p once on a generating class
     g = ge.cyclic_group(60)
     table = ge.dixon_character_table(g)
     p, ev = table.evaluations()
+    # at the j-th primitive root the values are ev[:, table.galois[j]]
+    ev = np.stack([ev[:, classes] for classes in table.galois])
     primitive = [x for x in range(1, p) if pow(x, 60, p) == 1
                  and all(pow(x, 60 // q, p) != 1 for q in (2, 3, 5))]
     orders = _element_orders(g)
@@ -650,6 +712,14 @@ def test_every_multiplicity_of_an_accepted_group_fits_int8():
     from chardeg.groupengine.table import MAX_ELEMENTS
 
     assert isqrt(MAX_ELEMENTS) <= np.iinfo(np.int8).max
+
+
+def test_every_element_index_of_an_accepted_group_fits_int16():
+    # product columns hold element indices, below the closure limit
+    from chardeg.groupengine.table import MAX_ELEMENTS
+
+    assert MAX_ELEMENTS < 2**15
+    assert ge.cyclic_group(12).product_columns([0, 1]).dtype == np.int16
 
 
 def test_table_resource_limit():
