@@ -126,15 +126,25 @@ def test_out_of_range_input_is_named_in_its_error(argv, message, capsys):
     assert capsys.readouterr() == ("", message + "\n")
 
 
-def _modules_after(code: str) -> set[str]:
-    """The modules loaded once `code` has run in a fresh interpreter, so that
-    no other test's imports count."""
-    code += "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+TASKS = Path("/proc/self/task")
+
+
+def _fresh(code: str, **env: str):
+    """The JSON that `code` prints last in a fresh interpreter, whose
+    environment has no BLAS thread variable but those in `env`, so that no
+    other test's imports or settings count."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**base, "PYTHONPATH": str(SRC), **env},
+                          capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    return set(json.loads(done.stdout.splitlines()[-1]))
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _modules_after(code: str) -> set[str]:
+    """The modules loaded once `code` has run in a fresh interpreter."""
+    return set(_fresh(code + "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"))
 
 
 HEAVY_MODULES = ("numpy", "chardeg.groupengine", "concurrent.futures", "multiprocessing")
@@ -155,22 +165,44 @@ def test_gagola_loads_numpy_and_the_group_engine():
     assert {"numpy", "chardeg.groupengine"} <= loaded
 
 
+@pytest.mark.skipif(not TASKS.is_dir() or (os.cpu_count() or 1) < 2,
+                    reason="counts threads in /proc/self/task on 2 or more CPUs")
+def test_group_engine_loads_numpy_with_one_blas_thread():
+    # chardeg makes no BLAS call, so an OpenBLAS worker thread would only spin
+    threads, value = _fresh(
+        "import json, os\n"
+        "from chardeg import groupengine\n"
+        "print(json.dumps([len(os.listdir('/proc/self/task')),"
+        " os.environ.get('OPENBLAS_NUM_THREADS')]))")
+    assert (threads, value) == (1, "1")
+
+
+def test_a_callers_blas_thread_count_is_kept():
+    assert _fresh("import json, os, chardeg\n"
+                  "print(json.dumps(os.environ['OPENBLAS_NUM_THREADS']))",
+                  OPENBLAS_NUM_THREADS="2") == "2"
+
+
+@pytest.mark.skipif(not TASKS.is_dir(), reason="counts threads in /proc/self/task")
 def test_worker_pool_forks_after_numpy_is_loaded():
     # with a claim that builds groups selected, the workers then share the
-    # parent's numpy instead of each importing it
+    # parent's numpy instead of each importing it, and fork a process that
+    # runs one thread
     code = (
-        "import concurrent.futures, sys\n"
+        "import concurrent.futures, os, sys\n"
         "from chardeg import cli\n"
         "seen = []\n"
         "class Pool:\n"
-        "    def __init__(self, max_workers): seen.append('numpy' in sys.modules)\n"
+        "    def __init__(self, max_workers):\n"
+        "        seen.append(('numpy' in sys.modules,"
+        " len(os.listdir('/proc/self/task'))))\n"
         "    def __enter__(self): return self\n"
         "    def __exit__(self, *exc): return False\n"
         "    def map(self, fn, items): return map(fn, items)\n"
         "concurrent.futures.ProcessPoolExecutor = Pool\n"
         "cli.run_claims(['lem3.2/euler-tail', 'lem7.1/gagola-arithmetic'],\n"
         "               cli.RunConfig(jobs=2))\n"
-        "assert seen == [True], seen\n")
+        "assert seen == [(True, 1)], seen\n")
     assert "numpy" in _modules_after(code)
 
 
@@ -448,10 +480,10 @@ def test_claim_registry_is_consistent():
 
 
 def test_parallel_jobs_agree_with_serial(capsys):
-    serial = cli.run_claims(["lem3.2/euler-tail", "lem3.5/composition-bound"],
-                            cli.RunConfig(jobs=1))
-    parallel = cli.run_claims(["lem3.2/euler-tail", "lem3.5/composition-bound"],
-                              cli.RunConfig(jobs=2))
+    # gagola-arithmetic builds groups, so the pool forks after numpy loads
+    claims = ["lem3.2/euler-tail", "lem3.5/composition-bound", "lem7.1/gagola-arithmetic"]
+    serial = cli.run_claims(claims, cli.RunConfig(jobs=1))
+    parallel = cli.run_claims(claims, cli.RunConfig(jobs=2))
     assert [(r.claim, r.status, r.witnesses) for r in serial] == \
         [(r.claim, r.status, r.witnesses) for r in parallel]
 
