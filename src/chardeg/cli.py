@@ -8,6 +8,11 @@ exactly when nothing failed, errored or was inconclusive, and 1 otherwise;
 a usage or input error is one line on stderr and exit code 2, before any
 claim runs.  Reports are JSON arrays with stable claim ids, byte-identical
 across runs except for the timing fields.
+
+Importing this module loads no other chardeg module but `errors`.  Each
+claim check imports the modules it reads at its top, so a claim's seconds
+include the import of every module it is the first to use, and `--jobs`
+loads the selected claims' modules before the pool forks.
 """
 
 from __future__ import annotations
@@ -17,16 +22,15 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from math import factorial
 from pathlib import Path
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
-from . import bounds, gf2poly, lie, partitions, psl2, symalt
-from .degrees import DegreeMultiset
 from .errors import PrecisionCapError, ResourceLimitError
-from .exactmath import p_part, positive_from, prime_power
+
+if TYPE_CHECKING:
+    from .degrees import DegreeMultiset
 
 PASS, FAIL, INCONCLUSIVE, OUT_OF_SCOPE = "pass", "fail", "inconclusive", "out-of-scope"
 ERROR = "error"
@@ -48,6 +52,8 @@ def ingest_degree_records(path) -> list[DegreeRecord]:
     multiplicities are JSON integers: never floats, and never booleans.  The
     order, each degree and each multiplicity is at least 1, checked before
     equal degrees merge, and a record lists at least one degree."""
+    from .degrees import DegreeMultiset
+
     records = []
     seen = set()
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -113,6 +119,8 @@ BRANCHING_MAX_N = 10
 
 
 def _check_hook_sum(cfg: RunConfig):
+    from . import partitions
+
     bad = [n for n in range(1, HOOK_SUM_MAX_N + 1)
            if sum(partitions.hook_degree(lam) ** 2
                   for lam in partitions.partitions_of(n)) != factorial(n)]
@@ -120,6 +128,8 @@ def _check_hook_sum(cfg: RunConfig):
 
 
 def _check_hook_tableaux(cfg: RunConfig):
+    from . import partitions
+
     bad = [lam for n in range(1, TABLEAUX_MAX_N + 1)
            for lam in partitions.partitions_of(n)
            if partitions.hook_degree(lam) != partitions.standard_tableaux_count(lam)]
@@ -127,6 +137,8 @@ def _check_hook_tableaux(cfg: RunConfig):
 
 
 def _check_branching(cfg: RunConfig):
+    from . import partitions
+
     bad = []
     for n in range(1, BRANCHING_MAX_N + 1):
         for lam in partitions.partitions_of(n):
@@ -144,6 +156,8 @@ def _check_branching(cfg: RunConfig):
 
 
 def _check_rho_direct(cfg: RunConfig):
+    from . import symalt
+
     # the certificates are data: each one is checked here, whatever made it
     certs = symalt.rho_certificates()
     given = dict(certs)
@@ -159,6 +173,8 @@ RHO_SPOTS = (10**6,)
 
 
 def _check_rho_induction(cfg: RunConfig):
+    from . import symalt
+
     bad = symalt.verify_rho_growth(RHO_INDUCT_MAX, RHO_SPOTS)
     return (FAIL if bad else PASS), [
         f"induction n={symalt.INDUCTION_START}..{RHO_INDUCT_MAX}",
@@ -172,6 +188,8 @@ LIE_MAX_Q = 32
 
 
 def _check_lie_38(cfg: RunConfig):
+    from . import lie
+
     bad = []
     count = 0
     for gid in lie.iter_simple_ids(LIE_MAX_RANK, LIE_MAX_Q):
@@ -191,6 +209,8 @@ PSL2_CLASS_FROM = {"even": 4, "3 mod 4": 7, "1 mod 4": 9}
 
 
 def _check_psl2_sums(cfg: RunConfig):
+    from . import psl2
+
     polys = {c: psl2.class_polynomials(c) for c in psl2.CLASSES}
     bad = [c for c, p in polys.items() if any(p["sum of squares - order"])]
     identities = {c: {k: list(map(str, p[k])) for k in ("order", "sum of squares - order")}
@@ -208,6 +228,8 @@ def _check_extendible_witness(cfg: RunConfig):
 
 
 def _check_theta2_stabilizer(cfg: RunConfig):
+    from .exactmath import positive_from
+
     # for odd p, f >= 2 and 1 <= k < f, 0 < 2(p**k -+ 1) < p**f + 1, as
     # p**(f-1) * (p - 2) >= p(p - 2) > 1; so p**f + 1 divides neither
     bad = [] if positive_from([-1, -2, 1], 3) else ["p^2-2p-1"]
@@ -216,6 +238,9 @@ def _check_theta2_stabilizer(cfg: RunConfig):
 
 
 def _check_epsilon_psl2(cfg: RunConfig):
+    from . import bounds, psl2
+    from .exactmath import positive_from
+
     rep = bounds.simple_bound_report(psl2.psl2_degrees(5))
     bad = [] if rep.epsilon_gt_1 and rep.chain_ok else [5]
     certs = {}
@@ -227,6 +252,8 @@ def _check_epsilon_psl2(cfg: RunConfig):
 
 
 def _check_epsilon_an(cfg: RunConfig):
+    from . import bounds, symalt
+
     bad = []
     for n in range(5, 21):
         ds = symalt.an_degrees(n)
@@ -237,6 +264,10 @@ def _check_epsilon_an(cfg: RunConfig):
 
 
 def _check_euler_tail(cfg: RunConfig):
+    from fractions import Fraction
+
+    from . import lie
+
     # each factor 1 - q**-i grows with q, so the bound at q = 2 holds for every q
     bad = [] if lie.euler_tail_lower(2, 2, 40) > Fraction(9, 16) else [2]
     return (FAIL if bad else PASS), ["every q>=2", "terms=40", f"failures={bad}"]
@@ -247,6 +278,8 @@ POLY_EXHAUSTIVE_MAX_D = 16
 
 
 def _check_srim_table(cfg: RunConfig):
+    from . import gf2poly
+
     expected = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 5, 7: 9}
     bad = [d for d, v in expected.items() if gf2poly.count_self_reciprocal(d) != v]
     if gf2poly.count_self_reciprocal(8) < 16:
@@ -260,6 +293,8 @@ def _check_srim_table(cfg: RunConfig):
 
 
 def _check_nd_counts(cfg: RunConfig):
+    from . import gf2poly
+
     bad = []
     for d in range(1, POLY_EXHAUSTIVE_MAX_D + 1):
         if gf2poly.count_irreducible_monic(d) != sum(1 for _ in gf2poly.irreducible_polys(d)):
@@ -276,6 +311,8 @@ def _check_nd_counts(cfg: RunConfig):
 
 
 def _check_seitz_untwisted(cfg: RunConfig):
+    from . import lie
+
     bad = [str(r.gid) for gid in lie.seitz_ids(twisted=False)
            if not (r := lie.seitz_check(gid)).passes_2b2]
     return (FAIL if bad else PASS), [f"groups={len(lie.seitz_ids(False))}",
@@ -283,6 +320,8 @@ def _check_seitz_untwisted(cfg: RunConfig):
 
 
 def _check_seitz_twisted(cfg: RunConfig):
+    from . import lie
+
     if cfg.torus_table is None:
         return OUT_OF_SCOPE, ["no torus table supplied"]
     try:
@@ -306,6 +345,8 @@ PART3_NS = (9, 10, 11)
 
 
 def _check_part3(cfg: RunConfig):
+    from . import lie
+
     bad = []
     count = 0
     for r in range(4):
@@ -324,6 +365,10 @@ SITUATION_MAX_DK = 6
 
 
 def _check_situations(cfg: RunConfig):
+    from fractions import Fraction
+
+    from . import lie
+
     low = Fraction(81, 320)
     low_iv = Fraction(81, 272)
     counts = {s: 0 for s in lie.SITUATIONS}
@@ -352,7 +397,7 @@ def _witness_group(q: int):
 
 
 def _check_equality_family(cfg: RunConfig):
-    from . import groupengine
+    from . import bounds, groupengine
 
     bad = []
     for q in WITNESS_QS:
@@ -377,6 +422,9 @@ def _check_equality_family(cfg: RunConfig):
 
 
 def _check_gagola_arithmetic(cfg: RunConfig):
+    from . import bounds
+    from .exactmath import p_part, prime_power
+
     bad = []
     for q in WITNESS_QS:
         group = _witness_group(q)
@@ -389,12 +437,16 @@ def _check_gagola_arithmetic(cfg: RunConfig):
 
 
 def _check_composition(cfg: RunConfig):
+    from . import bounds
+
     cases = [(5, 7, 5, 7), (8, 13, 8, 13), (1, 1, 1, 1), (5, 7, 8, 13)]
     bad = [c for c in cases if not bounds.composition_bound(*c).exceeds_2sqrt]
     return (FAIL if bad else PASS), [f"cases={cases}", f"failures={bad}"]
 
 
 def _check_degree_records(cfg: RunConfig):
+    from . import bounds
+
     if cfg.degrees_path is None:
         return OUT_OF_SCOPE, ["no degree records supplied"]
     try:
@@ -452,6 +504,35 @@ CLAIMS: list[tuple[str, object]] = [
 
 _CLAIM_MAP = dict(CLAIMS)
 
+# the chardeg modules each claim imports at its top; run_claims loads them
+# before a --jobs pool forks, so the workers share them instead of each
+# compiling them (and numpy, for the group engine) again.  A test runs each
+# claim alone to check its row.
+_CLAIM_MODULES = {
+    "sec2/hook-sum-squares": ("partitions",),
+    "sec2/hook-vs-tableaux": ("partitions",),
+    "sec2/branching": ("partitions",),
+    "thm2.1/rho-direct": ("symalt",),
+    "thm2.1/rho-induction": ("symalt",),
+    "thm2.1/lie-38": ("lie",),
+    "sec5-6/psl2-degree-sums": ("psl2",),
+    "lem5.1/extendible-witness": (),
+    "lem6.2/theta2-stabilizer": ("exactmath",),
+    "thm3.1/epsilon-psl2": ("bounds", "psl2"),
+    "thm3.1/epsilon-an": ("bounds", "symalt"),
+    "lem3.2/euler-tail": ("lie",),
+    "lem3.3/srim-table": ("gf2poly",),
+    "sec3/nd-counts": ("gf2poly",),
+    "sec3/seitz-untwisted": ("lie",),
+    "sec3/seitz-twisted": ("lie",),
+    "sec3/part3-r-le-3": ("lie",),
+    "sec3/part4-situations": ("lie",),
+    "thm7.2/equality-family": ("bounds", "groupengine"),
+    "lem7.1/gagola-arithmetic": ("bounds", "groupengine"),
+    "lem3.5/composition-bound": ("bounds",),
+    "user/degree-records": ("bounds",),
+}
+
 SUBCOMMAND_CLAIMS = {
     "verify-all": [claim for claim, _ in CLAIMS],
     "rho": ["thm2.1/rho-direct", "thm2.1/rho-induction"],
@@ -485,11 +566,11 @@ def run_claims(claims: list[str], cfg: RunConfig) -> list[VerificationReport]:
     jobs = min(cfg.jobs, len(claims))
     if jobs <= 1:
         return [_run_claim((c, cfg)) for c in claims]
-    # loaded before the fork when a claim builds groups, so the workers
-    # share numpy instead of each importing it again
-    if set(claims) & set(SUBCOMMAND_CLAIMS["gagola"]):
-        from . import groupengine  # noqa: F401
+    import importlib
     from concurrent.futures import ProcessPoolExecutor
+
+    for name in sorted({m for c in claims for m in _CLAIM_MODULES[c]}):
+        importlib.import_module(f"{__package__}.{name}")
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_run_claim, [(c, cfg) for c in claims]))
@@ -518,10 +599,22 @@ def _abort(message: str) -> NoReturn:
     raise SystemExit(2)
 
 
+def _check_report_path(path) -> None:
+    """Reject a --report path that cannot be written before any claim runs."""
+    if path and Path(path).is_dir():
+        _abort(f"configuration error: report path {path!r} is a directory")
+    if path and not Path(path).parent.is_dir():
+        _abort(f"configuration error: report path {path!r} "
+               "is not in an existing directory")
+
+
 def _config_from_args(args) -> RunConfig:
-    if args.max_n is not None and not 7 <= args.max_n <= symalt.MAX_N:
-        _abort(f"configuration error: --max-n {args.max_n} "
-               f"outside 7..{symalt.MAX_N}")
+    if args.max_n is not None:
+        from . import symalt
+
+        if not 7 <= args.max_n <= symalt.MAX_N:
+            _abort(f"configuration error: --max-n {args.max_n} "
+                   f"outside 7..{symalt.MAX_N}")
     if args.torus_table and not Path(args.torus_table).is_file():
         _abort(f"configuration error: torus table "
                f"{args.torus_table!r} does not exist")
@@ -530,6 +623,7 @@ def _config_from_args(args) -> RunConfig:
                f"{args.degrees!r} does not exist")
     if args.jobs < 1:
         _abort(f"configuration error: --jobs {args.jobs} is below 1")
+    _check_report_path(args.report)
     return RunConfig(torus_table=args.torus_table or None,
                      degrees_path=args.degrees or None, jobs=args.jobs)
 
@@ -567,6 +661,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "e-of":
+        from . import bounds
+
         try:
             dec = bounds.e_of(args.order, args.degree)
         except ValueError as exc:
@@ -581,6 +677,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "analyze-group":
+        _check_report_path(args.report)
         from . import groupengine
 
         # a malformed file raises json.JSONDecodeError, a ValueError

@@ -357,9 +357,12 @@ def dixon_character_table(group: GroupTable) -> CharacterTable:
     ell = _split_prime(2 * isqrt(group.order) + 1, m)
     _assert_int64(max(k, m), ell)
 
-    # simultaneous eigenvectors of the class matrices, split out of e_0
+    # simultaneous eigenvectors of the class matrices, split out of e_0.
+    # Central classes go first: the closure numbers them last, yet a
+    # noncentral class matrix is 0 on every character vanishing off the
+    # centre, so it cannot split those apart
     vectors = np.eye(k, 1, dtype=np.int64)
-    for i in range(1, k):
+    for i in sorted(range(1, k), key=lambda i: sizes[i] > 1):
         if vectors.shape[1] == k:
             break
         mat = _class_matrix(group.inverses, cols, classes[i], class_of, ell)

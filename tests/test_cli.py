@@ -160,6 +160,22 @@ def test_cli_loads_neither_numpy_nor_the_worker_pool_until_needed(code):
     assert [name for name in HEAVY_MODULES if name in loaded] == []
 
 
+CLAIM_MODULES = ("bounds", "degrees", "exactmath", "gf2poly", "lie", "partitions",
+                 "psl2", "symalt")
+
+
+@pytest.mark.parametrize("code, loaded", [
+    ("import chardeg.cli", []),
+    ("from chardeg import cli; cli.main(['e-of', '168', '6'])",
+     ["bounds", "degrees", "exactmath"]),
+    ("from chardeg import cli; cli.main(['psl2'])",
+     ["bounds", "degrees", "exactmath", "psl2"]),
+])
+def test_cli_loads_each_claim_module_when_a_claim_first_uses_it(code, loaded):
+    modules = _modules_after(code)
+    assert [name for name in CLAIM_MODULES if f"chardeg.{name}" in modules] == loaded
+
+
 def test_gagola_loads_numpy_and_the_group_engine():
     loaded = _modules_after("from chardeg import cli; cli.main(['gagola'])")
     assert {"numpy", "chardeg.groupengine"} <= loaded
@@ -204,6 +220,48 @@ def test_worker_pool_forks_after_numpy_is_loaded():
         "               cli.RunConfig(jobs=2))\n"
         "assert seen == [(True, 1)], seen\n")
     assert "numpy" in _modules_after(code)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="runs each claim in a forked child")
+def test_worker_pool_forks_after_the_claims_modules_are_loaded(tmp_path):
+    # each claim runs in a child forked from a process that has loaded only
+    # chardeg.cli, beside a claim that imports nothing; every chardeg module
+    # it loads must already be loaded when the stand-in pool is created
+    degrees = tmp_path / "records.jsonl"
+    degrees.write_text('{"name": "C2", "order": 2, "degrees": [[1, 2]]}\n')
+    code = (
+        "import concurrent.futures, json, os, sys\n"
+        "from chardeg import cli\n"
+        "def chardeg_modules():\n"
+        "    return {m for m in sys.modules if m.startswith('chardeg.')}\n"
+        "seen = []\n"
+        "class Pool:\n"
+        "    def __init__(self, max_workers): seen.append(chardeg_modules())\n"
+        "    def __enter__(self): return self\n"
+        "    def __exit__(self, *exc): return False\n"
+        "    def map(self, fn, items): return map(fn, items)\n"
+        "concurrent.futures.ProcessPoolExecutor = Pool\n"
+        f"cfg = cli.RunConfig(torus_table={TORUS_TABLE!r}, degrees_path={str(degrees)!r},"
+        " jobs=2)\n"
+        "late = {}\n"
+        "for claim in cli._CLAIM_MAP:\n"
+        "    read, write = os.pipe()\n"
+        "    if os.fork() == 0:\n"
+        "        try:\n"
+        "            reports = cli.run_claims([claim, 'lem5.1/extendible-witness'], cfg)\n"
+        "            result = [[r.status for r in reports],\n"
+        "                      sorted(chardeg_modules() - seen[0])]\n"
+        "        except Exception as exc:\n"
+        "            result = repr(exc)\n"
+        "        os.write(write, json.dumps(result).encode())\n"
+        "        os._exit(0)\n"
+        "    os.close(write)\n"
+        "    with os.fdopen(read) as pipe:\n"
+        "        late[claim] = json.loads(pipe.read())\n"
+        "    os.wait()\n"
+        "print(json.dumps(late))\n")
+    assert _fresh(code) == {claim: [["pass", "pass"], []]
+                            for claim in cli.SUBCOMMAND_CLAIMS["verify-all"]}
 
 
 def test_worker_pool_leaves_numpy_unloaded_without_group_claims():
@@ -295,6 +353,9 @@ def test_part3_checks_every_shape_and_names_each_failure(monkeypatch):
     ["analyze-group", "--group-spec", "bool-entry.json"],
     ["analyze-group", "--group-spec", "bool-dimension.json"],
     ["analyze-group", "--group-spec", "bool-field.json"],
+    ["psl2", "--report", "missing/dir/r.json"],
+    ["verify-all", "--report", "."],
+    ["analyze-group", "--group-spec", "c2.json", "--report", "c2.json/r.json"],
 ])
 def test_bad_input_aborts_before_running(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -321,7 +382,9 @@ def test_bad_input_aborts_before_running(argv, tmp_path, monkeypatch, capsys):
                        ("bool-dimension.json", {"kind": "matrix", "dimension": True,
                                                 "field": 3, "generators": [[1]]}),
                        ("bool-field.json", {"kind": "matrix", "dimension": 1,
-                                            "field": True, "generators": [[1]]})):
+                                            "field": True, "generators": [[1]]}),
+                       ("c2.json", {"kind": "permutation", "degree": 2,
+                                    "generators": [[1, 0]]})):
         (tmp_path / name).write_text(json.dumps(spec))
     (tmp_path / "truncated.json").write_text('{"kind": "permutation", "degree"')
     with pytest.raises(SystemExit) as exc:

@@ -481,6 +481,18 @@ def _full_lift(group, values_mod, ell, m):
     return values.reshape(k, k, m)
 
 
+def test_eigen_split_tries_the_central_classes_first(monkeypatch):
+    # the 6 characters of degree 7 of heisenberg(7) vanish off the centre,
+    # so no noncentral class matrix splits them apart; in closure order the
+    # central classes come last, after 49 splits
+    calls = []
+    split = dixon._split
+    monkeypatch.setattr(dixon, "_split", lambda *args: calls.append(1) or split(*args))
+    table = ge.dixon_character_table(ge.build_example_group("heisenberg", 7))
+    assert table.degrees.count(7) == 6
+    assert len(calls) <= 10
+
+
 def test_lift_by_element_order_matches_the_full_lift(monkeypatch):
     calls = []
 
