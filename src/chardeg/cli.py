@@ -6,8 +6,9 @@ with the witnesses it examined; a claim that raises is reported as error and
 the others still run.  `verify-all` runs every configured claim and exits 0
 exactly when nothing failed, errored or was inconclusive, and 1 otherwise;
 a usage or input error is one line on stderr and exit code 2, before any
-claim runs.  Reports are JSON arrays with stable claim ids, byte-identical
-across runs except for the timing fields.
+claim runs, and so is a report file the system refuses to write, after the
+claim lines are printed.  Reports are JSON arrays with stable claim ids,
+byte-identical across runs except for the timing fields.
 
 Importing this module loads no other chardeg module but `errors`.  Each
 claim check imports the modules it reads at its top, so a claim's seconds
@@ -577,9 +578,16 @@ def run_claims(claims: list[str], cfg: RunConfig) -> list[VerificationReport]:
 
 
 def _write_report(reports: list[VerificationReport], path) -> None:
+    """Write the JSON report; a path the system refuses, though it passed
+    _check_report_path, ends the run with one `output error:` line and exit
+    code 2 after the claim lines are printed."""
     payload = [r.to_json() for r in reports]
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    try:
+        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                              encoding="utf-8")
+    except OSError as exc:
+        _abort(f"output error: cannot write report {path!r}: "
+               f"{exc.strerror or exc}")
 
 
 def _print_reports(reports: list[VerificationReport]) -> None:
@@ -594,7 +602,8 @@ def _exit_code(reports: list[VerificationReport]) -> int:
 
 
 def _abort(message: str) -> NoReturn:
-    """Reject a usage or input error: one line on stderr, exit code 2."""
+    """Reject a usage, input or output error: one line on stderr, exit
+    code 2."""
     print(message, file=sys.stderr)
     raise SystemExit(2)
 

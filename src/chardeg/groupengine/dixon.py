@@ -164,6 +164,11 @@ def _split(vectors: np.ndarray, mat: np.ndarray, ell: int) -> np.ndarray:
 
 # --------------------------------------------------------------------------
 
+# classes per step of CharacterTable.evaluations, so that no temporary there
+# exceeds a few times _CLASS_BLOCK * characters * m bytes
+_CLASS_BLOCK = 8
+
+
 class NotGaloisStable(AssertionError):
     """The values are not permuted by the Galois action as the power maps
     permute the classes, so they are no character table."""
@@ -203,7 +208,8 @@ class CharacterTable:
         ev[:, galois[j]], and ev[:, galois[-1]] is complex conjugation.
 
         The coefficients must be eigenvalue multiplicities (non-negative,
-        summing to the degree), so |sigma chi(g)| <= chi(1) for every
+        summing to the degree; AssertionError otherwise, checked first), so
+        |sigma chi(g)| <= chi(1) for every
         conjugate, and B = max(sum |C_c|, rows) max d**2 + |G| bounds each
         conjugate of both orthogonality differences and of every value; for
         a genuine table it is |G| max d**2 + |G|.  p is the least prime
@@ -212,10 +218,13 @@ class CharacterTable:
         on the class of g**u equals that of zeta**i on the class of g, for
         each generator u of the units mod m, hence for every unit; otherwise
         NotGaloisStable is raised.  Classes are evaluated one element order
-        at a time, each on the only coefficients that can be nonzero there."""
+        at a time, each on the only coefficients that can be nonzero there.
+        No step builds a (rows, classes, m) temporary: the sign test is one
+        minimum, and the stability check and the evaluation take
+        _CLASS_BLOCK classes at a time."""
         values, m = self.values, self.exponent
-        if (values < 0).any() or (values.sum(axis=2)
-                                  != np.array(self.degrees)[:, np.newaxis]).any():
+        if values.min() < 0 or (values.sum(axis=2)
+                                != np.array(self.degrees)[:, np.newaxis]).any():
             raise AssertionError("coefficients are not eigenvalue multiplicities")
         rows, k = values.shape[:2]
         weight = max(sum(self.class_sizes), rows)
@@ -225,11 +234,14 @@ class CharacterTable:
         _assert_int64(max(rows, k), p)
         units = _units(m)
         for u in _unit_generators(m):
-            # moved[t, c, i] = values[t, galois[u][c], u i], by two gathers:
-            # one index over both axes would broadcast to (classes, m) intp
-            moved = values[:, self.galois[units.index(u)]][:, :, np.arange(m) * u % m]
-            if not np.array_equal(moved, values):
-                raise NotGaloisStable(f"values are not Galois-stable under zeta -> zeta**{u}")
+            image, moved = self.galois[units.index(u)], np.arange(m) * u % m
+            # values[t, image[c], u i] against values[t, c, i], by two
+            # gathers: one index over both axes would broadcast to intp
+            for c in range(0, k, _CLASS_BLOCK):
+                block = values[:, image[c:c + _CLASS_BLOCK]][:, :, moved]
+                if not np.array_equal(block, values[:, c:c + _CLASS_BLOCK]):
+                    raise NotGaloisStable(
+                        f"values are not Galois-stable under zeta -> zeta**{u}")
         powers = _root_powers(p, m)
         # a class whose coefficients vanish off the multiples of s reads only
         # those; for a genuine table s = m/o on a class of order o, since
@@ -238,10 +250,11 @@ class CharacterTable:
         steps = np.array([gcd(m, *np.flatnonzero(row).tolist()) for row in support])
         ev = np.empty((rows, k), dtype=np.int64)
         for s in set(steps.tolist()):
-            cls = np.flatnonzero(steps == s)
+            same = np.flatnonzero(steps == s)
             # einsum casts the int8 block to int64 in buffered chunks; @
             # would cast the whole block first
-            ev[:, cls] = np.einsum("tci,i->tc", values[:, cls, ::s], powers[::s]) % p
+            for cls in np.split(same, range(_CLASS_BLOCK, len(same), _CLASS_BLOCK)):
+                ev[:, cls] = np.einsum("tci,i->tc", values[:, cls, ::s], powers[::s]) % p
         return p, ev
 
     def verify_row_orthogonality(self, evaluated=None) -> bool:

@@ -67,32 +67,41 @@ class GroupTable:
     def order(self) -> int:
         return len(self.inverses)
 
-    def _word(self, z: int) -> list[int]:
-        """Generator positions k_1, ..., k_r with z = g_k1 ... g_kr, read up
-        the parents."""
+    def _walk(self, z: int, known=()) -> tuple[int, list[int]]:
+        """(y, word): y is the first of z and its ancestors, read up the
+        parents, that is in `known`, or else the identity, and word the
+        generator positions k_1, ..., k_r with z = y g_k1 ... g_kr."""
         count = self._right.shape[1]
         word = []
-        while z:
+        while z and z not in known:
             z, k = divmod(int(self._parents[z - 1]), count)
             word.append(k)
-        return word[::-1]
+        return z, word[::-1]
 
     def mult(self, i: int, j: int) -> int:
-        for k in self._word(j):
+        for k in self._walk(j)[1]:
             i = self._right[i, k]
         return int(i)
 
     def product_columns(self, zs) -> np.ndarray:
-        """The (order, len(zs)) array whose c-th column is x -> x * zs[c]:
-        the identity's column carried along the word of zs[c], one gather
-        on `right` per letter.  It is int16, since the closure stops at
-        MAX_ELEMENTS < 2**15 elements."""
+        """The (order, len(zs)) array whose c-th column is x -> x * zs[c].
+
+        The zs are taken in ascending index order, so every parent of z
+        comes before z.  Each z is walked up its parents only until an
+        element whose column is already written here, or the identity, and
+        that column (or the identity's) is carried back down the letters
+        walked, one gather on `right` per letter.  It is int16, since the
+        closure stops at MAX_ELEMENTS < 2**15 elements."""
         out = np.empty((self.order, len(zs)), dtype=np.int16)
-        for c, z in enumerate(zs):
-            column = np.arange(self.order)
-            for k in self._word(z):
+        written = {}  # element -> its column in out
+        for c in sorted(range(len(zs)), key=lambda c: zs[c]):
+            z = int(zs[c])
+            y, word = self._walk(z, written)
+            column = out[:, written[y]] if y else np.arange(self.order)
+            for k in word:
                 column = self._right[column, k]
             out[:, c] = column
+            written[z] = c
         return out
 
     def class_of(self) -> np.ndarray:
@@ -134,16 +143,17 @@ class GroupTable:
         Only candidates outside the subgroup built so far join the
         generators, so each one at least doubles it; after each, the whole
         subgroup is multiplied by the generators' product columns, then each
-        new frontier.
+        new frontier.  Each generator's column is built once, when it joins.
         """
         wanted = np.zeros(self.order, dtype=bool)
         wanted[np.asarray(idxs, dtype=np.intp)] = True
         inside = np.zeros(self.order, dtype=bool)
         inside[0] = True
         gens = []
+        columns = np.empty((self.order, 0), dtype=np.int16)
         while (outside := np.flatnonzero(wanted & ~inside)).size:
             gens.append(int(outside[0]))
-            columns = self.product_columns(gens)
+            columns = np.hstack([columns, self.product_columns(gens[-1:])])
             frontier = np.flatnonzero(inside)
             while frontier.size:
                 # the new products, sorted and distinct, by a mask: a bare

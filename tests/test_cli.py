@@ -396,6 +396,32 @@ def test_bad_input_aborts_before_running(argv, tmp_path, monkeypatch, capsys):
     assert captured.err.count("\n") == 1
 
 
+REFUSED_REPORT = "/proc/self/chardeg-report.json"
+
+
+@pytest.mark.skipif(not Path("/proc/self").is_dir(),
+                    reason="writes a report into the /proc pseudo-filesystem")
+@pytest.mark.parametrize("argv, first_line", [
+    (["psl2", "--report", REFUSED_REPORT], "PASS          sec5-6/psl2-degree-sums"),
+    (["analyze-group", "--group-spec", "c2.json", "--report", REFUSED_REPORT],
+     "group C2: order 2"),
+], ids=["claims", "analyze-group"])
+def test_report_the_system_refuses_is_one_output_error(argv, first_line, tmp_path,
+                                                        monkeypatch, capsys):
+    # /proc/self is a directory, so the path passes the check before the
+    # claims run, but no file can be created in it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c2.json").write_text(json.dumps({
+        "name": "C2", "kind": "permutation", "degree": 2, "generators": [[1, 0]]}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith(first_line)
+    assert captured.err.startswith(f"output error: cannot write report {REFUSED_REPORT!r}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_claim_exception_is_reported_and_the_rest_still_run(tmp_path, monkeypatch, capsys):
     def broken(cfg):
         raise RuntimeError("boom")

@@ -203,6 +203,50 @@ def test_cayley_table_matches_element_products():
         assert [g.mult(0, j) for j in identity] == identity
 
 
+class _CountedGathers:
+    """A stand-in for GroupTable._right that counts its gathers."""
+
+    def __init__(self, right):
+        self.right, self.shape, self.gathers = right, right.shape, 0
+
+    def __getitem__(self, key):
+        self.gathers += 1
+        return self.right[key]
+
+
+def test_product_columns_start_from_the_nearest_written_column():
+    # C60's class representatives are 0..59, each the parent of the next:
+    # one gather each from the column before (1,770 from the identity)
+    g = ge.cyclic_group(60)
+    reps = [c[0] for c in g.conjugacy_classes()]
+    g._right = _CountedGathers(g._right)
+    columns = g.product_columns(reps)
+    assert g._right.gathers <= 60
+    assert columns.T.tolist() == [[(x + z) % 60 for x in range(60)] for z in reps]
+    # any order and repeats: each column is the one built alone
+    for g in (ge.symmetric_group(4), ge.build_example_group("heisenberg", 9)):
+        zs = [g.order - 1, 5, 0, g.order - 1, 1, 17, 5]
+        alone = np.hstack([g.product_columns([z]) for z in zs])
+        assert (g.product_columns(zs) == alone).all()
+        assert g.product_columns(np.array(zs)).dtype == np.int16
+
+
+def test_generated_subgroups_build_each_generator_column_once(monkeypatch):
+    g = ge.alternating_group(7)
+    built = []
+    product_columns = ge.GroupTable.product_columns
+
+    def counted(self, zs):
+        built.extend(int(z) for z in zs)
+        return product_columns(self, zs)
+
+    monkeypatch.setattr(ge.GroupTable, "product_columns", counted)
+    for idxs in (g.conjugacy_classes()[1], range(g.order)):
+        built.clear()
+        inside, gens = g._generate(idxs)
+        assert built == gens and inside.sum() == g.order
+
+
 def test_character_table_holds_no_order_squared_array():
     # closure, Dixon, the gagola analysis (minimal normal subgroups) and the
     # derived series together stay below the n**2 * 2 bytes of one int16
@@ -657,6 +701,21 @@ def test_evaluation_and_relations_peak_at_a_few_bytes_per_coefficient():
         tracemalloc.stop()
     k, m = table.num_classes, table.exponent
     assert peak < 4 * k * k * m, (peak, k, m)
+
+
+def test_evaluation_builds_nothing_of_the_tables_shape():
+    # the sign test is one minimum and the stability check compares a few
+    # classes at a time: the peak stays below two int8 copies of values
+    for g in (ge.cyclic_group(60), ge.dihedral_group(63)):
+        table = ge.dixon_character_table(g)
+        tracemalloc.start()
+        try:
+            table.evaluations()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        k, m = table.num_classes, table.exponent
+        assert peak < 2 * k * k * m, (g.order, peak, k, m)
 
 
 def test_evaluations_run_over_every_primitive_root():
