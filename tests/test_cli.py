@@ -9,6 +9,9 @@ from pathlib import Path
 import pytest
 
 from chardeg import cli, lie, symalt
+from chardeg.claims import (
+    CLAIMS, FAIL, PASS, WITNESS_QS, _CLAIM_MAP, RunConfig, _check_part3, _witness_group,
+    ingest_degree_records, run_claims)
 from chardeg.psl2 import psl2_degrees
 
 TORUS_TABLE = str(Path(__file__).parent.parent / "data" / "torus_orders.json")
@@ -22,7 +25,7 @@ def test_ingest_valid_records(tmp_path):
         '{"name": "C2", "order": 2, "degrees": [[1, 2]]}\n'
         '{"name": "PSL2_7", "order": 168, "degrees": '
         '[[1, 1], [3, 2], [6, 1], [7, 1], [8, 1]]}\n')
-    records = cli.ingest_degree_records(path)
+    records = ingest_degree_records(path)
     assert [r.name for r in records] == ["C2", "PSL2_7"]
     assert records[1].degrees.entries == psl2_degrees(7).entries
 
@@ -31,7 +34,7 @@ def test_ingest_rejects_order_mismatch(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"name": "X", "order": 11, "degrees": [[1, 2], [2, 2]]}\n')
     with pytest.raises(ValueError, match="X"):
-        cli.ingest_degree_records(path)
+        ingest_degree_records(path)
 
 
 def test_ingest_rejects_duplicates_and_parse_errors(tmp_path):
@@ -39,11 +42,11 @@ def test_ingest_rejects_duplicates_and_parse_errors(tmp_path):
     path.write_text('{"name": "A", "order": 1, "degrees": [[1, 1]]}\n'
                     '{"name": "A", "order": 1, "degrees": [[1, 1]]}\n')
     with pytest.raises(ValueError, match="duplicate"):
-        cli.ingest_degree_records(path)
+        ingest_degree_records(path)
     path2 = tmp_path / "parse.jsonl"
     path2.write_text("not json\n")
     with pytest.raises(ValueError, match="parse.jsonl:1"):
-        cli.ingest_degree_records(path2)
+        ingest_degree_records(path2)
 
 
 @pytest.mark.parametrize("record", [
@@ -56,7 +59,7 @@ def test_ingest_rejects_non_integer_fields(record, tmp_path, capsys):
     path = tmp_path / "typed.jsonl"
     path.write_text(record + "\n")
     with pytest.raises(ValueError, match=r"typed\.jsonl:1: expected a string name"):
-        cli.ingest_degree_records(path)
+        ingest_degree_records(path)
     assert cli.main(["epsilon", "--degrees", str(path)]) == 1
     out = capsys.readouterr().out
     assert "typed.jsonl:1" in out and "error" not in out.lower()
@@ -73,7 +76,7 @@ def test_ingest_rejects_non_positive_degrees_and_multiplicities(record, tmp_path
     path = tmp_path / "signs.jsonl"
     path.write_text(record + "\n")
     with pytest.raises(ValueError, match=r"signs\.jsonl:1: degrees and multiplicities must be positive"):
-        cli.ingest_degree_records(path)
+        ingest_degree_records(path)
     assert cli.main(["epsilon", "--degrees", str(path)]) == 1
     assert "signs.jsonl:1: degrees and multiplicities must be positive" in capsys.readouterr().out
 
@@ -86,7 +89,7 @@ def test_ingest_accepts_the_benchmark_degree_records(tmp_path):
     rows = groups.degree_records(23)
     path = tmp_path / "records.jsonl"
     path.write_text("".join(json.dumps(row) + "\n" for row in rows))
-    assert [r.name for r in cli.ingest_degree_records(path)] == [r["name"] for r in rows]
+    assert [r.name for r in ingest_degree_records(path)] == [r["name"] for r in rows]
 
 
 def test_e_of_command(capsys):
@@ -143,8 +146,10 @@ def _fresh(code: str, **env: str):
 
 
 def _modules_after(code: str) -> set[str]:
-    """The modules loaded once `code` has run in a fresh interpreter."""
-    return set(_fresh(code + "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"))
+    """The modules loaded once `code` has run in a fresh interpreter, listed
+    before json is imported to print them."""
+    return set(_fresh(code + "\nimport sys; modules = sorted(sys.modules)\n"
+                      "import json; print(json.dumps(modules))"))
 
 
 HEAVY_MODULES = ("numpy", "chardeg.groupengine", "concurrent.futures", "multiprocessing")
@@ -174,6 +179,16 @@ CLAIM_MODULES = ("bounds", "degrees", "exactmath", "gf2poly", "lie", "partitions
 def test_cli_loads_each_claim_module_when_a_claim_first_uses_it(code, loaded):
     modules = _modules_after(code)
     assert [name for name in CLAIM_MODULES if f"chardeg.{name}" in modules] == loaded
+
+
+def test_importing_the_cli_loads_only_the_command_line():
+    added = _modules_after("import chardeg.cli") - _modules_after("")
+    assert added <= {"__future__", "chardeg", "chardeg.cli", "chardeg.errors"}
+
+
+def test_a_command_that_runs_no_claim_loads_neither_the_claims_nor_json():
+    loaded = _modules_after("from chardeg import cli; cli.main(['e-of', '168', '6'])")
+    assert "chardeg.claims" not in loaded and "json" not in loaded
 
 
 def test_gagola_loads_numpy_and_the_group_engine():
@@ -206,7 +221,7 @@ def test_worker_pool_forks_after_numpy_is_loaded():
     # runs one thread
     code = (
         "import concurrent.futures, os, sys\n"
-        "from chardeg import cli\n"
+        "from chardeg import claims\n"
         "seen = []\n"
         "class Pool:\n"
         "    def __init__(self, max_workers):\n"
@@ -216,8 +231,8 @@ def test_worker_pool_forks_after_numpy_is_loaded():
         "    def __exit__(self, *exc): return False\n"
         "    def map(self, fn, items): return map(fn, items)\n"
         "concurrent.futures.ProcessPoolExecutor = Pool\n"
-        "cli.run_claims(['lem3.2/euler-tail', 'lem7.1/gagola-arithmetic'],\n"
-        "               cli.RunConfig(jobs=2))\n"
+        "claims.run_claims(['lem3.2/euler-tail', 'lem7.1/gagola-arithmetic'],\n"
+        "                  claims.RunConfig(jobs=2))\n"
         "assert seen == [(True, 1)], seen\n")
     assert "numpy" in _modules_after(code)
 
@@ -225,13 +240,13 @@ def test_worker_pool_forks_after_numpy_is_loaded():
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="runs each claim in a forked child")
 def test_worker_pool_forks_after_the_claims_modules_are_loaded(tmp_path):
     # each claim runs in a child forked from a process that has loaded only
-    # chardeg.cli, beside a claim that imports nothing; every chardeg module
+    # chardeg.claims, beside a claim that imports nothing; every chardeg module
     # it loads must already be loaded when the stand-in pool is created
     degrees = tmp_path / "records.jsonl"
     degrees.write_text('{"name": "C2", "order": 2, "degrees": [[1, 2]]}\n')
     code = (
         "import concurrent.futures, json, os, sys\n"
-        "from chardeg import cli\n"
+        "from chardeg import claims\n"
         "def chardeg_modules():\n"
         "    return {m for m in sys.modules if m.startswith('chardeg.')}\n"
         "seen = []\n"
@@ -241,14 +256,14 @@ def test_worker_pool_forks_after_the_claims_modules_are_loaded(tmp_path):
         "    def __exit__(self, *exc): return False\n"
         "    def map(self, fn, items): return map(fn, items)\n"
         "concurrent.futures.ProcessPoolExecutor = Pool\n"
-        f"cfg = cli.RunConfig(torus_table={TORUS_TABLE!r}, degrees_path={str(degrees)!r},"
+        f"cfg = claims.RunConfig(torus_table={TORUS_TABLE!r}, degrees_path={str(degrees)!r},"
         " jobs=2)\n"
         "late = {}\n"
-        "for claim in cli._CLAIM_MAP:\n"
+        "for claim in claims._CLAIM_MAP:\n"
         "    read, write = os.pipe()\n"
         "    if os.fork() == 0:\n"
         "        try:\n"
-        "            reports = cli.run_claims([claim, 'lem5.1/extendible-witness'], cfg)\n"
+        "            reports = claims.run_claims([claim, 'lem5.1/extendible-witness'], cfg)\n"
         "            result = [[r.status for r in reports],\n"
         "                      sorted(chardeg_modules() - seen[0])]\n"
         "        except Exception as exc:\n"
@@ -294,6 +309,16 @@ def test_missing_torus_table_aborts_before_running(capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag, what", [("--torus-table", "torus table"),
+                                        ("--degrees", "degree file")])
+def test_an_input_path_that_is_a_directory_is_not_a_file(flag, what, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["poly", flag, str(tmp_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == (
+        "", f"configuration error: {what} {str(tmp_path)!r} is not a file\n")
+
+
 @pytest.mark.parametrize("table, key", [
     ({"2A/8/2": 5.5}, "2A/8/2"),
     ({"2A/8/2": 6561}, "2A/8/2"),
@@ -323,14 +348,14 @@ def test_bad_torus_table_fails_the_twisted_claim(table, key, tmp_path, capsys):
 
 
 def test_part3_checks_every_shape_and_names_each_failure(monkeypatch):
-    assert cli._check_part3(cli.RunConfig()) == (
-        cli.PASS, ["shapes=1539", "ns=[9, 10, 11]", "r<=3", "failures=[]"])
+    assert _check_part3(RunConfig()) == (
+        PASS, ["shapes=1539", "ns=[9, 10, 11]", "r<=3", "failures=[]"])
     bad = lie.make_shape("O-", 11, 2, 1, [(3, 3, -1)])
     true_degree = lie.semisimple_degree
     monkeypatch.setattr(lie, "semisimple_degree",
                         lambda shape: true_degree(shape) * (1 << 200 if shape == bad else 1))
-    assert cli._check_part3(cli.RunConfig()) == (
-        cli.FAIL, ["shapes=1539", "ns=[9, 10, 11]", "r<=3", f"failures={[str(bad)]}"])
+    assert _check_part3(RunConfig()) == (
+        FAIL, ["shapes=1539", "ns=[9, 10, 11]", "r<=3", f"failures={[str(bad)]}"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -348,6 +373,8 @@ def test_part3_checks_every_shape_and_names_each_failure(monkeypatch):
     ["verify-all", "--jobs", "0"],
     ["lie38", "--jobs", "-3"],
     ["epsilon", "--degrees", "missing.jsonl"],
+    ["poly", "--degrees", "."],
+    ["seitz", "--torus-table", "."],
     ["analyze-group", "--group-spec", "list-name.json"],
     ["analyze-group", "--group-spec", "bool-degree.json"],
     ["analyze-group", "--group-spec", "bool-entry.json"],
@@ -426,7 +453,7 @@ def test_claim_exception_is_reported_and_the_rest_still_run(tmp_path, monkeypatc
     def broken(cfg):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli._CLAIM_MAP, "lem5.1/extendible-witness", broken)
+    monkeypatch.setitem(_CLAIM_MAP, "lem5.1/extendible-witness", broken)
     report = tmp_path / "psl2.json"
     assert cli.main(["psl2", "--report", str(report)]) == 1
     assert "ERROR" in capsys.readouterr().out
@@ -541,7 +568,7 @@ def test_rho_direct_checks_every_certificate(n, bad_lam, monkeypatch):
     else:
         certs[n] = bad_lam
     monkeypatch.setattr(symalt, "rho_certificates", lambda: list(certs.items()))
-    [report] = cli.run_claims(["thm2.1/rho-direct"], cli.RunConfig())
+    [report] = run_claims(["thm2.1/rho-direct"], RunConfig())
     assert report.status == "fail"
     assert report.witnesses[1] == f"failures={[n]}"
 
@@ -561,7 +588,7 @@ def test_degree_record_breaking_the_quartic_bound_fails(order, degrees, reason,
 
 
 def test_claim_registry_is_consistent():
-    claims = [claim for claim, _ in cli.CLAIMS]
+    claims = [claim for claim, _ in CLAIMS]
     assert len(claims) == len(set(claims))
     assert cli.SUBCOMMAND_CLAIMS["verify-all"] == claims
     for name, subset in cli.SUBCOMMAND_CLAIMS.items():
@@ -571,8 +598,8 @@ def test_claim_registry_is_consistent():
 def test_parallel_jobs_agree_with_serial(capsys):
     # gagola-arithmetic builds groups, so the pool forks after numpy loads
     claims = ["lem3.2/euler-tail", "lem3.5/composition-bound", "lem7.1/gagola-arithmetic"]
-    serial = cli.run_claims(claims, cli.RunConfig(jobs=1))
-    parallel = cli.run_claims(claims, cli.RunConfig(jobs=2))
+    serial = run_claims(claims, RunConfig(jobs=1))
+    parallel = run_claims(claims, RunConfig(jobs=2))
     assert [(r.claim, r.status, r.witnesses) for r in serial] == \
         [(r.claim, r.status, r.witnesses) for r in parallel]
 
@@ -600,7 +627,7 @@ def test_worker_pool_is_capped_at_the_number_of_claims(jobs, pool_sizes, monkeyp
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda max_workers: _RecordingPool(sizes, max_workers))
     claims = ["lem3.2/euler-tail", "lem3.5/composition-bound", "lem5.1/extendible-witness"]
-    reports = cli.run_claims(claims, cli.RunConfig(jobs=jobs))
+    reports = run_claims(claims, RunConfig(jobs=jobs))
     assert sizes == pool_sizes
     assert [(r.claim, r.status) for r in reports] == [(c, "pass") for c in claims]
 
@@ -612,15 +639,15 @@ def test_gagola_claims_build_each_witness_group_once(monkeypatch):
     build = groupengine.build_example_group
     monkeypatch.setattr(groupengine, "build_example_group",
                         lambda family, q: built.append((family, q)) or build(family, q))
-    cli._witness_group.cache_clear()
+    _witness_group.cache_clear()
     try:
-        reports = cli.run_claims(cli.SUBCOMMAND_CLAIMS["gagola"], cli.RunConfig())
+        reports = run_claims(cli.SUBCOMMAND_CLAIMS["gagola"], RunConfig())
     finally:
-        cli._witness_group.cache_clear()
+        _witness_group.cache_clear()
     assert [r.status for r in reports] == ["pass", "pass"]
-    assert built == [("isaacs_K", q) for q in cli.WITNESS_QS]
+    assert built == [("isaacs_K", q) for q in WITNESS_QS]
 
 
 def test_run_claims_rejects_fewer_than_one_job():
     with pytest.raises(ValueError, match="jobs"):
-        cli.run_claims(["lem3.2/euler-tail"], cli.RunConfig(jobs=0))
+        run_claims(["lem3.2/euler-tail"], RunConfig(jobs=0))

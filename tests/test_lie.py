@@ -6,7 +6,7 @@ from math import isqrt, prod
 
 import pytest
 
-from chardeg.cli import LIE_MAX_Q, LIE_MAX_RANK, SITUATION_MAX_DK, SITUATION_NS
+from chardeg.claims import LIE_MAX_Q, LIE_MAX_RANK, SITUATION_MAX_DK, SITUATION_NS
 from chardeg.errors import ExcludedCaseError
 from chardeg.exactmath import p_part
 from chardeg.lie import (
@@ -556,7 +556,7 @@ def test_situation_ratios_compute_each_distinct_degree_once(monkeypatch):
 def test_part3_and_part4_compute_each_order_once(monkeypatch):
     # gl_order and ambient_order are cached, so the two claims together
     # order each distinct (d, k, eps) triple and each ambient group once
-    import chardeg.cli as cli
+    import chardeg.claims as claims
     import chardeg.lie as lie
 
     calls = []
@@ -565,8 +565,8 @@ def test_part3_and_part4_compute_each_order_once(monkeypatch):
                         lambda *args: calls.append(args) or true_order(*args))
     gl_order.cache_clear()
     ambient_order.cache_clear()
-    assert cli._check_part3(cli.RunConfig())[0] == cli.PASS
-    assert cli._check_situations(cli.RunConfig())[0] == cli.PASS
+    assert claims._check_part3(claims.RunConfig())[0] == claims.PASS
+    assert claims._check_situations(claims.RunConfig())[0] == claims.PASS
     triples, ambients = gl_order.cache_info(), ambient_order.cache_info()
     assert triples.hits > 100 * triples.currsize
     assert len(calls) <= triples.currsize + ambients.currsize

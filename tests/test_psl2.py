@@ -1,6 +1,6 @@
 import pytest
 
-from chardeg import cli
+from chardeg import claims
 from chardeg.bounds import epsilon_of, simple_bound_report
 from chardeg.degrees import DegreeMultiset
 from chardeg.errors import UnsupportedFamilyError
@@ -186,13 +186,13 @@ def test_theta2_stabilizer_sweep():
 def test_wrong_class_entry_fails_the_degree_sum_claim(monkeypatch):
     wrong = {**CLASSES["1 mod 4"], "chi": ((1, 1, 1), (1, -1, 4), 2)}
     monkeypatch.setitem(CLASSES, "1 mod 4", wrong)
-    [report] = cli.run_claims(["sec5-6/psl2-degree-sums"], cli.RunConfig())
-    assert (report.status, report.witnesses[-1]) == (cli.FAIL, "failures=['1 mod 4']")
+    [report] = claims.run_claims(["sec5-6/psl2-degree-sums"], claims.RunConfig())
+    assert (report.status, report.witnesses[-1]) == (claims.FAIL, "failures=['1 mod 4']")
 
 
 def test_threshold_below_the_class_start_fails_the_epsilon_claim(monkeypatch):
     # from q = 5 the 1 mod 4 class has no chi character, so its margins fail
-    monkeypatch.setitem(cli.PSL2_CLASS_FROM, "1 mod 4", 5)
-    [report] = cli.run_claims(["thm3.1/epsilon-psl2"], cli.RunConfig())
-    assert report.status == cli.FAIL
+    monkeypatch.setitem(claims.PSL2_CLASS_FROM, "1 mod 4", 5)
+    [report] = claims.run_claims(["thm3.1/epsilon-psl2"], claims.RunConfig())
+    assert report.status == claims.FAIL
     assert "1 mod 4: chi count > 0" in report.witnesses[-1]
