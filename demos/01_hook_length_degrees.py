@@ -11,15 +11,16 @@ standard fillings.
 from math import factorial
 
 from chardeg.partitions import (
-    boundary_nodes, conjugate, hook_degree, hook_lengths, partitions_of,
-    standard_tableaux_count,
+    boundary_nodes, conjugate, hook_degree, partitions_of, standard_tableaux_count,
 )
 
 lam = (4, 2, 1)
-print(f"partition {lam}, transpose {conjugate(lam)}")
-print("hook lengths by (column, row):")
-for node, h in sorted(hook_lengths(lam).items()):
-    print(f"  {node}: {h}")
+conj = conjugate(lam)
+print(f"partition {lam}, transpose {conj}")
+print("hook lengths by (column, row), h(i, j) = 1 + lam[j-1] + conj[i-1] - i - j:")
+for j, lam_j in enumerate(lam, start=1):
+    for i in range(1, lam_j + 1):
+        print(f"  {(i, j)}: {1 + lam_j + conj[i - 1] - i - j}")
 print(f"degree = 7!/prod(hooks) = {hook_degree(lam)}")
 print(f"standard fillings counted directly: {standard_tableaux_count(lam)}")
 

@@ -7,9 +7,15 @@ the maximum, over the maximum squared) exceeds 1, which forces the order
 between 2*b**2 and 2*e**2.
 """
 
+import json
+from fractions import Fraction
+
 from chardeg.bounds import e_of, epsilon_of, simple_bound_report
+from chardeg.claims import PSL2_CLASS_FROM
+from chardeg.exactmath import positive_from, positivity_certificate
 from chardeg.psl2 import (
-    extendible_witness_even, psl2_degrees, psl2_order, theta2_stabilizer_odd,
+    class_polynomials, extendible_witness_even, psl2_degrees, psl2_order,
+    theta2_stabilizer_odd,
 )
 
 for q in (5, 7, 8, 9, 11, 13):
@@ -36,3 +42,11 @@ for q in (5, 7, 9):
     ds = psl2_degrees(q)
     dec = e_of(ds.sum_squares, ds.max_degree)
     print(f"  q={q}: |S| = {dec.order}, b = {dec.d}, e = {dec.e}")
+
+print("\nevery q = 3 mod 4 at once: the margin 2e^2 - |S| as a polynomial in q,")
+print("certified positive from q = 7 on and re-checked from its JSON alone")
+cls = "3 mod 4"
+cert = positivity_certificate(class_polynomials(cls)["margins"]["order < 2e^2"],
+                              PSL2_CLASS_FROM[cls])
+print(f"  {json.dumps(cert)}")
+print(f"  re-check: {positive_from([Fraction(c) for c in cert['poly']], Fraction(cert['from']))}")

@@ -8,8 +8,8 @@ reversal), and both are validated against brute-force enumeration.
 """
 
 from chardeg.gf2poly import (
-    count_irreducible_monic, count_self_reciprocal, f_pool_size,
-    irreducible_polys, poly_reciprocal, poly_to_hex,
+    count_irreducible_monic, count_self_reciprocal, irreducible_polys,
+    reciprocal_pair_count, srim_count_of_degree,
 )
 
 print("irreducible counts n_d and the lower bound 4 d n_d >= 3 * 2^d:")
@@ -26,10 +26,12 @@ for d in range(1, 11):
 
 print("\nthe degree-6 self-reciprocal irreducibles, as hex bit strings:")
 for f in irreducible_polys(6):
-    if f == poly_reciprocal(f):
-        print(f"  {poly_to_hex(f)}")
+    bits = format(f, "b")
+    if bits == bits[::-1]:
+        print(f"  {f:x}")
 
 print("\npolynomial pools (reversal pairs plus self-reciprocal irreducibles):")
 for d0 in range(2, 11):
-    print(f"  d0={d0:2d}: pool size {f_pool_size(d0):4d} "
+    pool = reciprocal_pair_count(d0) + srim_count_of_degree(d0)
+    print(f"  d0={d0:2d}: pool size {pool:4d} "
           f">= n_d0/2 = {count_irreducible_monic(d0) / 2}")

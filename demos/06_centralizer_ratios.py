@@ -12,8 +12,8 @@ the doubled unitary merge), uniformly over the sweep.
 from fractions import Fraction
 
 from chardeg.lie import (
-    applicable_situations, centralizer_order, iter_situation_ratios,
-    make_shape, semisimple_degree, situation_ratio,
+    centralizer_order, comparison_shapes, iter_situation_ratios, make_shape,
+    semisimple_degree, situation_ratio,
 )
 
 shape = make_shape("O+", 12, 2, 1, [(4, 1, 1), (3, 1, 1), (2, 1, 1), (1, 1, 1)])
@@ -23,7 +23,7 @@ print(f"centralizer order {centralizer_order(shape)}")
 print(f"attached degree has {semisimple_degree(shape).bit_length()} bits")
 
 for i, j in ((1, 2), (1, 3), (2, 4)):
-    sits = applicable_situations(shape, i, j)
+    sits = [s for s, _ in comparison_shapes(shape, i, j)]
     print(f"pair ({i},{j}): applicable situations {sits}")
     for s in sits:
         ratio = situation_ratio(shape, i, j, s)

@@ -223,18 +223,19 @@ def _check_extendible_witness(cfg: RunConfig):
 
 
 def _check_theta2_stabilizer(cfg: RunConfig):
-    from .exactmath import positive_from
+    from .exactmath import positive_from, positivity_certificate
 
     # for odd p, f >= 2 and 1 <= k < f, 0 < 2(p**k -+ 1) < p**f + 1, as
     # p**(f-1) * (p - 2) >= p(p - 2) > 1; so p**f + 1 divides neither
-    bad = [] if positive_from([-1, -2, 1], 3) else ["p^2-2p-1"]
+    poly = [-1, -2, 1]
+    bad = [] if positive_from(poly, 3) else ["p^2-2p-1"]
     return (FAIL if bad else PASS), [
-        "every odd q>=5", {"p^2-2p-1": ["-1", "-2", "1"], "from": 3}, f"failures={bad}"]
+        "every odd q>=5", {"p^2-2p-1": positivity_certificate(poly, 3)}, f"failures={bad}"]
 
 
 def _check_epsilon_psl2(cfg: RunConfig):
     from . import bounds, psl2
-    from .exactmath import positive_from
+    from .exactmath import positive_from, positivity_certificate
 
     rep = bounds.simple_bound_report(psl2.psl2_degrees(5))
     bad = [] if rep.epsilon_gt_1 and rep.chain_ok else [5]
@@ -242,7 +243,7 @@ def _check_epsilon_psl2(cfg: RunConfig):
     for c, q0 in PSL2_CLASS_FROM.items():
         margins = psl2.class_polynomials(c)["margins"]
         bad += [f"{c}: {k}" for k, poly in margins.items() if not positive_from(poly, q0)]
-        certs[c] = {"from": q0, "margins": {k: list(map(str, v)) for k, v in margins.items()}}
+        certs[c] = {k: positivity_certificate(poly, q0) for k, poly in margins.items()}
     return (FAIL if bad else PASS), ["every q>=4", "q=5 by its degrees", certs, f"failures={bad}"]
 
 

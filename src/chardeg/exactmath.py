@@ -145,6 +145,16 @@ def pow_compare(a: int, x: int, b: int, y: int) -> int:
     return EQUAL
 
 
+def poly_add(*polys: list) -> list:
+    """Sum of polynomials given as ascending coefficient lists of any
+    lengths; poly_add() is [] and poly_add(p) equals p."""
+    out = [0] * max(map(len, polys), default=0)
+    for p in polys:
+        for i, c in enumerate(p):
+            out[i] += c
+    return out
+
+
 def poly_mul(*factors: list) -> list:
     """Product of polynomials given as ascending coefficient lists."""
     out = [1]
@@ -157,15 +167,29 @@ def poly_mul(*factors: list) -> list:
     return out
 
 
-def positive_from(coeffs: list, x0) -> bool:
-    """Certify P(x) > 0 for every real x >= x0, P given by ascending
-    coefficients: P(x0 + s), expanded by Taylor shift, must have a positive
-    constant term and no negative coefficient."""
+def taylor_shift(coeffs: list, x0) -> list:
+    """Ascending coefficients in s of P(x0 + s), P given by ascending
+    coefficients, by repeated synthetic division by x - x0."""
     c = list(coeffs)
     for i in range(len(c) - 1):
         for j in range(len(c) - 2, i - 1, -1):
             c[j] += x0 * c[j + 1]
+    return c
+
+
+def positive_from(coeffs: list, x0) -> bool:
+    """Certify P(x) > 0 for every real x >= x0, P given by ascending
+    coefficients: P(x0 + s) must have a positive constant term and no
+    negative coefficient."""
+    c = taylor_shift(coeffs, x0)
     return bool(c) and c[0] > 0 and min(c) >= 0
+
+
+def positivity_certificate(coeffs: list, x0: int) -> dict:
+    """What `positive_from(coeffs, x0)` decides, as JSON data with each
+    coefficient written as its string; `positive_from([Fraction(c) for c in
+    cert["poly"]], Fraction(cert["from"]))` re-checks it."""
+    return {"poly": [str(c) for c in coeffs], "from": x0}
 
 
 def iroot(m: int, k: int) -> int:

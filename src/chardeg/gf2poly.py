@@ -2,17 +2,17 @@
 
 Polynomials are encoded as nonnegative integers: bit i is the coefficient of
 x**i, so the constant term is the lowest bit and a monic polynomial has its
-top bit set.  Serialization uses the hexadecimal form of that integer.
+top bit set.
 
 Besides the ring operations, among them squaring by spreading the bits of
 a polynomial apart, the module provides Rabin's irreducibility test for a
 single polynomial (its repeated squarings use that spreading), the list of
 all irreducibles of one degree by a product sieve over numpy int64 arrays
-(exact: only shifts and XOR), the reciprocal map (coefficient reversal),
-Moebius counting of irreducibles, and the count of self-reciprocal
-irreducibles of a given even degree in both a closed form and a brute-force
-mode that must agree; the brute force tests only palindromes with an odd
-number of terms, since x + 1 divides the others.
+(exact: only shifts and XOR), Moebius counting of irreducibles, and the
+count of self-reciprocal irreducibles of a given even degree in both a
+closed form and a brute-force mode that must agree; the brute force tests
+only palindromes with an odd number of terms, since x + 1 divides the
+others.
 """
 
 from __future__ import annotations
@@ -34,24 +34,6 @@ def poly_degree(f: int) -> int:
     if f <= 0:
         raise ValueError("degree of the zero polynomial is undefined")
     return f.bit_length() - 1
-
-
-def poly_from_coeffs(coeffs) -> int:
-    """Build a polynomial from its coefficient bits, constant term first."""
-    f = 0
-    for i, c in enumerate(coeffs):
-        if c not in (0, 1):
-            raise ValueError("coefficients must be bits")
-        f |= c << i
-    return f
-
-
-def poly_to_hex(f: int) -> str:
-    return format(f, "x")
-
-
-def poly_from_hex(s: str) -> int:
-    return int(s, 16)
 
 
 def poly_mul(a: int, b: int) -> int:
@@ -83,22 +65,6 @@ def poly_gcd(a: int, b: int) -> int:
     while b:
         a, b = b, poly_mod(a, b)
     return a
-
-
-def poly_reciprocal(f: int) -> int:
-    """Reverse the coefficient sequence; the roots become their inverses.
-
-    Requires a nonzero constant term, otherwise zero would be a root and the
-    reversal would not be monic of the same degree.
-    """
-    if f <= 0 or not f & 1:
-        raise ValueError("reciprocal requires a nonzero constant term")
-    n = f.bit_length()
-    r = 0
-    for i in range(n):
-        if (f >> i) & 1:
-            r |= 1 << (n - 1 - i)
-    return r
 
 
 def poly_is_irreducible(f: int) -> bool:
@@ -240,10 +206,3 @@ def reciprocal_pair_count(d: int) -> int:
     if d == 1:
         n_d -= 1  # drop x, whose constant term is zero
     return (n_d - srim_count_of_degree(d)) // 2
-
-
-def f_pool_size(d0: int) -> int:
-    """Size of the polynomial pool of parameter d0: products g * g~ with g of
-    degree d0 not equal to its reversal, together with the self-reciprocal
-    irreducibles of degree d0."""
-    return reciprocal_pair_count(d0) + srim_count_of_degree(d0)

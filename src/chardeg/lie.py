@@ -535,10 +535,6 @@ def comparison_shapes(shape: CentralizerShape, i: int,
     return out
 
 
-def applicable_situations(shape: CentralizerShape, i: int, j: int) -> list[str]:
-    return [situation for situation, _ in comparison_shapes(shape, i, j)]
-
-
 # ---------------------------------------------------------------------------
 # Shape generation: availability of polynomials bounds how many factors of a
 # given (d, eps) type can coexist in a genuine centralizer.

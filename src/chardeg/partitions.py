@@ -81,17 +81,6 @@ def _conjugate(lam: Partition) -> Partition:
     return tuple(out)
 
 
-def hook_lengths(lam: Partition) -> dict[Node, int]:
-    """Hook length of every node of the diagram, keyed by (column, row)."""
-    lam = check_partition(lam)
-    conj = _conjugate(lam)
-    hooks = {}
-    for j, lam_j in enumerate(lam, start=1):
-        for i in range(1, lam_j + 1):
-            hooks[(i, j)] = 1 + lam_j + conj[i - 1] - i - j
-    return hooks
-
-
 def _hook_product(lam: Partition, conj: Partition) -> int:
     """Product of all hook lengths of lam, whose conjugate is conj."""
     return prod(

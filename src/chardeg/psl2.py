@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .degrees import DegreeMultiset
 from .errors import UnsupportedFamilyError
-from .exactmath import poly_mul, prime_power
+from .exactmath import poly_add, poly_mul, prime_power
 
 # residue class -> family -> (degree, count, step).  Degree and count are
 # (a, b, c), meaning (a*q + b)/c; the indices are step, 2*step, ...,
@@ -56,24 +56,22 @@ def class_polynomials(cls: str) -> dict:
     def lin(t):
         return [Fraction(t[1], t[2]), Fraction(t[0], t[2])]
 
-    def total(*terms):  # the sum of c * product of factors over (c, *factors)
-        ps = [poly_mul([c], *factors) for c, *factors in terms]
-        return [sum(p[i] for p in ps if i < len(p)) for i in range(max(map(len, ps)))]
-
     table = CLASSES[cls]
     b, m = lin(table["chi"][0]), lin(table["chi"][1])
     z = Fraction(1, 1 if cls == "even" else 2)
     per_b = [0, -z, z]  # |G|/b = q(q - 1)/|Z|
     order = poly_mul(per_b, b)
-    e = total((1, per_b), (-1, b))
-    margins = {"epsilon > 1": total((1, order), (-1, m, b, b), (-1, b, b)),
-               "order > 2b^2": total((1, order), (-2, b, b)),
-               "order < 2e^2": total((2, e, e), (-1, order)),
-               "e > b": total((1, e), (-1, b)), "chi count > 0": m}
-    margins.update((f"b > {f} degree", total((1, b), (-1, lin(d))))
+    minus_b = poly_mul([-1], b)
+    e = poly_add(per_b, minus_b)
+    margins = {"epsilon > 1": poly_add(order, poly_mul(minus_b, m, b), poly_mul(minus_b, b)),
+               "order > 2b^2": poly_add(order, poly_mul([-2], b, b)),
+               "order < 2e^2": poly_add(poly_mul([2], e, e), poly_mul([-1], order)),
+               "e > b": poly_add(e, minus_b), "chi count > 0": m}
+    margins.update((f"b > {f} degree", poly_add(b, poly_mul([-1], lin(d))))
                    for f, (d, _, _) in table.items() if f != "chi")
-    squares = [(1, lin(n), lin(d), lin(d)) for d, n, _ in table.values()]
-    return {"order": order, "sum of squares - order": total(*squares, (-1, order)),
+    squares = [poly_mul(lin(n), lin(d), lin(d)) for d, n, _ in table.values()]
+    return {"order": order,
+            "sum of squares - order": poly_add(*squares, poly_mul([-1], order)),
             "margins": margins}
 
 

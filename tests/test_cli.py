@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from chardeg import cli, lie, symalt
 from chardeg.claims import (
     CLAIMS, FAIL, PASS, WITNESS_QS, _CLAIM_MAP, RunConfig, _check_part3, _witness_group,
     ingest_degree_records, run_claims)
+from chardeg.exactmath import positive_from
 from chardeg.psl2 import psl2_degrees
 
 TORUS_TABLE = str(Path(__file__).parent.parent / "data" / "torus_orders.json")
@@ -463,6 +465,32 @@ def test_claim_exception_is_reported_and_the_rest_still_run(tmp_path, monkeypatc
     assert set(statuses) == {"sec5-6/psl2-degree-sums", "lem6.2/theta2-stabilizer",
                              "thm3.1/epsilon-psl2"}
     assert all(status == "pass" for status, _ in statuses.values())
+
+
+def _certificates(node):
+    """Every object of a parsed report whose keys are exactly poly and from."""
+    if isinstance(node, dict) and node.keys() == {"poly", "from"}:
+        yield node
+    elif isinstance(node, (dict, list)):
+        for item in node.values() if isinstance(node, dict) else node:
+            yield from _certificates(item)
+
+
+def _rechecks(cert) -> bool:
+    return positive_from([Fraction(c) for c in cert["poly"]], Fraction(cert["from"]))
+
+
+def test_every_certificate_in_a_report_rechecks_from_the_json_alone(tmp_path):
+    report = tmp_path / "psl2.json"
+    assert cli.main(["psl2", "--report", str(report)]) == 0
+    certs = list(_certificates(json.loads(report.read_text())))
+    # 8, 9 and 9 epsilon-psl2 margins for q even, 3 mod 4 and 1 mod 4, and
+    # the theta2-stabilizer quadratic
+    assert len(certs) == 27
+    assert all(_rechecks(c) for c in certs)
+    lowered = [{**c, "poly": [str(Fraction(c["poly"][0]) - 10**6), *c["poly"][1:]]}
+               for c in certs]
+    assert not any(_rechecks(c) for c in lowered)
 
 
 def test_tracer_hook_points_resolve():

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from chardeg.errors import PrecisionCapError
 from chardeg.exactmath import (
     EQUAL, GREATER, LESS,
-    DyadicInterval, factorize, interval_gt, iroot, is_prime, p_part, poly_mul,
-    positive_from, pow_compare, prime_power, root_interval, sqrt_interval,
+    DyadicInterval, factorize, interval_gt, iroot, is_prime, p_part, poly_add,
+    poly_mul, positive_from, positivity_certificate, pow_compare, prime_power,
+    root_interval, sqrt_interval, taylor_shift,
 )
 
 
@@ -42,6 +43,38 @@ def test_poly_mul():
     assert poly_mul([1, 1], [-1, 1]) == [-1, 0, 1]
     assert poly_mul([Fraction(1, 2)], [0, 2], [3]) == [0, 3]
     assert poly_mul() == [1]
+
+
+def _value(coeffs, x):
+    return sum(c * x**i for i, c in enumerate(coeffs))
+
+
+small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(small_fractions, max_size=6), small_fractions, small_fractions)
+def test_taylor_shift_evaluates_at_x0_plus_s(coeffs, x0, s):
+    assert _value(taylor_shift(coeffs, x0), s) == _value(coeffs, x0 + s)
+
+
+@given(st.lists(st.lists(st.integers(-20, 20), max_size=6), min_size=1, max_size=4))
+def test_poly_add_sums_coefficientwise(polys):
+    total = poly_add(*polys)
+    assert len(total) == max(map(len, polys))
+    assert total == [sum(p[i] for p in polys if i < len(p)) for i in range(len(total))]
+
+
+def test_poly_add_of_no_polynomial_and_of_one():
+    assert poly_add() == []
+    assert poly_add([1, Fraction(1, 2)]) == [1, Fraction(1, 2)]
+    assert poly_add([1, 2], [0, -2]) == [1, 0]  # zero top coefficients are kept
+
+
+def test_positivity_certificate_is_json_that_rechecks():
+    cert = positivity_certificate([Fraction(-5, 4), Fraction(1, 4)], 9)
+    assert cert == {"poly": ["-5/4", "1/4"], "from": 9}
+    assert positive_from([Fraction(c) for c in cert["poly"]], Fraction(cert["from"]))
 
 
 def test_p_part_examples():

@@ -3,30 +3,10 @@ from hypothesis import given, strategies as st
 
 from chardeg.errors import ResourceLimitError
 from chardeg.gf2poly import (
-    count_irreducible_monic, count_self_reciprocal, f_pool_size,
-    irreducible_polys, palindromic_polys, poly_degree, poly_from_coeffs,
-    poly_from_hex, poly_is_irreducible, poly_mod, poly_mul, poly_reciprocal,
-    poly_square, poly_to_hex,
-    reciprocal_pair_count, srim_count_of_degree, SIEVE_MAX_D,
+    count_irreducible_monic, count_self_reciprocal, irreducible_polys,
+    palindromic_polys, poly_degree, poly_is_irreducible, poly_mod, poly_mul,
+    poly_square, reciprocal_pair_count, srim_count_of_degree, SIEVE_MAX_D,
 )
-
-
-def test_reciprocal_examples():
-    assert poly_reciprocal(0b111) == 0b111        # x^2+x+1 palindromic
-    assert poly_reciprocal(0b1011) == 0b1101      # x^3+x+1 -> x^3+x^2+1
-    assert poly_reciprocal(0b11) == 0b11          # x+1
-
-
-def test_reciprocal_rejects_zero_constant_term():
-    with pytest.raises(ValueError):
-        poly_reciprocal(0b10)  # x has root zero
-
-
-@given(st.integers(min_value=1, max_value=2**16 - 1))
-def test_reciprocal_involution(body):
-    f = body | 1  # force a nonzero constant term
-    assert poly_reciprocal(poly_reciprocal(f)) == f
-    assert poly_degree(poly_reciprocal(f)) == poly_degree(f)
 
 
 def test_irreducibility_examples():
@@ -122,15 +102,13 @@ def test_self_reciprocal_irreducibles_have_even_degree():
 
 
 def test_pool_size_against_enumeration():
+    def reversal(f):  # the coefficient sequence of f, read backwards
+        return int(format(f, "b")[::-1], 2)
+
     for d0 in range(1, 11):
         polys = [f for f in irreducible_polys(d0) if f & 1]
-        pairs = sum(1 for f in polys if f < poly_reciprocal(f))
-        srims = sum(1 for f in polys if f == poly_reciprocal(f))
-        assert reciprocal_pair_count(d0) == pairs
-        assert srim_count_of_degree(d0) == srims
-        assert f_pool_size(d0) == pairs + srims
-        # the pool always contains at least half the irreducible count
-        assert 2 * f_pool_size(d0) >= count_irreducible_monic(d0)
+        assert reciprocal_pair_count(d0) == sum(1 for f in polys if f < reversal(f))
+        assert srim_count_of_degree(d0) == sum(1 for f in polys if f == reversal(f))
 
 
 def test_lower_bound_on_irreducible_count():
@@ -143,14 +121,3 @@ def test_lower_bound_on_irreducible_count():
             assert d * n >= 2**d - 2 ** (d // 2 + 1) + 2
             tail = 2 ** (d // 2) * (2 ** ((d + 1) // 2) - 8) + 8
             assert 4 * d * n - 3 * 2**d >= tail > 0
-
-
-def test_hex_round_trip():
-    for f in (0b111, 0b1011, 0b1100101):
-        assert poly_from_hex(poly_to_hex(f)) == f
-
-
-def test_coeff_round_trip():
-    f = poly_from_coeffs([1, 1, 0, 1])
-    assert f == 0b1011
-    assert poly_degree(f) == 3

@@ -11,7 +11,7 @@ from chardeg.errors import ExcludedCaseError
 from chardeg.exactmath import p_part
 from chardeg.lie import (
     AMBIENTS, CentralizerShape, ClassicalFactor, SimpleGroupId,
-    ambient_order, applicable_situations, centralizer_order, comparison_shapes,
+    ambient_order, centralizer_order, comparison_shapes,
     euler_tail_lower, factor_availability, gl_order, iter_simple_ids,
     iter_shapes, iter_situation_instances, iter_situation_ratios,
     k_factor_order, load_torus_table, make_shape, prime_powers_up_to,
@@ -576,7 +576,6 @@ def test_comparison_shapes_agree_with_situation_shape():
     shape = make_shape("Sp", 11, 0, None,
                        [(4, 1, -1), (3, 1, 1), (2, 1, -1), (1, 2, -1)])
     assert comparison_shapes(shape, 3, 4) == [("ii", situation_shape(shape, 3, 4, "ii"))]
-    assert applicable_situations(shape, 3, 4) == ["ii"]
     assert comparison_shapes(shape, 1, 2) == []   # d0 = 7 is odd
 
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chardeg.partitions import (
-    add_node, boundary_nodes, conjugate, hook_degree, hook_lengths,
-    partitions_of, remove_node, standard_tableaux_count,
+    add_node, boundary_nodes, conjugate, hook_degree, partitions_of,
+    remove_node, standard_tableaux_count,
 )
 
 
@@ -34,19 +34,6 @@ def test_conjugate_examples():
 def test_conjugate_involution(lam):
     assert conjugate(conjugate(lam)) == lam
     assert sum(conjugate(lam)) == sum(lam)
-
-
-def test_hook_lengths_examples():
-    assert hook_lengths((1,)) == {(1, 1): 1}
-    assert sorted(hook_lengths((2, 1)).values()) == [1, 1, 3]
-    assert sorted(hook_lengths((3, 2)).values()) == [1, 1, 2, 3, 4]
-
-
-@given(partition_strategy())
-def test_hook_multiset_invariant_under_conjugation(lam):
-    hooks = sorted(hook_lengths(lam).values())
-    assert hooks == sorted(hook_lengths(conjugate(lam)).values())
-    assert all(h >= 1 for h in hooks)
 
 
 def test_hook_degree_examples():
