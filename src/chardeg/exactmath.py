@@ -95,11 +95,7 @@ def prime_power(n: int) -> tuple[int, int]:
 
 
 def is_prime_power(n: int) -> bool:
-    try:
-        prime_power(n)
-        return True
-    except ValueError:
-        return False
+    return n >= 2 and len(factorize(n)) == 1
 
 
 def p_part(n: int, p: int) -> int:

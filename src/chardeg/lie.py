@@ -44,12 +44,53 @@ def _is_odd_power_of(q: int, p: int) -> bool:
     return base == p and f % 2 == 1
 
 
+def not_simple_reason(family: str, rank: int, q: int) -> str | None:
+    """Why (family, rank, q) names no finite simple group of Lie type, or
+    None when it names one.  Rank-one groups over tiny fields and the like
+    are not simple."""
+    fam, n = family, rank
+    if fam not in FAMILIES:
+        return f"unknown family {fam!r}"
+    if not is_prime_power(q):
+        return f"{q} is not a prime power"
+    fixed = _FIXED_RANK.get(fam)
+    if fixed is not None and n != fixed:
+        return f"{fam} has rank {fixed}, got {n}"
+    if fam == "A":
+        if n < 1:
+            return "type A needs rank >= 1"
+        if n == 1 and q in (2, 3):
+            return f"A1({q}) is not simple"
+    elif fam == "2A":
+        if n < 2:
+            return "type 2A needs rank >= 2"
+        if n == 2 and q == 2:
+            return "2A2(2) is not simple"
+    elif fam in ("B", "C"):
+        if n < 2:
+            return f"type {fam} needs rank >= 2"
+        if n == 2 and q == 2:
+            return f"{fam}2(2) is not simple"
+    elif fam in ("D", "2D"):
+        if n < 4:
+            return f"type {fam} needs rank >= 4"
+    elif fam == "G2" and q == 2:
+        return "G2(2) is not simple"
+    elif fam in ("2B2", "2F4"):
+        if not _is_odd_power_of(q, 2) or q < 8:
+            return f"{fam} needs q an odd power of 2, q >= 8"
+    elif fam == "2G2":
+        if not _is_odd_power_of(q, 3) or q < 27:
+            return "2G2 needs q an odd power of 3, q >= 27"
+    return None
+
+
 @dataclass(frozen=True)
 class SimpleGroupId:
     """Symbolic name (family, rank, q) of a finite simple group of Lie type.
 
-    Parameter combinations that fail to be simple (for example rank-one
-    groups over tiny fields) are rejected at construction.
+    A combination that names no simple group is rejected at construction
+    with the reason that `not_simple_reason` gives.
     """
 
     family: str
@@ -57,39 +98,9 @@ class SimpleGroupId:
     q: int
 
     def __post_init__(self):
-        fam, n, q = self.family, self.rank, self.q
-        if fam not in FAMILIES:
-            raise ValueError(f"unknown family {fam!r}")
-        prime_power(q)
-        fixed = _FIXED_RANK.get(fam)
-        if fixed is not None and n != fixed:
-            raise ValueError(f"{fam} has rank {fixed}, got {n}")
-        if fam == "A":
-            if n < 1:
-                raise ValueError("type A needs rank >= 1")
-            if n == 1 and q in (2, 3):
-                raise ValueError(f"A1({q}) is not simple")
-        elif fam == "2A":
-            if n < 2:
-                raise ValueError("type 2A needs rank >= 2")
-            if n == 2 and q == 2:
-                raise ValueError("2A2(2) is not simple")
-        elif fam in ("B", "C"):
-            if n < 2:
-                raise ValueError(f"type {fam} needs rank >= 2")
-            if n == 2 and q == 2:
-                raise ValueError(f"{fam}2(2) is not simple")
-        elif fam in ("D", "2D"):
-            if n < 4:
-                raise ValueError(f"type {fam} needs rank >= 4")
-        elif fam == "G2" and q == 2:
-            raise ValueError("G2(2) is not simple")
-        elif fam in ("2B2", "2F4"):
-            if not _is_odd_power_of(q, 2) or q < 8:
-                raise ValueError(f"{fam} needs q an odd power of 2, q >= 8")
-        elif fam == "2G2":
-            if not _is_odd_power_of(q, 3) or q < 27:
-                raise ValueError("2G2 needs q an odd power of 3, q >= 27")
+        reason = not_simple_reason(self.family, self.rank, self.q)
+        if reason is not None:
+            raise ValueError(reason)
 
     @property
     def characteristic(self) -> int:
@@ -194,10 +205,8 @@ def iter_simple_ids(max_rank: int, q_limit: int) -> Iterator[SimpleGroupId]:
             if n > max_rank:
                 continue
             for q in qs:
-                try:
+                if not_simple_reason(fam, n, q) is None:
                     yield SimpleGroupId(fam, n, q)
-                except ValueError:
-                    continue
 
 
 # ---------------------------------------------------------------------------
@@ -446,68 +455,58 @@ def semisimple_degree(shape: CentralizerShape) -> int:
 SITUATIONS = ("i", "ii", "iii", "iv")
 
 
-def _situation_context(shape: CentralizerShape, i: int, j: int):
-    if shape.r < 4:
-        raise ValueError("situations require at least four GL-type factors")
-    if shape.factors != _canonical(shape.factors):
-        raise ValueError("factors must be in canonical decreasing order")
-    if not (1 <= i < j <= shape.r):
-        raise ValueError(f"need 1 <= i < j <= {shape.r}")
-    fi, fj = shape.factors[i - 1], shape.factors[j - 1]
+def comparison_shapes(shape: CentralizerShape, i: int,
+                      j: int) -> list[tuple[str, CentralizerShape]]:
+    """(situation, shape of the comparison element t) for every merge move
+    that applies to the pair (i, j) of factors, in the order of SITUATIONS.
+
+    A pair admits a move when the shape has r >= 4 factors in canonical
+    order, 1 <= i < j <= r, and the pair dimension d0 = d_i k_i + d_j k_j
+    is even and at least 4.  With eps the product of the pair's signs and
+    rest the other factors:
+    (i)   rest has no (d0, eps) factor: replace the pair by GL-type (d0, 1, eps);
+    (ii)  rest has one: fold the pair into the first such, k -> k + 1;
+    (iii) eps = +1, the ambient is not SL (whose centralizers have no
+          unitary factor), and rest has no (d0/2, -1) factor: replace the
+          pair by the unitary GU_2(2**(d0/2));
+    (iv)  the same, but rest has one: fold the pair into the first such,
+          k -> k + 2.
+    Exactly one of (i), (ii) applies to a pair that admits a move, and at
+    most one of (iii), (iv).
+    """
+    factors = shape.factors
+    if len(factors) < 4 or factors != _canonical(factors) or not 1 <= i < j <= len(factors):
+        return []
+    fi, fj = factors[i - 1], factors[j - 1]
     d0 = fi.ndim + fj.ndim
     if d0 % 2 or d0 < 4:
-        raise ValueError(f"pair dimension d0 = {d0} must be even and >= 4")
-    rest = [f for t, f in enumerate(shape.factors, start=1) if t not in (i, j)]
-    return d0, fi.sign * fj.sign, rest
+        return []
+    rest = [f for t, f in enumerate(factors, start=1) if t not in (i, j)]
+
+    def merge(d: int, eps: int, fresh: str, fold: str, width: int):
+        pos = next((t for t, f in enumerate(rest) if (f.d, f.eps) == (d, eps)), None)
+        if pos is None:
+            return fresh, shape.with_factors(rest + [ClassicalFactor(d, width, eps)])
+        grown = ClassicalFactor(d, rest[pos].k + width, eps)
+        return fold, shape.with_factors(rest[:pos] + [grown] + rest[pos + 1:])
+
+    eps = fi.sign * fj.sign
+    out = [merge(d0, eps, "i", "ii", 1)]
+    if eps == 1 and shape.ambient != "SL":
+        out.append(merge(d0 // 2, -1, "iii", "iv", 2))
+    return out
 
 
 def situation_shape(shape: CentralizerShape, i: int, j: int,
                     situation: str) -> CentralizerShape:
-    """Shape of the comparison element t for one of the four merge moves.
-
-    (i)  replace factors i, j by a fresh GL-type factor of extension d0;
-    (ii) fold them into an existing factor of extension d0, same sign;
-    (iii) replace them by a fresh unitary factor GU_2(2**(d0/2));
-    (iv) fold them into an existing unitary factor of extension d0/2.
-    Moves (iii) and (iv) require the pair signs to multiply to +1.
-    """
+    """The comparison shape of `comparison_shapes(shape, i, j)` for the
+    given situation; a ValueError when that situation does not apply."""
     if situation not in SITUATIONS:
         raise ValueError(f"unknown situation {situation!r}")
-    return _merged_shape(shape, situation, *_situation_context(shape, i, j))
-
-
-def _merged_shape(shape: CentralizerShape, situation: str, d0: int, eps_prod: int,
-                  rest: list) -> CentralizerShape:
-    """`situation_shape` for a pair whose `_situation_context` is given."""
-    if situation == "i":
-        if any(f.d == d0 and f.eps == eps_prod for f in rest):
-            raise ValueError(f"a (d={d0}, eps={eps_prod:+d}) factor is already present")
-        new = rest + [ClassicalFactor(d0, 1, eps_prod)]
-    elif situation == "ii":
-        pos = next((t for t, f in enumerate(rest)
-                    if f.d == d0 and f.eps == eps_prod), None)
-        if pos is None:
-            raise ValueError(f"no (d={d0}, eps={eps_prod:+d}) factor to merge into")
-        old = rest[pos]
-        new = rest[:pos] + [ClassicalFactor(d0, old.k + 1, eps_prod)] + rest[pos + 1:]
-    elif situation == "iii":
-        if eps_prod != 1:
-            raise ValueError("situation iii requires the pair signs to multiply to +1")
-        if any(f.d == d0 // 2 and f.eps == -1 for f in rest):
-            raise ValueError(f"a unitary factor of extension {d0 // 2} is already present")
-        new = rest + [ClassicalFactor(d0 // 2, 2, -1)]
-    else:
-        if eps_prod != 1:
-            raise ValueError("situation iv requires the pair signs to multiply to +1")
-        pos = next((t for t, f in enumerate(rest)
-                    if f.d == d0 // 2 and f.eps == -1), None)
-        if pos is None:
-            raise ValueError(f"no unitary factor of extension {d0 // 2} to merge into")
-        old = rest[pos]
-        new = rest[:pos] + [ClassicalFactor(d0 // 2, old.k + 2, -1)] + rest[pos + 1:]
-    out = shape.with_factors(new)
-    assert out.m + sum(f.ndim for f in out.factors) == out.n
-    return out
+    for name, t_shape in comparison_shapes(shape, i, j):
+        if name == situation:
+            return t_shape
+    raise ValueError(f"situation {situation} does not apply to the pair ({i}, {j})")
 
 
 def situation_ratio(shape: CentralizerShape, i: int, j: int,
@@ -516,23 +515,6 @@ def situation_ratio(shape: CentralizerShape, i: int, j: int,
     as an exact rational."""
     t_shape = situation_shape(shape, i, j, situation)
     return Fraction(semisimple_degree(t_shape), semisimple_degree(shape))
-
-
-def comparison_shapes(shape: CentralizerShape, i: int,
-                      j: int) -> list[tuple[str, CentralizerShape]]:
-    """(situation, comparison shape) for every situation that applies to the
-    pair (i, j), in the order of SITUATIONS; each shape is built once."""
-    try:
-        context = _situation_context(shape, i, j)
-    except ValueError:
-        return []
-    out = []
-    for situation in SITUATIONS:
-        try:
-            out.append((situation, _merged_shape(shape, situation, *context)))
-        except ValueError:
-            continue
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +527,7 @@ def factor_availability(ambient: str, d: int, eps: int) -> int:
     In the symplectic/orthogonal ambients a +1 factor consumes an unordered
     pair {g, g~} of distinct irreducibles of degree d and a -1 factor a
     self-reciprocal irreducible of degree 2d; in the linear ambient each
-    irreducible of degree d except x gives a factor.
+    irreducible of degree d other than x gives a factor.
     """
     if ambient == "SL":
         if eps != 1:

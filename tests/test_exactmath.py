@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from chardeg.errors import PrecisionCapError
 from chardeg.exactmath import (
     EQUAL, GREATER, LESS,
-    DyadicInterval, factorize, interval_gt, iroot, is_prime, p_part, poly_add,
+    DyadicInterval, factorize, interval_gt, iroot, is_prime, is_prime_power, p_part, poly_add,
     poly_mul, positive_from, positivity_certificate, pow_compare, prime_power,
     root_interval, sqrt_interval, taylor_shift,
 )
@@ -148,6 +148,10 @@ def test_prime_power():
         prime_power(12)
     with pytest.raises(ValueError):
         prime_power(1)
+
+
+def test_is_prime_power_is_false_below_two():
+    assert [n for n in range(-4, 10) if is_prime_power(n)] == [2, 3, 4, 5, 7, 8, 9]
 
 
 def test_pow_compare_examples():

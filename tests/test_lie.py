@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import isqrt, prod
 
 import pytest
@@ -10,11 +10,11 @@ from chardeg.claims import LIE_MAX_Q, LIE_MAX_RANK, SITUATION_MAX_DK, SITUATION_
 from chardeg.errors import ExcludedCaseError
 from chardeg.exactmath import p_part
 from chardeg.lie import (
-    AMBIENTS, CentralizerShape, ClassicalFactor, SimpleGroupId,
+    AMBIENTS, FAMILIES, CentralizerShape, ClassicalFactor, SimpleGroupId,
     ambient_order, centralizer_order, comparison_shapes,
     euler_tail_lower, factor_availability, gl_order, iter_simple_ids,
     iter_shapes, iter_situation_instances, iter_situation_ratios,
-    k_factor_order, load_torus_table, make_shape, prime_powers_up_to,
+    k_factor_order, load_torus_table, make_shape, not_simple_reason, prime_powers_up_to,
     random_shape, seitz_check, seitz_ids, semisimple_degree, simple_order,
     simply_connected_order, situation_ratio, situation_shape, split_torus_order,
     steinberg_degree, verify_lie_38,
@@ -93,8 +93,26 @@ def test_non_simple_parameters_rejected():
                          ("C", 2, 2), ("G2", 2, 2), ("2B2", 2, 2),
                          ("2G2", 2, 3), ("2F4", 4, 2), ("2B2", 2, 16),
                          ("D", 3, 2), ("2A", 1, 5)]:
-        with pytest.raises(ValueError):
+        reason = not_simple_reason(fam, rank, q)
+        assert reason
+        with pytest.raises(ValueError) as exc:
             SimpleGroupId(fam, rank, q)
+        assert str(exc.value) == reason
+
+
+def test_iter_simple_ids_matches_constructing_every_candidate():
+    # every (family, rank, q) in range is tried, and the ones the
+    # constructor refuses are skipped
+    expected = []
+    for fam in FAMILIES:
+        for rank in range(1, LIE_MAX_RANK + 1):
+            for q in range(1, LIE_MAX_Q + 1):
+                try:
+                    expected.append(SimpleGroupId(fam, rank, q))
+                except ValueError:
+                    continue
+    assert list(iter_simple_ids(LIE_MAX_RANK, LIE_MAX_Q)) == expected
+    assert all(not_simple_reason(g.family, g.rank, g.q) is None for g in expected)
 
 
 def test_lie_38_examples():
@@ -463,19 +481,35 @@ def test_euler_tail_monotone_and_below_truth():
 
 
 def _reference_situation_instances(ns, ambients=("Sp", "O+", "O-"), r=4, max_dk=6):
-    """The situation enumerator as it was before the availability table, the
-    width pruning and the one-build comparison shapes: availability is
-    recomputed at every step and every situation is tried through
-    `situation_shape`."""
+    """The situation enumerator as it was before the availability table and
+    the width pruning, yielding (shape, i, j, situation, comparison shape):
+    availability is recomputed at every step, and the pair test and the
+    four merge rules are written out here, apart from `comparison_shapes`."""
     def applicable(shape, i, j):
+        fs = [(f.d, f.k, f.eps) for f in shape.factors]
+        if len(fs) < 4:
+            return []
+        (di, ki, ei), (dj, kj, ej) = fs[i - 1], fs[j - 1]
+        d0, eps = di * ki + dj * kj, ei**ki * ej**kj
+        if d0 % 2 or d0 < 4:
+            return []
+        rest = [f for t, f in enumerate(fs, start=1) if t not in (i, j)]
         out = []
-        for situation in ("i", "ii", "iii", "iv"):
-            try:
-                situation_shape(shape, i, j, situation)
-            except ValueError:
-                continue
-            out.append(situation)
-        return out
+        same = [t for t, (d, _, e) in enumerate(rest) if (d, e) == (d0, eps)]
+        if not same:
+            out.append(("i", rest + [(d0, 1, eps)]))
+        else:
+            t = same[0]
+            out.append(("ii", rest[:t] + [(d0, rest[t][1] + 1, eps)] + rest[t + 1:]))
+        if eps == 1 and shape.ambient != "SL":
+            unitary = [t for t, (d, _, e) in enumerate(rest) if (d, e) == (d0 // 2, -1)]
+            if not unitary:
+                out.append(("iii", rest + [(d0 // 2, 2, -1)]))
+            else:
+                t = unitary[0]
+                out.append(("iv", rest[:t] + [(d0 // 2, rest[t][1] + 2, -1)] + rest[t + 1:]))
+        return [(situation, make_shape(shape.ambient, shape.n, shape.m, shape.beta, new))
+                for situation, new in out]
 
     base_types = []
     for d in range(1, max_dk + 1):
@@ -520,11 +554,8 @@ def _reference_situation_instances(ns, ambients=("Sp", "O+", "O-"), r=4, max_dk=
             for shape in shapes:
                 for i in range(1, r + 1):
                     for j in range(i + 1, r + 1):
-                        d0 = shape.factors[i - 1].ndim + shape.factors[j - 1].ndim
-                        if d0 % 2 or d0 < 4:
-                            continue
-                        for situation in applicable(shape, i, j):
-                            yield shape, i, j, situation
+                        for situation, t_shape in applicable(shape, i, j):
+                            yield shape, i, j, situation, t_shape
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -533,12 +564,16 @@ def _reference_situation_instances(ns, ambients=("Sp", "O+", "O-"), r=4, max_dk=
     {"ns": (13,), "ambients": ("O+",), "r": 5, "max_dk": 5},
 ])
 def test_situation_enumerator_matches_reference(kwargs):
-    expected = list(_reference_situation_instances(**kwargs))
+    reference = list(_reference_situation_instances(**kwargs))
+    expected = [row[:4] for row in reference]
     assert expected
     assert list(iter_situation_instances(**kwargs)) == expected
     ratios = list(iter_situation_ratios(**kwargs))
     assert [row[:4] for row in ratios] == expected
-    assert [row[4] for row in ratios] == [situation_ratio(*row) for row in expected]
+    assert [row[4] for row in ratios] == [
+        Fraction(semisimple_degree(t_shape), semisimple_degree(shape))
+        for shape, _, _, _, t_shape in reference]
+    assert [situation_shape(*row) for row in expected] == [row[4] for row in reference]
 
 
 def test_situation_ratios_compute_each_distinct_degree_once(monkeypatch):
@@ -577,6 +612,19 @@ def test_comparison_shapes_agree_with_situation_shape():
                        [(4, 1, -1), (3, 1, 1), (2, 1, -1), (1, 2, -1)])
     assert comparison_shapes(shape, 3, 4) == [("ii", situation_shape(shape, 3, 4, "ii"))]
     assert comparison_shapes(shape, 1, 2) == []   # d0 = 7 is odd
+    shape = make_shape("Sp", 5, 0, None, [(2, 1, 1), (1, 1, 1), (1, 1, -1), (1, 1, -1)])
+    assert comparison_shapes(shape, 2, 3) == []   # d0 = 2 is below 4
+    # two (4, -1) factors: the pair folds into the first in canonical order
+    shape = make_shape("Sp", 16, 0, None, [(4, 2, -1), (4, 1, -1), (2, 1, -1), (2, 1, 1)])
+    assert comparison_shapes(shape, 3, 4) == [
+        ("ii", make_shape("Sp", 16, 0, None, [(4, 3, -1), (4, 1, -1)]))]
+    # the linear ambient has no unitary factor, so no merge (iii) or (iv)
+    shape = make_shape("SL", 10, 0, None, [(4, 1, 1), (3, 1, 1), (2, 1, 1), (1, 1, 1)])
+    for i, j in combinations(range(1, 5), 2):
+        names = [situation for situation, _ in comparison_shapes(shape, i, j)]
+        assert names == {(1, 3): ["i"], (2, 4): ["ii"]}.get((i, j), []), (i, j)
+    with pytest.raises(ValueError):
+        situation_shape(shape, 1, 3, "iii")
 
 
 def test_steinberg_degree_is_the_q_power_part_over_the_lie_38_range():
