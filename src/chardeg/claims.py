@@ -1,15 +1,17 @@
-"""The claims that `chardeg verify-all` checks, each defined once: its id,
-its check and the ranges the check reads.
+"""The claims that `chardeg verify-all` checks, each defined once, in one
+row of `CLAIMS`: its id, its check and the chardeg modules the check reads.
+`verify-all` runs `CLAIMS` in its order, and every other subcommand and
+the tests name claims by their ids in it.
 
 Each check returns pass / fail / inconclusive / out-of-scope together with
 the witnesses it examined; `run_claims` reports a claim that raises as
 error and still runs the others.  Every range is a constant beside the
 check that reads it.  Each check imports the chardeg modules it reads at
 its top, so a claim's seconds include the import of every module it is the
-first to use, and `--jobs` loads the selected claims' modules before the
-pool forks.  This module never imports `chardeg.cli`: run as
-`python -m chardeg.cli`, that module is `__main__`, and importing it again
-would compile it a second time.
+first to use, and `--jobs` loads the selected claims' modules, read from
+their rows, before the pool forks.  This module never imports
+`chardeg.cli`: run as `python -m chardeg.cli`, that module is `__main__`,
+and importing it again would compile it a second time.
 """
 
 from __future__ import annotations
@@ -398,7 +400,7 @@ def _check_equality_family(cfg: RunConfig):
     bad = []
     for q in WITNESS_QS:
         group = _witness_group(q)
-        d = q * (q - 1) if q > 2 else 2
+        d = q * (q - 1)
         if group.order != q**3 * (q - 1):
             bad.append((q, "order"))
             continue
@@ -425,19 +427,54 @@ def _check_gagola_arithmetic(cfg: RunConfig):
     for q in WITNESS_QS:
         group = _witness_group(q)
         p = prime_power(q)[0]
-        d = q * (q - 1) if q > 2 else 2
+        d = q * (q - 1)
         rep = bounds.gagola_arithmetic(group.order, d, q, p, p_part(group.order, p))
         if not (rep.all_pass and rep.order_is_extremal and rep.n_equals_e):
             bad.append(q)
     return (FAIL if bad else PASS), [f"q={list(WITNESS_QS)}", f"failures={bad}"]
 
 
+# e_min, and e_min**2 - 4*bN*bQ as a sum of products of factors {monomial: coefficient}
+COMPOSITION_E_MIN = {"eN*eQ": 1, "eN*bQ": 1, "bN*eQ": 1}
+COMPOSITION_TERMS = (
+    ({"eN*bQ": 1, "bN*eQ": -1}, {"eN*bQ": 1, "bN*eQ": -1}),
+    ({"eN": 1}, {"eQ": 1}, {"eN*eQ": 1, "eN*bQ": 2, "bN*eQ": 2}),
+    ({"1": 4}, {"bN": 1}, {"bQ": 1}, {"eN*eQ": 1, "1": -1}),
+)
+
+
 def _check_composition(cfg: RunConfig):
+    from itertools import product
+    from math import prod
+
     from . import bounds
 
+    def value(factor, at):
+        return sum(c * prod(at[v] for v in m.split("*")) for m, c in factor.items())
+
+    # each side has degree <= 2 in each variable, so {0, 1, 2}^4 decides it
+    names = ("bN", "bQ", "eN", "eQ")
+    bad = [("degree", v) for v in names for t in ((COMPOSITION_E_MIN,) * 2,) + COMPOSITION_TERMS
+           if sum(max(m.split("*").count(v) for m in f) for f in t) > 2]
+    for point in product(range(3), repeat=4):
+        at = {"1": 1, **dict(zip(names, point))}
+        if value(COMPOSITION_E_MIN, at) ** 2 - 4 * at["bN"] * at["bQ"] != sum(
+                prod(value(f, at) for f in t) for t in COMPOSITION_TERMS):
+            bad.append(("identity", point))
+    # where every variable is >= 1, a square is >= 0, and a factor with no
+    # negative coefficient but the constant's is least where every one is 1
+    ones = dict.fromkeys(("1",) + names, 1)
+    rest = [t for t in COMPOSITION_TERMS if len(t) != 2 or t[0] != t[1]]
+    if sum(prod(value(f, ones) for f in t) for t in rest) <= 0 or any(
+            value(f, ones) < 0 or any(c < 0 for m, c in f.items() if m != "1")
+            for t in rest for f in t):
+        bad.append("sign")
     cases = [(5, 7, 5, 7), (8, 13, 8, 13), (1, 1, 1, 1), (5, 7, 8, 13)]
-    bad = [c for c in cases if not bounds.composition_bound(*c).exceeds_2sqrt]
-    return (FAIL if bad else PASS), [f"cases={cases}", f"failures={bad}"]
+    bad += [c for c in cases if not bounds.composition_bound(*c).exceeds_2sqrt]
+    return (FAIL if bad else PASS), [
+        "every bN, bQ, eN, eQ >= 1", "identity on {0,1,2}^4",
+        {"e_min": COMPOSITION_E_MIN, "e_min^2-4*bN*bQ": COMPOSITION_TERMS},
+        f"cases={cases}", f"failures={bad}"]
 
 
 def _check_degree_records(cfg: RunConfig):
@@ -473,60 +510,32 @@ def _check_degree_records(cfg: RunConfig):
         f"e4-bound pairs checked={checked} skipped_e_le_1={skipped}", f"failures={bad}"]
 
 
-CLAIMS: list[tuple[str, object]] = [
-    ("sec2/hook-sum-squares", _check_hook_sum),
-    ("sec2/hook-vs-tableaux", _check_hook_tableaux),
-    ("sec2/branching", _check_branching),
-    ("thm2.1/rho-direct", _check_rho_direct),
-    ("thm2.1/rho-induction", _check_rho_induction),
-    ("thm2.1/lie-38", _check_lie_38),
-    ("sec5-6/psl2-degree-sums", _check_psl2_sums),
-    ("lem5.1/extendible-witness", _check_extendible_witness),
-    ("lem6.2/theta2-stabilizer", _check_theta2_stabilizer),
-    ("thm3.1/epsilon-psl2", _check_epsilon_psl2),
-    ("thm3.1/epsilon-an", _check_epsilon_an),
-    ("lem3.2/euler-tail", _check_euler_tail),
-    ("lem3.3/srim-table", _check_srim_table),
-    ("sec3/nd-counts", _check_nd_counts),
-    ("sec3/seitz-untwisted", _check_seitz_untwisted),
-    ("sec3/seitz-twisted", _check_seitz_twisted),
-    ("sec3/part3-r-le-3", _check_part3),
-    ("sec3/part4-situations", _check_situations),
-    ("thm7.2/equality-family", _check_equality_family),
-    ("lem7.1/gagola-arithmetic", _check_gagola_arithmetic),
-    ("lem3.5/composition-bound", _check_composition),
-    ("user/degree-records", _check_degree_records),
-]
-
-_CLAIM_MAP = dict(CLAIMS)
-
-# the chardeg modules each claim imports at its top; run_claims loads them
-# before a --jobs pool forks, so the workers share them instead of each
-# compiling them (and numpy, for the group engine) again.  A test runs each
-# claim alone to check its row.
-_CLAIM_MODULES = {
-    "sec2/hook-sum-squares": ("partitions",),
-    "sec2/hook-vs-tableaux": ("partitions",),
-    "sec2/branching": ("partitions",),
-    "thm2.1/rho-direct": ("symalt",),
-    "thm2.1/rho-induction": ("symalt",),
-    "thm2.1/lie-38": ("lie",),
-    "sec5-6/psl2-degree-sums": ("psl2",),
-    "lem5.1/extendible-witness": (),
-    "lem6.2/theta2-stabilizer": ("exactmath",),
-    "thm3.1/epsilon-psl2": ("bounds", "psl2"),
-    "thm3.1/epsilon-an": ("bounds", "symalt"),
-    "lem3.2/euler-tail": ("lie",),
-    "lem3.3/srim-table": ("gf2poly",),
-    "sec3/nd-counts": ("gf2poly",),
-    "sec3/seitz-untwisted": ("lie",),
-    "sec3/seitz-twisted": ("lie",),
-    "sec3/part3-r-le-3": ("lie",),
-    "sec3/part4-situations": ("lie",),
-    "thm7.2/equality-family": ("bounds", "groupengine"),
-    "lem7.1/gagola-arithmetic": ("bounds", "groupengine"),
-    "lem3.5/composition-bound": ("bounds",),
-    "user/degree-records": ("bounds",),
+# claim id: (check, the chardeg modules it imports at its top), in verify-all
+# order; run_claims loads the modules before a --jobs pool forks, so the
+# workers share them, and a test runs each claim alone to check its modules.
+CLAIMS: dict[str, tuple[object, tuple[str, ...]]] = {
+    "sec2/hook-sum-squares": (_check_hook_sum, ("partitions",)),
+    "sec2/hook-vs-tableaux": (_check_hook_tableaux, ("partitions",)),
+    "sec2/branching": (_check_branching, ("partitions",)),
+    "thm2.1/rho-direct": (_check_rho_direct, ("symalt",)),
+    "thm2.1/rho-induction": (_check_rho_induction, ("symalt",)),
+    "thm2.1/lie-38": (_check_lie_38, ("lie",)),
+    "sec5-6/psl2-degree-sums": (_check_psl2_sums, ("psl2",)),
+    "lem5.1/extendible-witness": (_check_extendible_witness, ()),
+    "lem6.2/theta2-stabilizer": (_check_theta2_stabilizer, ("exactmath",)),
+    "thm3.1/epsilon-psl2": (_check_epsilon_psl2, ("bounds", "psl2")),
+    "thm3.1/epsilon-an": (_check_epsilon_an, ("bounds", "symalt")),
+    "lem3.2/euler-tail": (_check_euler_tail, ("lie",)),
+    "lem3.3/srim-table": (_check_srim_table, ("gf2poly",)),
+    "sec3/nd-counts": (_check_nd_counts, ("gf2poly",)),
+    "sec3/seitz-untwisted": (_check_seitz_untwisted, ("lie",)),
+    "sec3/seitz-twisted": (_check_seitz_twisted, ("lie",)),
+    "sec3/part3-r-le-3": (_check_part3, ("lie",)),
+    "sec3/part4-situations": (_check_situations, ("lie",)),
+    "thm7.2/equality-family": (_check_equality_family, ("bounds", "groupengine")),
+    "lem7.1/gagola-arithmetic": (_check_gagola_arithmetic, ("bounds", "groupengine")),
+    "lem3.5/composition-bound": (_check_composition, ("bounds",)),
+    "user/degree-records": (_check_degree_records, ("bounds",)),
 }
 
 
@@ -534,7 +543,7 @@ def _run_claim(args: tuple[str, RunConfig]) -> VerificationReport:
     claim, cfg = args
     start = time.perf_counter()
     try:
-        status, witnesses = _CLAIM_MAP[claim](cfg)
+        status, witnesses = CLAIMS[claim][0](cfg)
     except PrecisionCapError as exc:
         status, witnesses = INCONCLUSIVE, [str(exc)]
     except Exception as exc:  # one broken claim must not hide the others
@@ -552,7 +561,7 @@ def run_claims(claims: list[str], cfg: RunConfig) -> list[VerificationReport]:
     import importlib
     from concurrent.futures import ProcessPoolExecutor
 
-    for name in sorted({m for c in claims for m in _CLAIM_MODULES[c]}):
+    for name in sorted({m for c in claims for m in CLAIMS[c][1]}):
         importlib.import_module(f"{__package__}.{name}")
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -11,8 +11,8 @@ import pytest
 
 from chardeg import cli, lie, symalt
 from chardeg.claims import (
-    CLAIMS, FAIL, PASS, WITNESS_QS, _CLAIM_MAP, RunConfig, _check_part3, _witness_group,
-    ingest_degree_records, run_claims)
+    CLAIMS, COMPOSITION_E_MIN, COMPOSITION_TERMS, FAIL, PASS, WITNESS_QS, RunConfig,
+    _check_part3, _witness_group, ingest_degree_records, run_claims)
 from chardeg.exactmath import positive_from
 from chardeg.psl2 import psl2_degrees
 
@@ -261,7 +261,7 @@ def test_worker_pool_forks_after_the_claims_modules_are_loaded(tmp_path):
         f"cfg = claims.RunConfig(torus_table={TORUS_TABLE!r}, degrees_path={str(degrees)!r},"
         " jobs=2)\n"
         "late = {}\n"
-        "for claim in claims._CLAIM_MAP:\n"
+        "for claim in claims.CLAIMS:\n"
         "    read, write = os.pipe()\n"
         "    if os.fork() == 0:\n"
         "        try:\n"
@@ -278,7 +278,7 @@ def test_worker_pool_forks_after_the_claims_modules_are_loaded(tmp_path):
         "    os.wait()\n"
         "print(json.dumps(late))\n")
     assert _fresh(code) == {claim: [["pass", "pass"], []]
-                            for claim in cli.SUBCOMMAND_CLAIMS["verify-all"]}
+                            for claim in CLAIMS}
 
 
 def test_worker_pool_leaves_numpy_unloaded_without_group_claims():
@@ -455,7 +455,7 @@ def test_claim_exception_is_reported_and_the_rest_still_run(tmp_path, monkeypatc
     def broken(cfg):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(_CLAIM_MAP, "lem5.1/extendible-witness", broken)
+    monkeypatch.setitem(CLAIMS, "lem5.1/extendible-witness", (broken, ()))
     report = tmp_path / "psl2.json"
     assert cli.main(["psl2", "--report", str(report)]) == 1
     assert "ERROR" in capsys.readouterr().out
@@ -601,6 +601,44 @@ def test_rho_direct_checks_every_certificate(n, bad_lam, monkeypatch):
     assert report.witnesses[1] == f"failures={[n]}"
 
 
+def _composition_claim(monkeypatch, e_min, terms):
+    monkeypatch.setattr("chardeg.claims.COMPOSITION_E_MIN", e_min)
+    monkeypatch.setattr("chardeg.claims.COMPOSITION_TERMS", terms)
+    [report] = run_claims(["lem3.5/composition-bound"], RunConfig())
+    return report
+
+
+def _bump(factor, monomial):
+    return {**factor, monomial: factor[monomial] + 1}
+
+
+def test_composition_claim_fails_when_any_coefficient_changes(monkeypatch):
+    mutants = [(_bump(COMPOSITION_E_MIN, m), COMPOSITION_TERMS) for m in COMPOSITION_E_MIN]
+    for k, term in enumerate(COMPOSITION_TERMS):
+        for i, factor in enumerate(term):
+            for m in factor:
+                bumped = term[:i] + (_bump(factor, m),) + term[i + 1:]
+                mutants.append((COMPOSITION_E_MIN,
+                                COMPOSITION_TERMS[:k] + (bumped,) + COMPOSITION_TERMS[k + 1:]))
+    assert len(mutants) == 3 + 14
+    for e_min, terms in mutants:
+        report = _composition_claim(monkeypatch, e_min, terms)
+        assert report.status == FAIL, terms
+        assert "('identity', " in report.witnesses[-1]
+
+
+def test_composition_claim_needs_the_degree_bound_and_the_signs(monkeypatch):
+    # b(b - 1)(b - 2) vanishes on the grid but has degree 3 in bN
+    vanishing = ({"bN": 1}, {"bN": 1, "1": -1}, {"bN": 1, "1": -2})
+    report = _composition_claim(monkeypatch, COMPOSITION_E_MIN, COMPOSITION_TERMS + (vanishing,))
+    assert report.status == FAIL and "('degree', 'bN')" in report.witnesses[-1]
+    # the square expanded is the same polynomial, but no term shows its sign
+    expanded = ({"eN*eN*bQ*bQ": 1},), ({"eN*bQ*bN*eQ": -2},), ({"bN*bN*eQ*eQ": 1},)
+    report = _composition_claim(monkeypatch, COMPOSITION_E_MIN, expanded + COMPOSITION_TERMS[1:])
+    assert (report.status, report.witnesses[-1]) == (FAIL, "failures=['sign']")
+    assert _composition_claim(monkeypatch, COMPOSITION_E_MIN, COMPOSITION_TERMS).status == PASS
+
+
 @pytest.mark.parametrize("order, degrees, reason", [
     # d = 3 gives e = 15/3 - 3 = 2, and 15 > 2**4 - 2**3
     (15, [[3, 1], [1, 6]], "X: degree 3, e=2, order 15 > e^4-e^3 = 8"),
@@ -616,11 +654,10 @@ def test_degree_record_breaking_the_quartic_bound_fails(order, degrees, reason,
 
 
 def test_claim_registry_is_consistent():
-    claims = [claim for claim, _ in CLAIMS]
-    assert len(claims) == len(set(claims))
-    assert cli.SUBCOMMAND_CLAIMS["verify-all"] == claims
+    # verify-all runs CLAIMS itself; every narrower subcommand names its ids
+    assert cli.SUBCOMMAND_CLAIMS["verify-all"] is None
     for name, subset in cli.SUBCOMMAND_CLAIMS.items():
-        assert set(subset) <= set(claims), name
+        assert name == "verify-all" or set(subset) <= set(CLAIMS), name
 
 
 def test_parallel_jobs_agree_with_serial(capsys):
