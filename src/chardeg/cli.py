@@ -115,7 +115,8 @@ def main(argv=None) -> int:
                        help="worker processes for independent claims")
         p.add_argument("--max-n", type=int, dest="max_n",
                        help="accepted for old command lines and ignored: "
-                            "rho-direct always certifies n=7..74; "
+                            "rho-direct always certifies n=7..87 and "
+                            "rho-induction every n>=87; "
                             "values outside 7..60 are still rejected")
         p.add_argument("--torus-table", dest="torus_table",
                        help="JSON table of twisted-type minimal torus orders")

@@ -16,6 +16,3 @@ class ExcludedCaseError(ValueError):
 class UnsupportedFamilyError(ValueError):
     """No criterion is available for this character family."""
 
-
-class PrecisionCapError(RuntimeError):
-    """Interval arithmetic could not separate two quantities at the precision cap."""

@@ -7,7 +7,7 @@ top bit set.
 Besides the ring operations, among them squaring by spreading the bits of
 a polynomial apart, the module provides Rabin's irreducibility test for a
 single polynomial (its repeated squarings use that spreading), the list of
-all irreducibles of one degree by a product sieve over numpy int64 arrays
+all irreducibles of one degree by a product sieve over numpy uint32 rows
 (exact: only shifts and XOR), Moebius counting of irreducibles, and the
 count of self-reciprocal irreducibles of a given even degree in both a
 closed form and a brute-force mode that must agree; the brute force tests
@@ -26,7 +26,8 @@ X = 0b10  # the polynomial x
 ONE = 0b1
 
 _BRUTE_FORCE_MAX = 10
-# the sieve of degree d holds 2**d int64 products at a time (8 MB at d = 20)
+# the sieve of degree d holds 2**d flags and three rows of 2**(d-1) uint32
+# products (7 MB at d = 20); products stay below 2**(d+1), within uint32
 SIEVE_MAX_D = 20
 
 
@@ -94,9 +95,10 @@ def irreducible_polys(d: int) -> Iterator[int]:
     """All monic irreducible polynomials of degree d, ascending as integers.
 
     A sieve over the 2**d monic polynomials of degree d strikes out every
-    product g*h of monic g and h with 1 <= deg g <= d/2; what is left is
-    irreducible.  For each degree of g the carry-less products of all g and
-    h are formed at once, as the XOR of h << i over the set bits i of g.
+    product g*h of a monic irreducible g with 1 <= deg g <= d/2 and a monic
+    h; what is left is irreducible, since a reducible polynomial has such a
+    factor g.  The carry-less products of one g with all h are formed at
+    once, as the XOR of h << i over the set bits i of g.
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
@@ -107,12 +109,14 @@ def irreducible_polys(d: int) -> Iterator[int]:
     top = 1 << d
     irreducible = np.ones(top, dtype=bool)  # indexed by f - x**d
     for e in range(1, d // 2 + 1):
-        g = np.arange(1 << e, 2 << e, dtype=np.int64)[:, None]
-        h = np.arange(1 << (d - e), 2 << (d - e), dtype=np.int64)
-        product = np.zeros((g.size, h.size), dtype=np.int64)
-        for i in range(e + 1):
-            product ^= ((g >> i) & 1) * (h << i)
-        irreducible[product.ravel() ^ top] = False
+        h = np.arange(1 << (d - e), 2 << (d - e), dtype=np.uint32)
+        for g in irreducible_polys(e):
+            product = np.zeros_like(h)
+            for i in range(e + 1):
+                if g >> i & 1:
+                    product ^= h << i
+            product ^= top
+            irreducible[product] = False
     for body in np.flatnonzero(irreducible).tolist():
         yield top | body
 

@@ -5,34 +5,38 @@ An irreducible degree of the alternating group on n letters extends to the
 symmetric group exactly when its partition differs from its transpose; the
 largest such degree is written rho(n) here.  The headline fact checked by
 this module is rho(n)**8 * 8 > (n!)**3, i.e. rho(n) > (n!/2)**(3/8).  Only a
-lower bound for rho(n) is needed, so for 7 <= n <= 74 one certificate
-partition per n proves it, and from 75 on three root-inequalities carry the
-induction, decided on dyadic interval enclosures with integer numerators
-(see `exactmath.DyadicInterval`).  They are proved on whole blocks [a, b] of
-n: every root in them increases with n, so its enclosure at a gives a lower
-end and its enclosure at b an upper end valid on the whole block, and a
-block these do not prove is halved until it is proved or is a single n,
-decided exactly.  The exact rho(n) is computed by brute force for small n
-only.
+lower bound for rho(n) is needed, so for 7 <= n <= 87 one certificate
+partition per n proves it (`rho_certificates`).  For every n >= 87 three
+growth inequalities carry the bound from n to n + 1 (`verify_rho_growth`);
+each is bounded below by a polynomial in v = (n+1)**(1/8) that
+`exactmath.positive_from` certifies positive from v = 7/4, i.e. from
+n = 87.  The certificates and the tail meet at n = 87, so no n is left
+out whichever way a step is read: out of n (the inequalities at 87 prove
+88 from 87) or into n (the inequalities at 88 prove 88 from 87).  The
+exact rho(n) is computed by brute force for small n only.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import factorial
 
 from .degrees import DegreeMultiset
 from .errors import ResourceLimitError
-from .exactmath import (
-    INTERVAL_START_BITS, DyadicInterval, interval_gt, root_interval, sqrt_interval,
-)
+# symalt calls neither root enclosure; perfbench/tracer.py counts calls
+# through these two names, so they stay until the tracer drops them
+from .exactmath import positive_from, root_interval, sqrt_interval
 from .partitions import (
     _conjugate, _hook_degree, add_node, boundary_nodes, conjugate, hook_degree,
     is_partition, partitions_of,
 )
 
 MAX_N = 60
-# the induction inequalities hold from here on; certificates cover 7..74
-INDUCTION_START = 75
+# the certificates cover 7..TAIL_START and the tail every n >= TAIL_START:
+# there v = (n+1)**(1/8) >= RHO_TAIL_FROM, and r = RHO_TAIL_R >= sqrt(2)
+TAIL_START = 87
+RHO_TAIL_FROM = Fraction(7, 4)
+RHO_TAIL_R = Fraction(283, 200)
 
 
 def _check_range(n: int, low: int = 1) -> None:
@@ -85,7 +89,7 @@ def rho_an(n: int) -> int:
 
 
 def rho_certificates() -> list[tuple[int, tuple[int, ...]]]:
-    """One non-self-conjugate partition lam of n for each 7 <= n < 75.
+    """One non-self-conjugate partition lam of n for each 7 <= n <= TAIL_START.
 
     The chain starts at (3,1,1) and at each n adds the addable node giving
     the largest degree among the results that differ from their transpose
@@ -94,7 +98,7 @@ def rho_certificates() -> list[tuple[int, tuple[int, ...]]]:
     each entry proves the bound is decided by `certifies_rho_bound`.
     """
     lam, out = (3, 1, 1), []
-    for n in range(6, INDUCTION_START):
+    for n in range(6, TAIL_START + 1):
         grown = (add_node(lam, node) for node in boundary_nodes(lam)[0])
         lam = max((c for c in grown if c != conjugate(c)),
                   key=lambda c: (hook_degree(c), c))
@@ -111,75 +115,40 @@ def certifies_rho_bound(n: int, lam) -> bool:
             and 8 * hook_degree(lam) ** 8 > factorial(n) ** 3)
 
 
-def _block_enclosures(a: int, b: int, bits: int):
-    """Enclosures at the scale 2**bits, valid for every real n in [a, b], of
-    the three left-hand sides and the right-hand side (n+1)**(3/8) of the
-    induction inequalities (see `_induction_inequalities`).
-
-    sqrt(2n), sqrt(2n+2), n**(3/8) and (n+1)**(3/8) all increase with n, so
-    over [a, b] each lies between its value at a and its value at b: the
-    lower end of its enclosure at a and the upper end of its enclosure at b
-    bound it for the whole block.  Interval arithmetic on those enclosures
-    and on n = [a, b] then encloses each side over the block.  At a == b
-    these are the single-n enclosures.
-    """
-    def span(at_a, at_b):
-        return DyadicInterval(at_a.lo, at_b.hi, bits)
-
-    n = DyadicInterval(a << bits, b << bits, bits)
-    s2n = span(sqrt_interval(2 * a, bits), sqrt_interval(2 * b, bits))
-    s2n2 = span(sqrt_interval(2 * a + 2, bits), sqrt_interval(2 * b + 2, bits))
-    n38 = span(root_interval(a**3, 8, bits), root_interval(b**3, 8, bits))
-    rhs = span(root_interval((a + 1) ** 3, 8, bits), root_interval((b + 1) ** 3, 8, bits))
-    lhs = ((n + 1) / (s2n + 1),
-           (n + 1 - s2n2) / s2n,
-           (n + 2 - s2n2 - s2n / n38) / s2n)
-    return lhs, rhs
+def rho_tail_polynomials() -> dict[str, list]:
+    """The tail's three polynomials in v = (n+1)**(1/8), as ascending
+    coefficients with r = RHO_TAIL_R; `verify_rho_growth` says why each
+    bounds its growth inequality."""
+    r = RHO_TAIL_R
+    return {"P1=v^5-r*v^4-1": [-1, 0, 0, 0, -r, 1],
+            "P2=v^8-r*v^7-r*v^4": [0, 0, 0, 0, -r, 0, 0, -r, 1],
+            "P3=v^8-r*v^7-r*v^4-r*v+1": [1, -r, 0, 0, -r, 0, 0, -r, 1]}
 
 
-def _induction_inequalities(a: int, b: int) -> tuple[bool, bool, bool]:
-    """Whether each growth inequality holds for every n in [a, b]:
+def verify_rho_growth() -> list[str]:
+    """The checks that fail, of those proving for every n >= TAIL_START the
+    three growth inequalities that carry the bound from n to n + 1:
 
     (1)  (n+1) / (sqrt(2n) + 1)                                > (n+1)**(3/8)
     (2)  (n+1 - sqrt(2n+2)) / sqrt(2n)                         > (n+1)**(3/8)
     (3)  (n+2 - sqrt(2n+2) - sqrt(2n) * n**(-3/8)) / sqrt(2n)  > (n+1)**(3/8)
 
-    A block a < b is judged once, at the start precision of `interval_gt`:
-    an inequality is proved when its left-hand lower end exceeds the
-    right-hand upper end, and False means only "not proved on this block".
-    A single n (a == b) is decided exactly by `interval_gt`.
+    With v = (n+1)**(1/8), so that n + 1 = v**8, and (1) multiplied by the
+    positive (sqrt(2n) + 1) / v**3, (2) and (3) by sqrt(2n), they read
+
+    (1)  v**5 - sqrt(2n) - 1                                     > 0
+    (2)  v**8 - sqrt(2n+2) - sqrt(2n) * v**3                     > 0
+    (3)  v**8 + 1 - sqrt(2n+2) - sqrt(2) * n**(1/8) - sqrt(2n) * v**3  > 0
+
+    Once r * r >= 2, sqrt(2n) <= sqrt(2n+2) = sqrt(2) * v**4 <= r * v**4
+    and sqrt(2) * n**(1/8) <= r * v, so each polynomial of
+    `rho_tail_polynomials` is at most the left side of its inequality.
+    `positive_from` proves each positive for v >= RHO_TAIL_FROM, which holds
+    for every n >= TAIL_START when RHO_TAIL_FROM**8 <= TAIL_START + 1.
     """
-    if a < b:
-        lhs, rhs = _block_enclosures(a, b, INTERVAL_START_BITS)
-        return tuple(side.lo > rhs.hi for side in lhs)
-    return tuple(interval_gt(lambda bits, k=k: _block_enclosures(a, a, bits)[0][k],
-                             lambda bits: _block_enclosures(a, a, bits)[1])
-                 for k in range(3))
-
-
-def _induction_failures(a: int, b: int) -> list[int]:
-    """The n in a..b, ascending, at which an induction inequality fails: a
-    block that the enclosures do not prove is halved until it is proved or
-    is a single n, which is then decided exactly."""
-    if a > b or all(_induction_inequalities(a, b)):
-        return []
-    if a == b:
-        return [a]
-    mid = (a + b) // 2
-    return _induction_failures(a, mid) + _induction_failures(mid + 1, b)
-
-
-def verify_rho_growth(
-    n_max: int,
-    spot_checks: tuple[int, ...] = (10**6,),
-) -> list[int]:
-    """The n among 75..n_max and the spot values at which one of the
-    three induction inequalities fails; below 75 the certificates take over.
-
-    The range is proved on whole blocks of n by bisection
-    (`_induction_failures`), so its cost grows with the number of blocks the
-    enclosures need, about logarithmically in n_max, not with the
-    number of n; each spot value is a block of one n.
-    """
-    return [*_induction_failures(INDUCTION_START, n_max),
-            *(n for spot in spot_checks for n in _induction_failures(spot, spot))]
+    r, v0 = RHO_TAIL_R, RHO_TAIL_FROM
+    bad = [] if r * r >= 2 else [f"r={r} has r^2<2"]
+    if v0**8 > TAIL_START + 1:
+        bad.append(f"v<{v0} at n={TAIL_START}")
+    return bad + [name for name, poly in rho_tail_polynomials().items()
+                  if not positive_from(poly, v0)]

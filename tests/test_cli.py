@@ -480,6 +480,11 @@ def _rechecks(cert) -> bool:
     return positive_from([Fraction(c) for c in cert["poly"]], Fraction(cert["from"]))
 
 
+def _lowered(cert) -> dict:
+    """The certificate with its constant term lowered by 10**6."""
+    return {**cert, "poly": [str(Fraction(cert["poly"][0]) - 10**6), *cert["poly"][1:]]}
+
+
 def test_every_certificate_in_a_report_rechecks_from_the_json_alone(tmp_path):
     report = tmp_path / "psl2.json"
     assert cli.main(["psl2", "--report", str(report)]) == 0
@@ -488,9 +493,7 @@ def test_every_certificate_in_a_report_rechecks_from_the_json_alone(tmp_path):
     # the theta2-stabilizer quadratic
     assert len(certs) == 27
     assert all(_rechecks(c) for c in certs)
-    lowered = [{**c, "poly": [str(Fraction(c["poly"][0]) - 10**6), *c["poly"][1:]]}
-               for c in certs]
-    assert not any(_rechecks(c) for c in lowered)
+    assert not any(_rechecks(_lowered(c)) for c in certs)
 
 
 def test_tracer_hook_points_resolve():
@@ -520,6 +523,28 @@ def test_benchmark_command_line_passes_every_claim(tmp_path, monkeypatch, capsys
     assert cli.main(inputs.cli_args(out)) == 0
     capsys.readouterr()
     assert run.count_failed(inputs, out) == 0
+
+
+def test_traced_benchmark_run_passes_every_claim(tmp_path):
+    # a change that keeps every wrapped name but breaks a wrapped call fails
+    # here, not only in the benchmark's traced run
+    script = (
+        "import contextlib, io, sys\n"
+        "from pathlib import Path\n"
+        "import run\n"
+        "from tracer import Tracer, install\n"
+        "from chardeg import cli\n"
+        "install(Tracer())\n"
+        "inputs = run.Inputs('verify-all', 7, Path(sys.argv[1]))\n"
+        "out = inputs.output_path('traced')\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(inputs.cli_args(out))\n"
+        "print(code, run.count_failed(inputs, out))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PERFBENCH), str(SRC)])}
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
 
 
 def test_tracer_installs_in_a_fresh_interpreter():
@@ -566,21 +591,45 @@ def test_rho_subcommand_single_witness(tmp_path, capsys):
     report = tmp_path / "rho.json"
     assert cli.main(["rho", "--max-n", "7", "--report", str(report)]) == 0
     out = capsys.readouterr().out
-    assert "thm2.1/rho-direct" in out and "n=7..74" in out
+    assert "thm2.1/rho-direct" in out and "n=7..87" in out
     direct = json.loads(report.read_text())[0]
     assert direct["claim"] == "thm2.1/rho-direct"
     assert direct["witnesses"][2][0] == [7, [4, 2, 1]]
 
 
 def test_rho_benchmark_command_covers_7_to_74(tmp_path, capsys):
+    # --max-n 50 narrows nothing: the certificates run past 74 to the tail's
+    # first n, 87, and the tail covers every n from there on
     report = tmp_path / "rho.json"
     assert cli.main(["rho", "--max-n", "50", "--report", str(report)]) == 0
     capsys.readouterr()
     direct, induction = json.loads(report.read_text())
     assert direct["status"] == induction["status"] == "pass"
-    assert direct["witnesses"][:2] == ["n=7..74", "failures=[]"]
-    assert [n for n, _ in direct["witnesses"][2]] == list(range(7, 75))
-    assert induction["witnesses"][0] == "induction n=75..10000"
+    assert direct["witnesses"][:2] == ["n=7..87", "failures=[]"]
+    assert [n for n, _ in direct["witnesses"][2]] == list(range(7, 88))
+    assert induction["witnesses"][0] == "every n>=87"
+
+
+def test_rho_tail_certificates_recheck_from_the_report_alone(tmp_path, capsys):
+    report = tmp_path / "rho.json"
+    assert cli.main(["rho", "--report", str(report)]) == 0
+    capsys.readouterr()
+    certs = list(_certificates(json.loads(report.read_text())))
+    assert len(certs) == 3 and all(c["from"] == "7/4" for c in certs)
+    assert all(_rechecks(c) for c in certs)
+    assert not any(_rechecks(_lowered(c)) for c in certs)
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_rho_tail_claim_fails_with_a_certificate_lowered(k, monkeypatch):
+    polys = symalt.rho_tail_polynomials()
+    name = list(polys)[k]
+    polys[name] = [polys[name][0] - 10**6, *polys[name][1:]]
+    monkeypatch.setattr(symalt, "rho_tail_polynomials", lambda: polys)
+    [report] = run_claims(["thm2.1/rho-induction"], RunConfig())
+    assert report.status == FAIL
+    assert report.witnesses[-1] == f"failures={[name]}"
+    assert report.witnesses[2][name]["poly"][0] == str(polys[name][0])
 
 
 @pytest.mark.parametrize("n, bad_lam", [

@@ -5,10 +5,9 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chardeg.errors import PrecisionCapError
 from chardeg.exactmath import (
     EQUAL, GREATER, LESS,
-    DyadicInterval, factorize, interval_gt, iroot, is_prime, is_prime_power, p_part, poly_add,
+    DyadicInterval, factorize, iroot, is_prime, is_prime_power, p_part, poly_add,
     poly_mul, positive_from, positivity_certificate, pow_compare, prime_power,
     root_interval, sqrt_interval, taylor_shift,
 )
@@ -74,6 +73,10 @@ def test_poly_add_of_no_polynomial_and_of_one():
 def test_positivity_certificate_is_json_that_rechecks():
     cert = positivity_certificate([Fraction(-5, 4), Fraction(1, 4)], 9)
     assert cert == {"poly": ["-5/4", "1/4"], "from": 9}
+    assert positive_from([Fraction(c) for c in cert["poly"]], Fraction(cert["from"]))
+    # a start that is not an int is written as its string, as JSON needs
+    cert = positivity_certificate([-5, 1], Fraction(21, 4))
+    assert cert == {"poly": ["-5", "1"], "from": "21/4"}
     assert positive_from([Fraction(c) for c in cert["poly"]], Fraction(cert["from"]))
 
 
@@ -302,15 +305,3 @@ def test_root_enclosures_bracket_the_root(m, k, bits):
         assert lo >= 0 and lo**power <= m <= hi**power
         assert iv.bits == bits and iv.hi - iv.lo <= 1
 
-
-def test_interval_gt_separates():
-    assert interval_gt(lambda bits: sqrt_interval(5, bits),
-                       lambda bits: sqrt_interval(4, bits))
-    assert not interval_gt(lambda bits: sqrt_interval(4, bits),
-                           lambda bits: sqrt_interval(5, bits))
-
-
-def test_interval_gt_inconclusive_on_equal_irrationals():
-    with pytest.raises(PrecisionCapError):
-        interval_gt(lambda bits: sqrt_interval(2, bits),
-                    lambda bits: sqrt_interval(2, bits), cap_bits=256)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -45,6 +47,21 @@ def test_sieve_agrees_with_rabin_test():
         sieved = list(irreducible_polys(d))
         assert sieved == [f for f in range(1 << d, 2 << d) if poly_is_irreducible(f)], d
         assert all(type(f) is int for f in sieved)
+
+
+def test_sieve_holds_one_row_of_products_at_a_time():
+    import numpy  # noqa: F401 -- loaded before tracing starts, so not counted
+
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in irreducible_polys(16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == count_irreducible_monic(16)
+    # 2**16 flags and three rows of 2**15 uint32 products take 0.44 MB; a
+    # 2**e x 2**(16-e) table of int64 products would take 1.57 MB
+    assert peak < 2**20
 
 
 def test_sieve_resource_limit():

@@ -1,13 +1,16 @@
+from fractions import Fraction
 from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
+from chardeg import symalt
 from chardeg.errors import ResourceLimitError
+from chardeg.exactmath import root_interval, sqrt_interval
 from chardeg.partitions import conjugate, hook_degree, partitions_of
 from chardeg.symalt import (
-    an_degrees, rho_an, rho_certificates, rho_witness, sn_degrees,
-    verify_rho_growth, _block_enclosures, _induction_failures, _induction_inequalities,
+    TAIL_START, an_degrees, certifies_rho_bound, rho_an, rho_certificates, rho_tail_polynomials,
+    rho_witness, sn_degrees, verify_rho_growth,
 )
 
 
@@ -43,7 +46,7 @@ def test_rho_small_values():
 
 def test_certificates_never_exceed_rho():
     certs = dict(rho_certificates())
-    assert list(certs) == list(range(7, 75))
+    assert list(certs) == list(range(7, TAIL_START + 1))
     for n in range(7, 21):
         assert sum(certs[n]) == n
         assert hook_degree(certs[n]) <= rho_an(n)
@@ -74,35 +77,55 @@ def test_rho_range_checks():
         sn_degrees(61)
 
 
-def test_induction_inequalities_hold_from_75():
-    for n in (75, 76, 100, 1000):
-        assert all(_induction_inequalities(n, n))
+def test_chain_reaches_the_tail_with_no_gap():
+    # the tail starts at the chain's last n, so a step read out of n (87
+    # proves 88) or into n (88 from 87) finds the bound it starts from
+    certs = rho_certificates()
+    assert [n for n, _ in certs] == list(range(7, TAIL_START + 1))
+    assert all(certifies_rho_bound(n, lam) for n, lam in certs)
+    assert verify_rho_growth() == []
+    # and it starts at the first n with v = (n+1)**(1/8) >= 7/4, that is
+    # with 65536 * (n+1) >= 7**8
+    assert symalt.RHO_TAIL_FROM == Fraction(7, 4)
+    assert 65536 * (TAIL_START + 1) >= 7**8 > 65536 * TAIL_START
 
 
-def test_induction_fails_at_74_so_certificates_must_reach_it():
-    assert _induction_inequalities(74, 74) == (True, True, False)
-    assert verify_rho_growth(80, spot_checks=()) == []
-    assert _induction_failures(74, 10**4) == [74]
+def test_tail_refuses_r_below_sqrt_2(monkeypatch):
+    monkeypatch.setattr(symalt, "RHO_TAIL_R", Fraction(141, 100))
+    assert verify_rho_growth() == ["r=141/100 has r^2<2"]
 
 
-def test_rho_induction_proves_a_range_no_per_n_loop_could():
-    assert verify_rho_growth(10**9, ()) == []
+def test_tail_refuses_a_start_below_7_4(monkeypatch):
+    monkeypatch.setattr(symalt, "RHO_TAIL_FROM", Fraction(17, 10))
+    assert verify_rho_growth() == ["P2=v^8-r*v^7-r*v^4", "P3=v^8-r*v^7-r*v^4-r*v+1"]
 
 
-def test_block_proof_agrees_with_each_n_decided_alone():
-    reference = [n for n in range(75, 3001) if not all(_induction_inequalities(n, n))]
-    assert verify_rho_growth(3000, spot_checks=()) == reference
-    reference = [n for n in range(2, 300) if not all(_induction_inequalities(n, n))]
-    assert _induction_failures(2, 299) == reference == list(range(2, 75))
+def test_tail_refuses_a_seam_its_start_does_not_reach(monkeypatch):
+    monkeypatch.setattr(symalt, "TAIL_START", TAIL_START - 1)
+    assert verify_rho_growth() == [f"v<7/4 at n={TAIL_START - 1}"]
 
 
-@given(st.lists(st.integers(75, 10**5), min_size=3, max_size=3).map(sorted),
-       st.sampled_from((32, 64, 128)))
-def test_block_enclosures_contain_each_single_n(a_n_b, bits):
-    # the block proof is sound only if its enclosures hold every n in it
-    a, n, b = a_n_b
-    block_lhs, block_rhs = _block_enclosures(a, b, bits)
-    single_lhs, single_rhs = _block_enclosures(n, n, bits)
-    for block, single in zip((*block_lhs, block_rhs), (*single_lhs, single_rhs)):
-        assert block.lo <= single.lo <= single.hi <= block.hi
+def _at(poly, v):
+    """P(v) on the dyadic interval v, for P with rational coefficients."""
+    out, power = 0 * v, 0 * v + 1
+    for c in poly:
+        c = Fraction(c)
+        out = out + (power * c.numerator) / c.denominator
+        power = power * v
+    return out
 
+
+@given(st.one_of(st.just(TAIL_START), st.integers(TAIL_START, 10**12)),
+       st.sampled_from((48, 96)))
+def test_tail_polynomials_lie_below_the_exact_sides(n, bits):
+    # the growth inequalities multiplied out, each side enclosed at its own n
+    v = root_interval(n + 1, 8, bits)
+    v3, v5 = root_interval((n + 1) ** 3, 8, bits), root_interval((n + 1) ** 5, 8, bits)
+    s2n, s2n2 = sqrt_interval(2 * n, bits), sqrt_interval(2 * n + 2, bits)
+    n38 = root_interval(n**3, 8, bits)
+    sides = (v5 - s2n - 1,
+             (n + 1) - s2n2 - s2n * v3,
+             (n + 2) - s2n2 - s2n / n38 - s2n * v3)
+    for poly, side in zip(rho_tail_polynomials().values(), sides, strict=True):
+        bound = _at(poly, v)
+        assert 0 < bound.lo <= bound.hi < side.lo
