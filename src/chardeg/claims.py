@@ -3,15 +3,15 @@ row of `CLAIMS`: its id, its check and the chardeg modules the check reads.
 `verify-all` runs `CLAIMS` in its order, and every other subcommand and
 the tests name claims by their ids in it.
 
-Each check returns pass / fail / inconclusive / out-of-scope together with
-the witnesses it examined; `run_claims` reports a claim that raises as
-error and still runs the others.  Every range is a constant beside the
-check that reads it.  Each check imports the chardeg modules it reads at
-its top, so a claim's seconds include the import of every module it is the
-first to use, and `--jobs` loads the selected claims' modules, read from
-their rows, before the pool forks.  This module never imports
-`chardeg.cli`: run as `python -m chardeg.cli`, that module is `__main__`,
-and importing it again would compile it a second time.
+Each check returns pass, fail or out-of-scope together with the witnesses
+it examined; `run_claims` reports a claim that raises as error and still
+runs the others.  Every range is a constant beside the check that reads
+it.  Each check imports the chardeg modules it reads at its top, so a
+claim's seconds include the import of every module it is the first to use,
+and `--jobs` loads the selected claims' modules, read from their rows,
+before the pool forks.  This module never imports `chardeg.cli`: run as
+`python -m chardeg.cli`, that module is `__main__`, and importing it again
+would compile it a second time.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from math import factorial
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from .degrees import DegreeMultiset
 
-PASS, FAIL, INCONCLUSIVE, OUT_OF_SCOPE = "pass", "fail", "inconclusive", "out-of-scope"
+PASS, FAIL, OUT_OF_SCOPE = "pass", "fail", "out-of-scope"
 ERROR = "error"
 
 
@@ -88,7 +88,6 @@ class RunConfig:
     """The inputs a caller can set; every range is a constant beside the
     claim that reads it."""
 
-    torus_table: str | None = None
     degrees_path: str | None = None
     jobs: int = 1
 
@@ -303,35 +302,13 @@ def _check_nd_counts(cfg: RunConfig):
         "4d*N(d)-3*2^d >= 2^floor(d/2)*(2^ceil(d/2)-8)+8", f"failures={bad}"]
 
 
-def _check_seitz_untwisted(cfg: RunConfig):
+def _check_seitz(cfg: RunConfig, twisted: bool):
     from . import lie
 
-    bad = [str(r.gid) for gid in lie.seitz_ids(twisted=False)
-           if not (r := lie.seitz_check(gid)).passes_2b2]
-    return (FAIL if bad else PASS), [f"groups={len(lie.seitz_ids(False))}",
-                                     f"failures={bad}"]
-
-
-def _check_seitz_twisted(cfg: RunConfig):
-    from . import lie
-
-    if cfg.torus_table is None:
-        return OUT_OF_SCOPE, ["no torus table supplied"]
-    try:
-        table = lie.load_torus_table(cfg.torus_table)
-    except ValueError as exc:
-        return FAIL, [str(exc)]
-    bad, missing = [], []
-    for gid in lie.seitz_ids(twisted=True):
-        torus = table.get((gid.family, gid.rank, gid.q))
-        if torus is None:
-            missing.append(f"{gid.family}:{gid.rank}:{gid.q}")
-            continue
-        if not lie.seitz_check(gid, torus).passes_2b2:
-            bad.append(f"{gid.family}:{gid.rank}:{gid.q}")
-    status = FAIL if bad else (INCONCLUSIVE if missing else PASS)
-    return status, [f"groups={len(lie.seitz_ids(True))}",
-                    f"missing={missing}", f"failures={bad}"]
+    ids = lie.seitz_ids(twisted)
+    bad = [f"{gid.family}:{gid.rank}:{gid.q}" for gid in ids
+           if not lie.seitz_check(gid).passes_2b2]
+    return (FAIL if bad else PASS), [f"groups={len(ids)}", f"failures={bad}"]
 
 
 PART3_NS = (9, 10, 11)
@@ -523,8 +500,8 @@ CLAIMS: dict[str, tuple[object, tuple[str, ...]]] = {
     "lem3.2/euler-tail": (_check_euler_tail, ("lie",)),
     "lem3.3/srim-table": (_check_srim_table, ("gf2poly",)),
     "sec3/nd-counts": (_check_nd_counts, ("gf2poly",)),
-    "sec3/seitz-untwisted": (_check_seitz_untwisted, ("lie",)),
-    "sec3/seitz-twisted": (_check_seitz_twisted, ("lie",)),
+    "sec3/seitz-untwisted": (partial(_check_seitz, twisted=False), ("lie",)),
+    "sec3/seitz-twisted": (partial(_check_seitz, twisted=True), ("lie",)),
     "sec3/part3-r-le-3": (_check_part3, ("lie",)),
     "sec3/part4-situations": (_check_situations, ("lie",)),
     "thm7.2/equality-family": (_check_equality_family, ("bounds", "groupengine")),

@@ -3,10 +3,10 @@ machine-readable consolidated report.
 
 This module parses the arguments, runs each subcommand's claims from
 `chardeg.claims` and prints their results.  `verify-all` runs every claim
-and exits 0 exactly when nothing failed, errored or was inconclusive, and 1
-otherwise; a usage or input error is one line on stderr and exit code 2,
-before any claim runs, and so is a report file the system refuses to write,
-after the claim lines are printed.  Reports are JSON arrays with stable
+and exits 0 exactly when nothing failed or errored, and 1 otherwise; a
+usage or input error is one line on stderr and exit code 2, before any
+claim runs, and so is a report file the system refuses to write, after the
+claim lines are printed.  Reports are JSON arrays with stable
 claim ids, byte-identical across runs except for the timing fields.
 
 Importing this module loads no module beyond `sys` and the `chardeg`
@@ -90,6 +90,7 @@ def _config_from_args(args):
         if not 7 <= args.max_n <= symalt.MAX_N:
             _abort(f"configuration error: --max-n {args.max_n} "
                    f"outside 7..{symalt.MAX_N}")
+    # a torus table is checked as a path, then ignored
     for what, path in (("torus table", args.torus_table), ("degree file", args.degrees)):
         if path and not Path(path).is_file():
             problem = "is not a file" if Path(path).exists() else "does not exist"
@@ -97,8 +98,7 @@ def _config_from_args(args):
     if args.jobs < 1:
         _abort(f"configuration error: --jobs {args.jobs} is below 1")
     _check_report_path(args.report)
-    return RunConfig(torus_table=args.torus_table or None,
-                     degrees_path=args.degrees or None, jobs=args.jobs)
+    return RunConfig(degrees_path=args.degrees or None, jobs=args.jobs)
 
 
 def main(argv=None) -> int:
@@ -119,7 +119,9 @@ def main(argv=None) -> int:
                             "rho-induction every n>=87; "
                             "values outside 7..60 are still rejected")
         p.add_argument("--torus-table", dest="torus_table",
-                       help="JSON table of twisted-type minimal torus orders")
+                       help="accepted for old command lines and ignored: "
+                            "the seitz claims derive every minimal torus order; "
+                            "a path that is not a file is still rejected")
         p.add_argument("--degrees", help="JSONL file of user degree records")
 
     for name in SUBCOMMAND_CLAIMS:

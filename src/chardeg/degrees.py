@@ -48,11 +48,6 @@ class DegreeMultiset:
     def sum_squares(self) -> int:
         return sum(m * d * d for d, m in self.entries)
 
-    @property
-    def count(self) -> int:
-        """Total number of characters counted with multiplicity."""
-        return sum(m for _, m in self.entries)
-
     def multiplicity(self, degree: int) -> int:
         for d, m in self.entries:
             if d == degree:
@@ -61,6 +56,3 @@ class DegreeMultiset:
 
     def __iter__(self):
         return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)

@@ -170,11 +170,6 @@ class FrobMat:
         return FrobMat(self.mat * other.mat.frobenius(self.power),
                        self.power + other.power)
 
-    def inverse(self) -> "FrobMat":
-        a = self.mat.field.a
-        k = (-self.power) % a
-        return FrobMat(self.mat.inverse().frobenius(k), k)
-
     def identity_like(self) -> "FrobMat":
         return FrobMat(self.mat.identity_like(), 0)
 

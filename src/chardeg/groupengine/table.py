@@ -60,9 +60,6 @@ class GroupTable:
             self._elements = [self._decode(row) for row in self._rows.tolist()]
         return self._elements
 
-    def __len__(self) -> int:
-        return len(self.inverses)
-
     @property
     def order(self) -> int:
         return len(self.inverses)
@@ -255,12 +252,12 @@ def _rows_of_kind(gens):
     return identity, times, lambda row: Mat(field, d, row[:-1])
 
 
-def close_group(generators, limit: int = MAX_ELEMENTS) -> GroupTable:
+def close_group(generators) -> GroupTable:
     """Breadth-first closure of a generating set under multiplication.
 
     All generators must share one representation kind; matrix generators
     must be invertible.  Raises ResourceLimitError when the closure exceeds
-    the element limit.
+    MAX_ELEMENTS, read at each call.
 
     Elements are closed as rows of integer codes (_rows_of_kind), one
     breadth-first level at a time: the whole level is multiplied by every
@@ -283,8 +280,6 @@ def close_group(generators, limit: int = MAX_ELEMENTS) -> GroupTable:
             raise ValueError(f"singular matrix generator {g!r}")
         if hasattr(g, "mat") and not g.mat.is_invertible():
             raise ValueError(f"singular matrix generator {g!r}")
-    if limit > MAX_ELEMENTS:
-        raise ValueError(f"closure limit exceeds {MAX_ELEMENTS}")
     identity, times, decode = _rows_of_kind(gens)
     count = len(gens)
     frontier = np.array([identity], dtype=np.uint8)
@@ -298,8 +293,8 @@ def close_group(generators, limit: int = MAX_ELEMENTS) -> GroupTable:
         keys = products.view(f"V{width}").ravel().tolist() if width else [b""] * len(products)
         start = len(index)
         found = np.array([index.setdefault(key, len(index)) for key in keys])
-        if len(index) > limit:
-            raise ResourceLimitError(f"closure exceeded {limit} elements")
+        if len(index) > MAX_ELEMENTS:
+            raise ResourceLimitError(f"closure exceeded {MAX_ELEMENTS} elements")
         # new elements are numbered in order of first occurrence
         values, first_at = np.unique(found, return_index=True)
         first_at = first_at[values >= start]

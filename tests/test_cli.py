@@ -258,8 +258,7 @@ def test_worker_pool_forks_after_the_claims_modules_are_loaded(tmp_path):
         "    def __exit__(self, *exc): return False\n"
         "    def map(self, fn, items): return map(fn, items)\n"
         "concurrent.futures.ProcessPoolExecutor = Pool\n"
-        f"cfg = claims.RunConfig(torus_table={TORUS_TABLE!r}, degrees_path={str(degrees)!r},"
-        " jobs=2)\n"
+        f"cfg = claims.RunConfig(degrees_path={str(degrees)!r}, jobs=2)\n"
         "late = {}\n"
         "for claim in claims.CLAIMS:\n"
         "    read, write = os.pipe()\n"
@@ -289,10 +288,19 @@ def test_worker_pool_leaves_numpy_unloaded_without_group_claims():
     assert "numpy" not in loaded and "chardeg.groupengine" not in loaded
 
 
-def test_seitz_out_of_scope_without_torus_table(capsys):
+def test_seitz_passes_both_claims_without_flags(capsys):
     assert cli.main(["seitz"]) == 0
     out = capsys.readouterr().out
-    assert "OUT-OF-SCOPE" in out and "sec3/seitz-twisted" in out
+    assert out.count("PASS") == 2 and "sec3/seitz-twisted" in out
+
+
+def test_verify_all_leaves_only_the_degree_records_out_of_scope(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert cli.main(["verify-all", "--report", str(report)]) == 0
+    capsys.readouterr()
+    statuses = {e["claim"]: e["status"] for e in json.loads(report.read_text())}
+    assert statuses == {claim: "out-of-scope" if claim == "user/degree-records" else "pass"
+                        for claim in CLAIMS}
 
 
 def test_seitz_with_shipped_table(capsys):
@@ -332,7 +340,8 @@ def test_an_input_path_that_is_a_directory_is_not_a_file(flag, what, tmp_path, c
     ([], None),
     ("6561", None),
 ])
-def test_bad_torus_table_fails_the_twisted_claim(table, key, tmp_path, capsys):
+def test_bad_torus_table_fails_the_twisted_claim(table, key, tmp_path):
+    # the loader refuses the table; no claim reads one any more
     path = tmp_path / "t.json"
     path.write_text(json.dumps(table))
     with pytest.raises(ValueError) as exc:
@@ -340,13 +349,6 @@ def test_bad_torus_table_fails_the_twisted_claim(table, key, tmp_path, capsys):
     message = str(exc.value)
     assert message.startswith(f"{path}: ")
     assert key is None or repr(key) in message
-    report = tmp_path / "seitz.json"
-    assert cli.main(["seitz", "--torus-table", str(path), "--report", str(report)]) == 1
-    capsys.readouterr()
-    entries = {e["claim"]: e for e in json.loads(report.read_text())}
-    assert entries["sec3/seitz-twisted"]["status"] == "fail"
-    assert entries["sec3/seitz-twisted"]["witnesses"] == [message]
-    assert entries["sec3/seitz-untwisted"]["status"] == "pass"
 
 
 def test_part3_checks_every_shape_and_names_each_failure(monkeypatch):

@@ -1,8 +1,7 @@
 """The verify-all report, pinned: every claim's status and witnesses must
 equal `tests/data/verify_all.report.json`, the report of
 
-    chardeg verify-all --torus-table data/torus_orders.json \\
-        --degrees tests/data/degree_records.jsonl
+    chardeg verify-all --degrees tests/data/degree_records.jsonl
 
 with every `seconds` field removed.  A change that alters a witness on
 purpose regenerates the file in the same change with
@@ -22,7 +21,6 @@ GOLDEN = ROOT / "tests" / "data" / "verify_all.report.json"
 def verify_all_report() -> list[dict]:
     """The report entries, as JSON reads them back, without their times."""
     reports = run_claims(list(CLAIMS), RunConfig(
-        torus_table=str(ROOT / "data" / "torus_orders.json"),
         degrees_path=str(ROOT / "tests" / "data" / "degree_records.jsonl")))
     entries = json.loads(json.dumps([r.to_json() for r in reports]))
     for entry in entries:

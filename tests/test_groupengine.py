@@ -11,7 +11,7 @@ import pytest
 from chardeg import groupengine as ge
 from chardeg.errors import ResourceLimitError
 from chardeg.exactmath import is_prime_power, prime_power
-from chardeg.groupengine import dixon
+from chardeg.groupengine import dixon, table
 from chardeg.groupengine.elements import FrobMat, Mat, Perm
 from chardeg.groupengine.field import MAX_ORDER, gf
 
@@ -138,24 +138,26 @@ def test_close_group_rejects_mixed_kinds_and_singular():
         ge.close_group([ge.matrix(5, [[1, 2], [2, 4]])])
 
 
-def test_close_group_resource_limit():
+def test_close_group_resource_limit(monkeypatch):
     rot = Perm([(i + 1) % 40 for i in range(40)])
+    assert ge.close_group([rot]).order == 40
+    monkeypatch.setattr(table, "MAX_ELEMENTS", 10)
     with pytest.raises(ResourceLimitError):
-        ge.close_group([rot], limit=10)
-    with pytest.raises(ValueError):  # no closure limit above MAX_ELEMENTS
-        ge.close_group([rot], limit=2**15)
+        ge.close_group([rot])
 
 
-def test_close_group_limit_is_exact():
+def test_close_group_limit_is_exact(monkeypatch):
     # isaacs_K over GF(3), order 54: its last breadth-first level holds
-    # elements 40..54, so limit 53 is crossed inside one batched level
+    # elements 40..54, so the limit 53 is crossed inside one batched level
     gens = [ge.matrix(3, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
             ge.matrix(3, [[1, 0, 0], [0, 1, 1], [0, 0, 1]]),
             ge.matrix(3, [[1, 0, 1], [0, 1, 0], [0, 0, 1]]),
             ge.matrix(3, [[1, 0, 0], [0, 1, 0], [0, 0, 2]])]
-    assert ge.close_group(gens, limit=54).order == 54
+    monkeypatch.setattr(table, "MAX_ELEMENTS", 54)
+    assert ge.close_group(gens).order == 54
+    monkeypatch.setattr(table, "MAX_ELEMENTS", 53)
     with pytest.raises(ResourceLimitError):
-        ge.close_group(gens, limit=53)
+        ge.close_group(gens)
 
 
 def _sequential_closure(gens):

@@ -1,11 +1,12 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import isqrt, prod
 
 import pytest
 
+from chardeg import lie
 from chardeg.claims import LIE_MAX_Q, LIE_MAX_RANK, SITUATION_MAX_DK, SITUATION_NS
 from chardeg.errors import ExcludedCaseError
 from chardeg.exactmath import p_part
@@ -14,11 +15,12 @@ from chardeg.lie import (
     ambient_order, centralizer_order, comparison_shapes,
     euler_tail_lower, factor_availability, gl_order, iter_simple_ids,
     iter_shapes, iter_situation_instances, iter_situation_ratios,
-    k_factor_order, load_torus_table, make_shape, not_simple_reason, prime_powers_up_to,
-    random_shape, seitz_check, seitz_ids, semisimple_degree, simple_order,
-    simply_connected_order, situation_ratio, situation_shape, split_torus_order,
+    k_factor_order, load_torus_table, make_shape, minimal_torus_order, not_simple_reason,
+    prime_powers_up_to, random_shape, seitz_check, seitz_ids, semisimple_degree,
+    simple_order, simply_connected_order, situation_ratio, situation_shape,
     steinberg_degree, verify_lie_38,
 )
+from chardeg.partitions import partitions_of
 from chardeg.psl2 import psl2_order
 
 ATLAS_ORDERS = {
@@ -140,19 +142,17 @@ def test_lie_38_claim_range_holds_over_a_thousand_groups():
 
 
 def test_seitz_untwisted_examples():
-    rep = seitz_check(SimpleGroupId("A", 9, 3), 2**9)  # 10-dimensional over GF(3)
-    assert rep.passes_2b2
-    rep = seitz_check(SimpleGroupId("C", 10, 3), 2**10)
-    assert rep.passes_2b2
-    gid = SimpleGroupId("A", 9, 3)
-    degenerate = seitz_check(gid, simple_order(gid))
-    assert degenerate.passes_2b2 and degenerate.bound <= 2
+    rep = seitz_check(SimpleGroupId("A", 9, 3))  # 10-dimensional over GF(3)
+    assert rep.passes_2b2 and rep.torus_order == 2**9
+    rep = seitz_check(SimpleGroupId("C", 10, 3))
+    assert rep.passes_2b2 and rep.torus_order == 2**10
 
 
 def test_seitz_default_torus_is_split():
-    gid = SimpleGroupId("B", 9, 3)
-    assert split_torus_order(gid) == 2**9
-    assert seitz_check(gid).torus_order == 2**9
+    # the least torus of an untwisted group is the split one, (q - 1)**rank
+    for gid in seitz_ids(twisted=False):
+        assert minimal_torus_order(gid) == (gid.q - 1) ** gid.rank, gid
+        assert seitz_check(gid).torus_order == (gid.q - 1) ** gid.rank, gid
 
 
 def test_seitz_full_untwisted_list_passes():
@@ -160,28 +160,61 @@ def test_seitz_full_untwisted_list_passes():
         assert seitz_check(gid).passes_2b2, gid
 
 
-def test_seitz_twisted_needs_torus():
-    gid = SimpleGroupId("2A", 8, 2)
-    with pytest.raises(ValueError):
-        seitz_check(gid)
-    assert seitz_check(gid, 3**8).passes_2b2
+def test_seitz_twisted_torus_is_derived():
+    # 2A_8(2) = SU_9(2): four cycles of length 2 and one of length 1, each
+    # contributing 3, divided by q + 1 = 3
+    rep = seitz_check(SimpleGroupId("2A", 8, 2))
+    assert rep.torus_order == 3**4 and rep.passes_2b2
+    for gid in seitz_ids(twisted=True):
+        assert seitz_check(gid).passes_2b2, gid
 
 
-def test_seitz_rejects_bad_torus_and_unlisted_group():
-    gid = SimpleGroupId("A", 9, 3)
-    with pytest.raises(ValueError):
-        seitz_check(gid, 2**200)  # cannot divide the group order
+def test_seitz_rejects_bad_torus_and_unlisted_group(monkeypatch):
     with pytest.raises(ValueError):
         seitz_check(SimpleGroupId("A", 2, 3))
+    monkeypatch.setattr(lie, "minimal_torus_order", lambda gid: 2**200)
+    with pytest.raises(ValueError):  # cannot divide the group order
+        seitz_check(SimpleGroupId("A", 9, 3))
 
 
 def test_shipped_torus_table():
+    # the shipped 2D orders are the least ones; its 2A orders, 3**rank, are not
     from pathlib import Path
 
     table = load_torus_table(Path(__file__).parent.parent / "data" / "torus_orders.json")
     for gid in seitz_ids(twisted=True):
-        torus = table[(gid.family, gid.rank, gid.q)]
-        assert seitz_check(gid, torus).passes_2b2, gid
+        shipped = table[(gid.family, gid.rank, gid.q)]
+        derived = minimal_torus_order(gid)
+        assert derived == shipped if gid.family == "2D" else derived < shipped, gid
+
+
+def _least_torus_by_brute_force(family: str, rank: int, q: int) -> int:
+    """The least torus order over every (signed) partition, listed whole."""
+    if family in ("A", "2A"):
+        s = 1 if family == "A" else -1
+        return min(prod(q**a - s**a for a in lam)
+                   for lam in partitions_of(rank + 1)) // (q - s)
+    return min(prod(q**a - s for a, s in zip(lam, signs))
+               for lam in partitions_of(rank)
+               for signs in product((1, -1), repeat=len(lam))
+               if family in ("B", "C") or signs.count(-1) % 2 == (family == "2D"))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_minimal_torus_order_matches_brute_force(q):
+    checked = 0
+    for family in ("A", "2A", "B", "C", "D", "2D"):
+        for rank in range(1, 9):
+            if not_simple_reason(family, rank, q) is None:
+                checked += 1
+                assert minimal_torus_order(SimpleGroupId(family, rank, q)) == \
+                    _least_torus_by_brute_force(family, rank, q), (family, rank, q)
+    assert checked >= 35
+
+
+def test_minimal_torus_order_refuses_exceptional_families():
+    with pytest.raises(ValueError):
+        minimal_torus_order(SimpleGroupId("G2", 2, 3))
 
 
 def test_gl_order_examples():
