@@ -11,6 +11,7 @@ the doubled unitary merge), uniformly over the sweep.
 
 from fractions import Fraction
 
+from chardeg.claims import SITUATION_AMBIENTS, SITUATION_MAX_DK, SITUATION_NS, SITUATION_R
 from chardeg.lie import (
     centralizer_order, comparison_shapes, iter_situation_ratios, make_shape,
     semisimple_degree, situation_ratio,
@@ -29,9 +30,11 @@ for i, j in ((1, 2), (1, 3), (2, 4)):
         ratio = situation_ratio(shape, i, j, s)
         print(f"  situation {s}: ratio {ratio} ~ {float(ratio):.4f}")
 
-print("\nsweeping every realizable 4-factor shape with factor dimension <= 6:")
+print(f"\nsweeping every realizable {SITUATION_R}-factor shape of n in {SITUATION_NS}, "
+      f"ambients {SITUATION_AMBIENTS}, with factor dimension <= {SITUATION_MAX_DK}:")
 worst = {}
-for _, _, _, situation, r in iter_situation_ratios(ns=(9, 10, 11, 12), max_dk=6):
+for _, _, _, situation, r in iter_situation_ratios(SITUATION_NS, SITUATION_AMBIENTS,
+                                                   SITUATION_R, SITUATION_MAX_DK):
     if situation not in worst or r < worst[situation]:
         worst[situation] = r
 for situation, r in sorted(worst.items()):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 from math import factorial
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -88,7 +88,7 @@ class RunConfig:
     """The inputs a caller can set; every range is a constant beside the
     claim that reads it."""
 
-    degrees_path: str | None = None
+    degree_records: tuple[DegreeRecord, ...] | None = None
     jobs: int = 1
 
 
@@ -302,10 +302,24 @@ def _check_nd_counts(cfg: RunConfig):
         "4d*N(d)-3*2^d >= 2^floor(d/2)*(2^ceil(d/2)-8)+8", f"failures={bad}"]
 
 
-def _check_seitz(cfg: RunConfig, twisted: bool):
+# {family: (q, ranks)}: the high-rank classical groups over GF(3) and GF(2)
+# left open by the low-rank degree tables
+SEITZ_UNTWISTED = {
+    "A": (3, range(8, 14)),    # PSL_n(3), 9 <= n <= 14 (rank n-1)
+    "B": (3, range(9, 18)),    # Omega_{2n+1}(3), 9 <= n <= 17
+    "C": (3, range(9, 18)),    # PSp_{2n}(3), 9 <= n <= 17
+    "D": (3, range(9, 31)),    # POmega+_{2n}(3), 9 <= n <= 30
+}
+SEITZ_TWISTED = {
+    "2A": (2, range(8, 14)),   # PSU_n(2), 9 <= n <= 14 (rank n-1)
+    "2D": (3, range(9, 31)),   # POmega-_{2n}(3), 9 <= n <= 30
+}
+
+
+def _check_seitz(cfg: RunConfig, table):
     from . import lie
 
-    ids = lie.seitz_ids(twisted)
+    ids = lie.seitz_ids(table)
     bad = [f"{gid.family}:{gid.rank}:{gid.q}" for gid in ids
            if not lie.seitz_check(gid).passes_2b2]
     return (FAIL if bad else PASS), [f"groups={len(ids)}", f"failures={bad}"]
@@ -331,6 +345,8 @@ def _check_part3(cfg: RunConfig):
 
 
 SITUATION_NS = (9, 10, 11, 12)
+SITUATION_AMBIENTS = ("Sp", "O+", "O-")
+SITUATION_R = 4
 SITUATION_MAX_DK = 6
 
 
@@ -344,7 +360,7 @@ def _check_situations(cfg: RunConfig):
     counts = {s: 0 for s in lie.SITUATIONS}
     bad = []
     for shape, i, j, situation, ratio in lie.iter_situation_ratios(
-            ns=SITUATION_NS, max_dk=SITUATION_MAX_DK):
+            SITUATION_NS, SITUATION_AMBIENTS, SITUATION_R, SITUATION_MAX_DK):
         counts[situation] += 1
         threshold = low_iv if situation == "iv" else low
         if not ratio > threshold:
@@ -357,21 +373,12 @@ def _check_situations(cfg: RunConfig):
 WITNESS_QS = (2, 3, 4, 5)
 
 
-@cache
-def _witness_group(q: int):
-    """isaacs_K(q), built once per process and shared by the two gagola
-    claims."""
-    from . import groupengine
-
-    return groupengine.build_example_group("isaacs_K", q)
-
-
 def _check_equality_family(cfg: RunConfig):
     from . import bounds, groupengine
 
     bad = []
     for q in WITNESS_QS:
-        group = _witness_group(q)
+        group = groupengine.build_example_group("isaacs_K", q)
         d = q * (q - 1)
         if group.order != q**3 * (q - 1):
             bad.append((q, "order"))
@@ -397,10 +404,11 @@ def _check_gagola_arithmetic(cfg: RunConfig):
 
     bad = []
     for q in WITNESS_QS:
-        group = _witness_group(q)
+        # the order that build_example_group("isaacs_K", q) asserts
+        order = q**3 * (q - 1)
         p = prime_power(q)[0]
         d = q * (q - 1)
-        rep = bounds.gagola_arithmetic(group.order, d, q, p, p_part(group.order, p))
+        rep = bounds.gagola_arithmetic(order, d, q, p, p_part(order, p))
         if not (rep.all_pass and rep.order_is_extremal and rep.n_equals_e):
             bad.append(q)
     return (FAIL if bad else PASS), [f"q={list(WITNESS_QS)}", f"failures={bad}"]
@@ -452,15 +460,11 @@ def _check_composition(cfg: RunConfig):
 def _check_degree_records(cfg: RunConfig):
     from . import bounds
 
-    if cfg.degrees_path is None:
+    if cfg.degree_records is None:
         return OUT_OF_SCOPE, ["no degree records supplied"]
-    try:
-        records = ingest_degree_records(cfg.degrees_path)
-    except ValueError as exc:
-        return FAIL, [str(exc)]
     summaries, bad = [], []
     checked = skipped = 0
-    for rec in records:
+    for rec in cfg.degree_records:
         rep = bounds.simple_bound_report(rec.degrees)
         eps = bounds.epsilon_of(rec.degrees)
         summaries.append(f"{rec.name}: b={rep.b} epsilon={eps} "
@@ -500,12 +504,12 @@ CLAIMS: dict[str, tuple[object, tuple[str, ...]]] = {
     "lem3.2/euler-tail": (_check_euler_tail, ("lie",)),
     "lem3.3/srim-table": (_check_srim_table, ("gf2poly",)),
     "sec3/nd-counts": (_check_nd_counts, ("gf2poly",)),
-    "sec3/seitz-untwisted": (partial(_check_seitz, twisted=False), ("lie",)),
-    "sec3/seitz-twisted": (partial(_check_seitz, twisted=True), ("lie",)),
+    "sec3/seitz-untwisted": (partial(_check_seitz, table=SEITZ_UNTWISTED), ("lie",)),
+    "sec3/seitz-twisted": (partial(_check_seitz, table=SEITZ_TWISTED), ("lie",)),
     "sec3/part3-r-le-3": (_check_part3, ("lie",)),
     "sec3/part4-situations": (_check_situations, ("lie",)),
     "thm7.2/equality-family": (_check_equality_family, ("bounds", "groupengine")),
-    "lem7.1/gagola-arithmetic": (_check_gagola_arithmetic, ("bounds", "groupengine")),
+    "lem7.1/gagola-arithmetic": (_check_gagola_arithmetic, ("bounds",)),
     "lem3.5/composition-bound": (_check_composition, ("bounds",)),
     "user/degree-records": (_check_degree_records, ("bounds",)),
 }

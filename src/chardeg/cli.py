@@ -82,7 +82,7 @@ def _check_report_path(path) -> None:
 def _config_from_args(args):
     from pathlib import Path
 
-    from .claims import RunConfig
+    from .claims import RunConfig, ingest_degree_records
 
     if args.max_n is not None:
         from . import symalt
@@ -98,7 +98,13 @@ def _config_from_args(args):
     if args.jobs < 1:
         _abort(f"configuration error: --jobs {args.jobs} is below 1")
     _check_report_path(args.report)
-    return RunConfig(degrees_path=args.degrees or None, jobs=args.jobs)
+    records = None
+    if args.degrees:
+        try:
+            records = tuple(ingest_degree_records(args.degrees))
+        except (OSError, ValueError) as exc:
+            _abort(f"input error: {exc}")
+    return RunConfig(degree_records=records, jobs=args.jobs)
 
 
 def main(argv=None) -> int:

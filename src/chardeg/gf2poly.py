@@ -10,8 +10,8 @@ single polynomial (its repeated squarings use that spreading), the list of
 all irreducibles of one degree by a product sieve over numpy uint32 rows
 (exact: only shifts and XOR), Moebius counting of irreducibles, and the
 count of self-reciprocal irreducibles of a given even degree in both a
-closed form and a brute-force mode that must agree; the brute force tests
-only palindromes with an odd number of terms, since x + 1 divides the
+closed form and a brute-force mode that must agree; the brute force builds
+only the palindromes with an odd number of terms, since x + 1 divides the
 others.
 """
 
@@ -147,33 +147,17 @@ def count_irreducible_monic(d: int) -> int:
     return total // d
 
 
-def palindromic_polys(degree: int) -> Iterator[int]:
-    """Monic polynomials of the given degree equal to their own reversal."""
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    half = (degree + 1) // 2
-    mid_free = degree % 2 == 0
-    for body in range(1 << (half - 1)):
-        base = 1 | (1 << degree)
-        for i in range(1, half):
-            if (body >> (i - 1)) & 1:
-                base |= (1 << i) | (1 << (degree - i))
-        if mid_free:
-            yield base
-            yield base | (1 << (degree // 2))
-        else:
-            yield base
-
-
 def count_self_reciprocal(d: int, mode: str = "formula") -> int:
     """Number of monic irreducible self-reciprocal polynomials of degree 2d.
 
     The closed form is (1/2d) sum over odd e | d of mu(e) 2**(d/e); the
-    brute-force mode filters palindromic candidates of degree 2d through the
-    irreducibility test and is the ground truth for d <= 10.  A candidate
-    with an even number of terms has f(1) = 0, so x + 1 divides it and it is
-    reducible (its degree 2d is at least 2): the brute force drops those
-    without a test and decides every other candidate by Rabin's test.
+    brute-force mode is the ground truth for d <= 10.  A palindrome of
+    degree 2d with an even number of terms has f(1) = 0, so x + 1 divides
+    it and it is reducible.  Its terms other than x**d pair up around x**d,
+    so it has an odd number of terms exactly when its x**d coefficient is 1.
+    The brute force therefore decides by Rabin's test exactly the 2**(d-1)
+    candidates low + x**d + mirror(low), for each odd low of degree below d,
+    where mirror sends x**i to x**(2d-i).
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -185,8 +169,9 @@ def count_self_reciprocal(d: int, mode: str = "formula") -> int:
     if mode == "brute_force":
         if d > _BRUTE_FORCE_MAX:
             raise ResourceLimitError(f"brute force limited to d <= {_BRUTE_FORCE_MAX}")
-        return sum(1 for f in palindromic_polys(2 * d)
-                   if f.bit_count() % 2 and poly_is_irreducible(f))
+        width = 2 * d + 1  # mirror(low) reverses the 2d + 1 bits of low
+        return sum(1 for low in range(1, 1 << d, 2) if poly_is_irreducible(
+            low | 1 << d | int(format(low, f"0{width}b")[::-1], 2)))
     raise ValueError(f"unknown mode {mode!r}")
 
 

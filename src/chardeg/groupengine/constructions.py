@@ -16,7 +16,7 @@ from .elements import FrobMat, Mat, Perm
 from .field import gf
 from .table import MAX_ELEMENTS, GroupTable, close_group
 
-EXAMPLE_KINDS = ("isaacs_K", "p_semidirect_L", "heisenberg")
+EXAMPLE_KINDS = ("isaacs_K", "heisenberg")
 
 
 def _elementary(field, i: int, j: int, a: int) -> Mat:
@@ -38,10 +38,11 @@ def _unitriangular_generators(field) -> list[Mat]:
 
 
 def build_example_group(kind: str, q: int) -> GroupTable:
-    """Construct one of the witness groups over GF(q).
+    """Construct one of the two witness groups over GF(q): isaacs_K, of
+    order q**3 (q-1), or heisenberg, the unitriangular part of order q**3.
 
-    heisenberg supports q <= 9; the two full kinds need q**3 (q-1) within
-    the closure bound, so q <= 8.
+    heisenberg supports q <= 9; isaacs_K needs q**3 (q-1) within the closure
+    bound, so q <= 8.
     """
     if kind not in EXAMPLE_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -57,8 +58,7 @@ def build_example_group(kind: str, q: int) -> GroupTable:
         raise ResourceLimitError(f"order q**3 (q-1) = {q**3 * (q - 1)} exceeds the closure bound")
     field = gf(q)
     gens = _unitriangular_generators(field)
-    if kind == "isaacs_K":
-        gens = gens + [_elementary(field, 0, 2, a) for a in field.basis]
+    gens += [_elementary(field, 0, 2, a) for a in field.basis]
     if q > 2:
         gens.append(_diag_last(field, field.generator))
     group = close_group(gens)

@@ -213,24 +213,9 @@ def iter_simple_ids(max_rank: int, q_limit: int) -> Iterator[SimpleGroupId]:
 # Minimal-torus degree bound for the high-rank classical groups over GF(3)
 # and GF(2) left open by low-rank degree tables.
 
-SEITZ_UNTWISTED = {
-    "A": (3, range(8, 14)),    # PSL_n(3), 9 <= n <= 14 (rank n-1)
-    "B": (3, range(9, 18)),    # Omega_{2n+1}(3), 9 <= n <= 17
-    "C": (3, range(9, 18)),    # PSp_{2n}(3), 9 <= n <= 17
-    "D": (3, range(9, 31)),    # POmega+_{2n}(3), 9 <= n <= 30
-}
-SEITZ_TWISTED = {
-    "2A": (2, range(8, 14)),   # PSU_n(2), 9 <= n <= 14 (rank n-1)
-    "2D": (3, range(9, 31)),   # POmega-_{2n}(3), 9 <= n <= 30
-}
-
-
-def seitz_ids(twisted: bool = False) -> list[SimpleGroupId]:
-    table = SEITZ_TWISTED if twisted else SEITZ_UNTWISTED
-    out = []
-    for fam, (q, ranks) in table.items():
-        out.extend(SimpleGroupId(fam, n, q) for n in ranks)
-    return out
+def seitz_ids(table) -> list[SimpleGroupId]:
+    """The ids of a {family: (q, ranks)} table, family by family."""
+    return [SimpleGroupId(fam, n, q) for fam, (q, ranks) in table.items() for n in ranks]
 
 
 @cache  # every rank over one q reads the entries of the smaller ranks
@@ -281,10 +266,8 @@ class SeitzReport:
 def seitz_check(gid: SimpleGroupId) -> SeitzReport:
     """Bound the largest degree by the odd part of the index of a maximal
     torus of least order (`minimal_torus_order`) in the simply connected
-    group, and test order > 2 * bound**2."""
-    if not any(gid.family == f and gid.q == q and gid.rank in r
-               for f, (q, r) in (*SEITZ_UNTWISTED.items(), *SEITZ_TWISTED.items())):
-        raise ValueError(f"{gid} is not in the supported torus-bound list")
+    group, and test order > 2 * bound**2.  Any classical group is accepted;
+    `minimal_torus_order` refuses the other families."""
     torus_order = minimal_torus_order(gid)
     sc = simply_connected_order(gid)
     if sc % torus_order:
@@ -376,10 +359,6 @@ class ClassicalFactor:
         return (-self.ndim, -self.d, -self.eps)
 
 
-def _canonical(factors) -> tuple[ClassicalFactor, ...]:
-    return tuple(sorted(factors, key=ClassicalFactor.sort_key))
-
-
 @dataclass(frozen=True)
 class CentralizerShape:
     """Factor decomposition K x GL-factors of a semisimple centralizer.
@@ -389,6 +368,8 @@ class CentralizerShape:
     eigenvalue-one block K (0 when absent) and beta its orthogonal sign.
     The dimension budget satisfies m + sum of d*k over factors = n, and for
     orthogonal ambients the factor signs must multiply to the ambient sign.
+    The factors come in `ClassicalFactor.sort_key` order, so equal shapes
+    compare equal; `make_shape` puts them in that order.
     """
 
     ambient: str
@@ -426,18 +407,18 @@ class CentralizerShape:
             raise ValueError("dimension budget m + sum(d*k) != n")
         if sum(1 for f in self.factors if f.d == 1 and f.eps == 1) > 1:
             raise ValueError("a (d, eps) = (1, +) factor may occur at most once")
-
-    def with_factors(self, factors) -> "CentralizerShape":
-        return CentralizerShape(self.ambient, self.n, self.m, self.beta,
-                                _canonical(factors))
+        keys = [f.sort_key() for f in self.factors]
+        if keys != sorted(keys):
+            raise ValueError("factors are not in canonical order")
 
 
 def make_shape(ambient: str, n: int, m: int, beta: int | None,
                factors) -> CentralizerShape:
-    """Build a shape with the factors in canonical order."""
-    return CentralizerShape(ambient, n, m, beta,
-                            _canonical(ClassicalFactor(*f) if isinstance(f, tuple)
-                                       else f for f in factors))
+    """The one way to build a shape: factors, each a `ClassicalFactor` or a
+    (d, k, eps) tuple, in any order, sorted into canonical order."""
+    return CentralizerShape(ambient, n, m, beta, tuple(sorted(
+        (ClassicalFactor(*f) if isinstance(f, tuple) else f for f in factors),
+        key=ClassicalFactor.sort_key)))
 
 
 def k_factor_order(shape: CentralizerShape) -> int:
@@ -477,10 +458,9 @@ def comparison_shapes(shape: CentralizerShape, i: int,
     """(situation, shape of the comparison element t) for every merge move
     that applies to the pair (i, j) of factors, in the order of SITUATIONS.
 
-    A pair admits a move when the shape has r >= 4 factors in canonical
-    order, 1 <= i < j <= r, and the pair dimension d0 = d_i k_i + d_j k_j
-    is even and at least 4.  With eps the product of the pair's signs and
-    rest the other factors:
+    A pair admits a move when the shape has r >= 4 factors, 1 <= i < j <= r,
+    and the pair dimension d0 = d_i k_i + d_j k_j is even and at least 4.
+    With eps the product of the pair's signs and rest the other factors:
     (i)   rest has no (d0, eps) factor: replace the pair by GL-type (d0, 1, eps);
     (ii)  rest has one: fold the pair into the first such, k -> k + 1;
     (iii) eps = +1, the ambient is not SL (whose centralizers have no
@@ -492,20 +472,21 @@ def comparison_shapes(shape: CentralizerShape, i: int,
     most one of (iii), (iv).
     """
     factors = shape.factors
-    if len(factors) < 4 or factors != _canonical(factors) or not 1 <= i < j <= len(factors):
+    if len(factors) < 4 or not 1 <= i < j <= len(factors):
         return []
     fi, fj = factors[i - 1], factors[j - 1]
     d0 = fi.ndim + fj.ndim
     if d0 % 2 or d0 < 4:
         return []
     rest = [f for t, f in enumerate(factors, start=1) if t not in (i, j)]
+    head = (shape.ambient, shape.n, shape.m, shape.beta)
 
     def merge(d: int, eps: int, fresh: str, fold: str, width: int):
         pos = next((t for t, f in enumerate(rest) if (f.d, f.eps) == (d, eps)), None)
         if pos is None:
-            return fresh, shape.with_factors(rest + [ClassicalFactor(d, width, eps)])
-        grown = ClassicalFactor(d, rest[pos].k + width, eps)
-        return fold, shape.with_factors(rest[:pos] + [grown] + rest[pos + 1:])
+            return fresh, make_shape(*head, rest + [(d, width, eps)])
+        grown = (d, rest[pos].k + width, eps)
+        return fold, make_shape(*head, rest[:pos] + [grown] + rest[pos + 1:])
 
     eps = fi.sign * fj.sign
     out = [merge(d0, eps, "i", "ii", 1)]
@@ -602,16 +583,15 @@ def iter_shapes(ns, ambients, r: int, max_dk: int) -> Iterator[CentralizerShape]
                     yield make_shape(amb, n, m, beta, combo)
 
 
-def iter_situation_instances(ns=(9, 10, 11, 12), ambients=("Sp", "O+", "O-"),
-                             r: int = 4, max_dk: int = 6):
+def iter_situation_instances(ns, ambients, r: int, max_dk: int):
     """The (shape, i, j, situation) of every row of `iter_situation_ratios`."""
     for shape, i, j, situation, _ in iter_situation_ratios(ns, ambients, r, max_dk):
         yield shape, i, j, situation
 
 
-def iter_situation_ratios(ns=(9, 10, 11, 12), ambients=("Sp", "O+", "O-"),
-                          r: int = 4, max_dk: int = 6):
-    """Yield (shape, i, j, situation, ratio) for every shape of `iter_shapes`,
+def iter_situation_ratios(ns, ambients, r: int, max_dk: int):
+    """Yield (shape, i, j, situation, ratio) for every shape of
+    `iter_shapes(ns, ambients, r, max_dk)`, the ranges being the caller's,
     every pair i < j of its factors and every situation that applies to the
     pair, ratio being `situation_ratio(shape, i, j, situation)`.  Each
     comparison shape is built once, and the degree of each distinct shape,

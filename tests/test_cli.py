@@ -12,7 +12,7 @@ import pytest
 from chardeg import cli, lie, symalt
 from chardeg.claims import (
     CLAIMS, COMPOSITION_E_MIN, COMPOSITION_TERMS, FAIL, PASS, WITNESS_QS, RunConfig,
-    _check_part3, _witness_group, ingest_degree_records, run_claims)
+    _check_part3, ingest_degree_records, run_claims)
 from chardeg.exactmath import positive_from
 from chardeg.psl2 import psl2_degrees
 
@@ -62,9 +62,12 @@ def test_ingest_rejects_non_integer_fields(record, tmp_path, capsys):
     path.write_text(record + "\n")
     with pytest.raises(ValueError, match=r"typed\.jsonl:1: expected a string name"):
         ingest_degree_records(path)
-    assert cli.main(["epsilon", "--degrees", str(path)]) == 1
-    out = capsys.readouterr().out
-    assert "typed.jsonl:1" in out and "error" not in out.lower()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["epsilon", "--degrees", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ") and "typed.jsonl:1" in captured.err
 
 
 @pytest.mark.parametrize("record", [
@@ -79,8 +82,12 @@ def test_ingest_rejects_non_positive_degrees_and_multiplicities(record, tmp_path
     path.write_text(record + "\n")
     with pytest.raises(ValueError, match=r"signs\.jsonl:1: degrees and multiplicities must be positive"):
         ingest_degree_records(path)
-    assert cli.main(["epsilon", "--degrees", str(path)]) == 1
-    assert "signs.jsonl:1: degrees and multiplicities must be positive" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["epsilon", "--degrees", str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"input error: {path}:1: degrees and multiplicities "
+                                   "must be positive, with at least one degree and an "
+                                   "order of at least 1\n")
 
 
 def test_ingest_accepts_the_benchmark_degree_records(tmp_path):
@@ -233,7 +240,7 @@ def test_worker_pool_forks_after_numpy_is_loaded():
         "    def __exit__(self, *exc): return False\n"
         "    def map(self, fn, items): return map(fn, items)\n"
         "concurrent.futures.ProcessPoolExecutor = Pool\n"
-        "claims.run_claims(['lem3.2/euler-tail', 'lem7.1/gagola-arithmetic'],\n"
+        "claims.run_claims(['lem3.2/euler-tail', 'thm7.2/equality-family'],\n"
         "                  claims.RunConfig(jobs=2))\n"
         "assert seen == [(True, 1)], seen\n")
     assert "numpy" in _modules_after(code)
@@ -258,7 +265,8 @@ def test_worker_pool_forks_after_the_claims_modules_are_loaded(tmp_path):
         "    def __exit__(self, *exc): return False\n"
         "    def map(self, fn, items): return map(fn, items)\n"
         "concurrent.futures.ProcessPoolExecutor = Pool\n"
-        f"cfg = claims.RunConfig(degrees_path={str(degrees)!r}, jobs=2)\n"
+        f"records = tuple(claims.ingest_degree_records({str(degrees)!r}))\n"
+        "cfg = claims.RunConfig(degree_records=records, jobs=2)\n"
         "late = {}\n"
         "for claim in claims.CLAIMS:\n"
         "    read, write = os.pipe()\n"
@@ -563,9 +571,27 @@ def test_tracer_installs_in_a_fresh_interpreter():
 def test_epsilon_with_bad_degrees_file_fails(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"name": "X", "order": 11, "degrees": [[1, 2], [2, 2]]}\n')
-    assert cli.main(["epsilon", "--degrees", str(bad)]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL" in out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["epsilon", "--degrees", str(bad)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: {bad}:1: record 'X' violates")
+    assert captured.err.count("\n") == 1
+
+
+def test_verify_all_with_a_malformed_degrees_file_runs_no_claim(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("not json\n")
+    report = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-all", "--degrees", str(bad), "--report", str(report)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: {bad}:1: invalid JSON")
+    assert captured.err.count("\n") == 1
+    assert not report.exists()
 
 
 def test_epsilon_with_good_degrees_file(tmp_path, capsys):
@@ -712,8 +738,8 @@ def test_claim_registry_is_consistent():
 
 
 def test_parallel_jobs_agree_with_serial(capsys):
-    # gagola-arithmetic builds groups, so the pool forks after numpy loads
-    claims = ["lem3.2/euler-tail", "lem3.5/composition-bound", "lem7.1/gagola-arithmetic"]
+    # equality-family builds groups, so the pool forks after numpy loads
+    claims = ["lem3.2/euler-tail", "lem3.5/composition-bound", "thm7.2/equality-family"]
     serial = run_claims(claims, RunConfig(jobs=1))
     parallel = run_claims(claims, RunConfig(jobs=2))
     assert [(r.claim, r.status, r.witnesses) for r in serial] == \
@@ -755,11 +781,7 @@ def test_gagola_claims_build_each_witness_group_once(monkeypatch):
     build = groupengine.build_example_group
     monkeypatch.setattr(groupengine, "build_example_group",
                         lambda family, q: built.append((family, q)) or build(family, q))
-    _witness_group.cache_clear()
-    try:
-        reports = run_claims(cli.SUBCOMMAND_CLAIMS["gagola"], RunConfig())
-    finally:
-        _witness_group.cache_clear()
+    reports = run_claims(cli.SUBCOMMAND_CLAIMS["gagola"], RunConfig())
     assert [r.status for r in reports] == ["pass", "pass"]
     assert built == [("isaacs_K", q) for q in WITNESS_QS]
 

@@ -12,7 +12,7 @@ purpose regenerates the file in the same change with
 import json
 from pathlib import Path
 
-from chardeg.claims import CLAIMS, RunConfig, run_claims
+from chardeg.claims import CLAIMS, RunConfig, ingest_degree_records, run_claims
 
 ROOT = Path(__file__).parent.parent
 GOLDEN = ROOT / "tests" / "data" / "verify_all.report.json"
@@ -20,8 +20,8 @@ GOLDEN = ROOT / "tests" / "data" / "verify_all.report.json"
 
 def verify_all_report() -> list[dict]:
     """The report entries, as JSON reads them back, without their times."""
-    reports = run_claims(list(CLAIMS), RunConfig(
-        degrees_path=str(ROOT / "tests" / "data" / "degree_records.jsonl")))
+    records = ingest_degree_records(ROOT / "tests" / "data" / "degree_records.jsonl")
+    reports = run_claims(list(CLAIMS), RunConfig(degree_records=tuple(records)))
     entries = json.loads(json.dumps([r.to_json() for r in reports]))
     for entry in entries:
         del entry["seconds"]

@@ -835,14 +835,6 @@ def test_example_group_orders():
     assert set(_element_orders(heis)) == {1, 3}
 
 
-def test_p_semidirect_l_equals_full_group():
-    for q in (3, 4):
-        a = ge.build_example_group("isaacs_K", q)
-        b = ge.build_example_group("p_semidirect_L", q)
-        assert a.order == b.order == q**3 * (q - 1)
-        assert set(a.elements) == set(b.elements)
-
-
 def test_resource_limits_on_kinds():
     with pytest.raises(ResourceLimitError):
         ge.build_example_group("isaacs_K", 9)   # order 5832 exceeds the bound

@@ -7,7 +7,10 @@ from math import isqrt, prod
 import pytest
 
 from chardeg import lie
-from chardeg.claims import LIE_MAX_Q, LIE_MAX_RANK, SITUATION_MAX_DK, SITUATION_NS
+from chardeg.claims import (
+    LIE_MAX_Q, LIE_MAX_RANK, SEITZ_TWISTED, SEITZ_UNTWISTED, SITUATION_AMBIENTS,
+    SITUATION_MAX_DK, SITUATION_NS, SITUATION_R,
+)
 from chardeg.errors import ExcludedCaseError
 from chardeg.exactmath import p_part
 from chardeg.lie import (
@@ -150,13 +153,13 @@ def test_seitz_untwisted_examples():
 
 def test_seitz_default_torus_is_split():
     # the least torus of an untwisted group is the split one, (q - 1)**rank
-    for gid in seitz_ids(twisted=False):
+    for gid in seitz_ids(SEITZ_UNTWISTED):
         assert minimal_torus_order(gid) == (gid.q - 1) ** gid.rank, gid
         assert seitz_check(gid).torus_order == (gid.q - 1) ** gid.rank, gid
 
 
 def test_seitz_full_untwisted_list_passes():
-    for gid in seitz_ids(twisted=False):
+    for gid in seitz_ids(SEITZ_UNTWISTED):
         assert seitz_check(gid).passes_2b2, gid
 
 
@@ -165,13 +168,18 @@ def test_seitz_twisted_torus_is_derived():
     # contributing 3, divided by q + 1 = 3
     rep = seitz_check(SimpleGroupId("2A", 8, 2))
     assert rep.torus_order == 3**4 and rep.passes_2b2
-    for gid in seitz_ids(twisted=True):
+    for gid in seitz_ids(SEITZ_TWISTED):
         assert seitz_check(gid).passes_2b2, gid
 
 
-def test_seitz_rejects_bad_torus_and_unlisted_group(monkeypatch):
-    with pytest.raises(ValueError):
-        seitz_check(SimpleGroupId("A", 2, 3))
+def test_seitz_checks_a_classical_group_outside_the_seitz_lists():
+    gid = SimpleGroupId("A", 2, 3)
+    assert seitz_check(gid).torus_order == minimal_torus_order(gid)
+    with pytest.raises(ValueError):  # not a classical family
+        seitz_check(SimpleGroupId("G2", 2, 3))
+
+
+def test_seitz_rejects_a_torus_order_that_does_not_divide(monkeypatch):
     monkeypatch.setattr(lie, "minimal_torus_order", lambda gid: 2**200)
     with pytest.raises(ValueError):  # cannot divide the group order
         seitz_check(SimpleGroupId("A", 9, 3))
@@ -182,7 +190,7 @@ def test_shipped_torus_table():
     from pathlib import Path
 
     table = load_torus_table(Path(__file__).parent.parent / "data" / "torus_orders.json")
-    for gid in seitz_ids(twisted=True):
+    for gid in seitz_ids(SEITZ_TWISTED):
         shipped = table[(gid.family, gid.rank, gid.q)]
         derived = minimal_torus_order(gid)
         assert derived == shipped if gid.family == "2D" else derived < shipped, gid
@@ -258,6 +266,12 @@ def test_shape_validation():
     # beta = -1 with even-multiplicity unitary factor lands in the minus type
     shape = make_shape("O-", 8, 2, -1, [(3, 2, -1)])
     assert shape.ambient == "O-"
+    # only make_shape sorts the factors into canonical order
+    factors = [(1, 1, 1), (2, 1, 1), (3, 1, -1)]
+    with pytest.raises(ValueError, match="canonical order"):
+        CentralizerShape("Sp", 7, 1, None, tuple(ClassicalFactor(*f) for f in factors))
+    assert make_shape("Sp", 7, 1, None, factors) == \
+        make_shape("Sp", 7, 1, None, factors[::-1])
 
 
 def test_situation_worked_example():
@@ -308,7 +322,8 @@ def test_situation_sweep_bounds():
     low, low_iv = Fraction(81, 320), Fraction(81, 272)
     seen = set()
     count = 0
-    for shape, i, j, situation in iter_situation_instances(ns=(9, 10), max_dk=5):
+    for shape, i, j, situation in iter_situation_instances((9, 10), SITUATION_AMBIENTS,
+                                                         SITUATION_R, 5):
         ratio = situation_ratio(shape, i, j, situation)
         seen.add(situation)
         count += 1
@@ -361,8 +376,8 @@ def _closed_form_ratio(shape, i, j, situation):
 
 def test_situation_ratio_matches_closed_form():
     checked = {s: 0 for s in ("i", "ii", "iii", "iv")}
-    for shape, i, j, situation in iter_situation_instances(ns=(9, 10, 11, 12),
-                                                           max_dk=6):
+    for shape, i, j, situation in iter_situation_instances(
+            SITUATION_NS, SITUATION_AMBIENTS, SITUATION_R, SITUATION_MAX_DK):
         expected = _closed_form_ratio(shape, i, j, situation)
         assert situation_ratio(shape, i, j, situation) == expected, \
             (shape, i, j, situation)
@@ -411,7 +426,8 @@ def _reference_semisimple_degree(shape):
 
 def test_semisimple_degree_matches_the_explicit_product():
     shapes = set()
-    for shape, i, j, situation in iter_situation_instances():
+    for shape, i, j, situation in iter_situation_instances(
+            SITUATION_NS, SITUATION_AMBIENTS, SITUATION_R, SITUATION_MAX_DK):
         shapes |= {shape, situation_shape(shape, i, j, situation)}
     assert len(shapes) == 651
     shapes |= {make_shape("SL", 3, 0, None, [(1, 1, 1), (2, 1, 1)]),
@@ -592,8 +608,9 @@ def _reference_situation_instances(ns, ambients=("Sp", "O+", "O-"), r=4, max_dk=
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"ns": SITUATION_NS, "max_dk": SITUATION_MAX_DK},
-    {"ns": (12, 8), "ambients": ("O-",), "max_dk": 4},
+    {"ns": SITUATION_NS, "ambients": SITUATION_AMBIENTS, "r": SITUATION_R,
+     "max_dk": SITUATION_MAX_DK},
+    {"ns": (12, 8), "ambients": ("O-",), "r": 4, "max_dk": 4},
     {"ns": (13,), "ambients": ("O+",), "r": 5, "max_dk": 5},
 ])
 def test_situation_enumerator_matches_reference(kwargs):
@@ -615,7 +632,8 @@ def test_situation_ratios_compute_each_distinct_degree_once(monkeypatch):
     asked = []
     monkeypatch.setattr(lie, "semisimple_degree",
                         lambda shape: asked.append(shape) or semisimple_degree(shape))
-    rows = list(iter_situation_ratios(SITUATION_NS, max_dk=SITUATION_MAX_DK))
+    rows = list(iter_situation_ratios(SITUATION_NS, SITUATION_AMBIENTS, SITUATION_R,
+                                      SITUATION_MAX_DK))
     shapes = {row[0] for row in rows}
     shapes |= {situation_shape(*row[:4]) for row in rows}
     assert len(asked) == len(set(asked)) == len(shapes)
