@@ -14,13 +14,6 @@ Importing the package loads none of its modules: each is imported by name
 needs only the group engine does not load or compile the rest.
 """
 
-import os
-
-# chardeg makes no BLAS call, and an OpenBLAS worker thread busy-waits once
-# numpy loads and makes the --jobs pool fork a threaded process.  So no worker
-# unless the caller chose otherwise; this runs before any module imports numpy.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
 __version__ = "0.1.0"
 
 __all__ = [

@@ -7,16 +7,17 @@ top bit set.
 Besides the ring operations, among them squaring by spreading the bits of
 a polynomial apart, the module provides Rabin's irreducibility test for a
 single polynomial (its repeated squarings use that spreading), the list of
-all irreducibles of one degree by a product sieve over numpy uint32 rows
-(exact: only shifts and XOR), Moebius counting of irreducibles, and the
-count of self-reciprocal irreducibles of a given even degree in both a
-closed form and a brute-force mode that must agree; the brute force builds
-only the palindromes with an odd number of terms, since x + 1 divides the
-others.
+all irreducibles of one degree by a product sieve (exact: only shifts and
+XOR), Moebius counting of irreducibles, and the count of self-reciprocal
+irreducibles of a given even degree in both a closed form and a
+brute-force mode that must agree; the brute force builds only the
+palindromes with an odd number of terms, since x + 1 divides the others.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import compress
 from typing import Iterator
 
 from .errors import ResourceLimitError
@@ -26,9 +27,11 @@ X = 0b10  # the polynomial x
 ONE = 0b1
 
 _BRUTE_FORCE_MAX = 10
-# the sieve of degree d holds 2**d flags and three rows of 2**(d-1) uint32
-# products (7 MB at d = 20); products stay below 2**(d+1), within uint32
+# the sieve of degree d holds 2**d flags (1 MB at d = 20) and at most
+# 2**_SPAN_LOW + 2**(d - 1 - _SPAN_LOW) products at a time, and keeps its
+# list for every degree it sieved
 SIEVE_MAX_D = 20
+_SPAN_LOW = 10
 
 
 def poly_degree(f: int) -> int:
@@ -92,33 +95,41 @@ def poly_is_irreducible(f: int) -> bool:
 
 
 def irreducible_polys(d: int) -> Iterator[int]:
-    """All monic irreducible polynomials of degree d, ascending as integers.
-
-    A sieve over the 2**d monic polynomials of degree d strikes out every
-    product g*h of a monic irreducible g with 1 <= deg g <= d/2 and a monic
-    h; what is left is irreducible, since a reducible polynomial has such a
-    factor g.  The carry-less products of one g with all h are formed at
-    once, as the XOR of h << i over the set bits i of g.
-    """
+    """All monic irreducible polynomials of degree d, ascending as integers."""
     if d < 1:
         raise ValueError("degree must be >= 1")
     if d > SIEVE_MAX_D:
         raise ResourceLimitError(f"the sieve is limited to d <= {SIEVE_MAX_D}")
-    import numpy as np
+    yield from _sieve(d)
 
+
+def _span(vectors: list[int], start: int) -> list[int]:
+    """start XOR the sum of each subset of vectors, listed by doubling."""
+    out = [start]
+    for v in vectors:
+        out += list(map(v.__xor__, out))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _sieve(d: int) -> tuple[int, ...]:
+    """The monic irreducibles of degree d, by a sieve over the 2**d monic
+    polynomials of degree d that strikes out every product g*h of a monic
+    irreducible g with 1 <= e = deg g <= d/2 and a monic h.  What is left is
+    irreducible, since a reducible polynomial has such a factor g.  The
+    products are g x**(d-e) plus the span of g x**j, j < d - e: the first
+    _SPAN_LOW of those span one list, and each sum of the others is XORed
+    onto it in turn.  Each degree is sieved once."""
     top = 1 << d
-    irreducible = np.ones(top, dtype=bool)  # indexed by f - x**d
+    irreducible = bytearray(b"\x01") * top  # indexed by f - x**d
     for e in range(1, d // 2 + 1):
-        h = np.arange(1 << (d - e), 2 << (d - e), dtype=np.uint32)
-        for g in irreducible_polys(e):
-            product = np.zeros_like(h)
-            for i in range(e + 1):
-                if g >> i & 1:
-                    product ^= h << i
-            product ^= top
-            irreducible[product] = False
-    for body in np.flatnonzero(irreducible).tolist():
-        yield top | body
+        for g in _sieve(e):
+            shifts = [g << j for j in range(d - e)]
+            low = _span(shifts[:_SPAN_LOW], (g << (d - e)) ^ top)
+            for high in _span(shifts[_SPAN_LOW:], 0):
+                for product in map(high.__xor__, low):
+                    irreducible[product] = 0
+    return tuple(compress(range(top, 2 * top), irreducible))
 
 
 def mobius(n: int) -> int:

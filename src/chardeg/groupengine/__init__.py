@@ -3,7 +3,7 @@
 Groups are built by breadth-first closure of permutation or matrix
 generators; character tables come from the modular eigenvector method with
 exact cyclotomic lifting, checked by evaluation at the roots of unity modulo
-a prime that splits completely, all in int64 arithmetic modulo primes.  They
+a prime that splits completely, all in integer arithmetic modulo primes.  They
 serve as the brute-force oracle behind every degree claim about the witness
 constructions.
 """

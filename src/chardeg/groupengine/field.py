@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
 from ..exactmath import prime_power
 
 MAX_ORDER = 81
@@ -43,9 +41,6 @@ class GF:
         self._neg = [row.index(0) for row in self._add]
         self._mul = next(mul for mul in map(self._products, range(q))
                          if all(0 not in row[1:] for row in mul[1:]))
-        # the same tables as arrays, for products of many matrices at once
-        self.mul_table = np.array(self._mul, dtype=np.uint8)
-        self.add_table = np.array(self._add, dtype=np.uint8)
         self._inv = [0] + [row.index(1) for row in self._mul[1:]]
         self._frob = [self.pow(x, p) for x in range(q)]
         self.generator = next(g for g in range(1, q)

@@ -33,10 +33,14 @@ class GagolaReport:
 
 def gagola_analyze(group: GroupTable,
                    table: CharacterTable | None = None) -> GagolaReport:
+    """The report for `group`, read off `table` (by default its Dixon
+    table).  The nonzero counts come from `table.evaluated`, the evaluation
+    the build checked, while it is set; a table whose values were edited in
+    place needs `table.evaluated = None`, see CharacterTable."""
     if table is None:
         table = dixon_character_table(group)
     k = table.num_classes
-    nonzero = table.nonzero_class_counts()
+    nonzero = table.nonzero_class_counts(table.evaluated)
     witness = next((t for t, count in enumerate(nonzero) if count == 2), None)
     minimal = group.minimal_normal_subgroups()
     unique = len(minimal) == 1

@@ -1,27 +1,31 @@
 """Explicit small groups: breadth-first closure of a generating set, then
 conjugacy classes, products, generated and normal subgroups, and derived
-series, each computed by numpy gathers rather than element by element.
+series, each computed on lists of element indices rather than on elements.
 
-The closure itself multiplies no element objects and builds none per
-element: each element is a row of integer codes, and a whole breadth-first
-level is multiplied by the generators in one batched gather.  What it keeps
-is linear in the order: the product of every element with every generator
-on the right, each element's parent (x, k), with the element equal to x
-times the k-th generator, and the inverses.  Conjugation by the generators
-and any product column x -> x z are gathers on those arrays, and no query
-builds an n x n array.  The rows are kept, and element objects are decoded
-from them only when asked for."""
+The closure multiplies no element objects and builds none per element:
+each element is a tuple of integer codes, and each generator multiplies a
+code tuple by a lookup per entry.  What it keeps is linear in the order:
+the product of every element with every generator on the right, each
+element's parent (x, k), with the element equal to x times the k-th
+generator, and the inverses.  Conjugation by the generators and any product
+column x -> x z are gathers on those lists, and no query builds an n x n
+table.  The code tuples are kept, and element objects are decoded from them
+only when asked for."""
 
 from __future__ import annotations
 
-import numpy as np
+from operator import itemgetter
 
 from ..errors import ResourceLimitError
 from .elements import FrobMat, Mat, Perm
 
-# the closure limit; the int64 exactness of the character-table arithmetic
-# is checked up to this order
+# the closure limit
 MAX_ELEMENTS = 5000
+
+
+def _gather(column: list[int], values: list[int]) -> list[int]:
+    """[column[v] for v in values]."""
+    return list(map(column.__getitem__, values))
 
 
 class GroupTable:
@@ -29,7 +33,7 @@ class GroupTable:
 
     Index 0 is the identity, and indices follow the breadth-first order of
     the closure (each element times each generator in turn, new products
-    numbered at first occurrence).  right[x, k] is the index of x * g_k for
+    numbered at first occurrence).  right[k][x] is the index of x * g_k for
     the k-th generator g_k; every element y > 0 has the parent
     parents[y - 1] = K x + k (K generators) with y = x * g_k and x < y.
     So every product is a walk of gathers on `right` along the parents, and
@@ -38,26 +42,27 @@ class GroupTable:
     columns of its generators; the derived series takes each term as the
     normal closure of the commutators of the last term's generators.
 
-    The elements are kept as the closure's rows of integer codes, and
-    `elements` decodes them into element objects on first access: no group
-    query reads them.
+    The elements are kept as the closure's code tuples, and `elements`
+    decodes them into element objects on first access: no group query reads
+    them.
     """
 
-    def __init__(self, rows: np.ndarray, decode, right: np.ndarray,
-                 parents: np.ndarray, inverses: np.ndarray):
+    def __init__(self, rows: list[tuple], decode, right: list[list[int]],
+                 parents: list[int], inverses: list[int]):
         self._rows = rows
         self._decode = decode
         self._elements = None
         self._right = right
         self._parents = parents
         self.inverses = inverses
-        self.generators = sorted(set(right[0].tolist()))
+        self.generators = sorted({column[0] for column in right})
         self._class_of = None
+        self._classes = None
 
     @property
     def elements(self) -> list:
         if self._elements is None:
-            self._elements = [self._decode(row) for row in self._rows.tolist()]
+            self._elements = [self._decode(row) for row in self._rows]
         return self._elements
 
     @property
@@ -68,102 +73,104 @@ class GroupTable:
         """(y, word): y is the first of z and its ancestors, read up the
         parents, that is in `known`, or else the identity, and word the
         generator positions k_1, ..., k_r with z = y g_k1 ... g_kr."""
-        count = self._right.shape[1]
+        count = len(self._right)
         word = []
         while z and z not in known:
-            z, k = divmod(int(self._parents[z - 1]), count)
+            z, k = divmod(self._parents[z - 1], count)
             word.append(k)
         return z, word[::-1]
 
     def mult(self, i: int, j: int) -> int:
         for k in self._walk(j)[1]:
-            i = self._right[i, k]
-        return int(i)
+            i = self._right[k][i]
+        return i
 
-    def product_columns(self, zs) -> np.ndarray:
-        """The (order, len(zs)) array whose c-th column is x -> x * zs[c].
+    def product_columns(self, zs) -> list[list[int]]:
+        """The list whose c-th entry is the column x -> x * zs[c], a list of
+        indices; a column repeated in zs may be the same list object.
 
         The zs are taken in ascending index order, so every parent of z
         comes before z.  Each z is walked up its parents only until an
         element whose column is already written here, or the identity, and
         that column (or the identity's) is carried back down the letters
-        walked, one gather on `right` per letter.  It is int16, since the
-        closure stops at MAX_ELEMENTS < 2**15 elements."""
-        out = np.empty((self.order, len(zs)), dtype=np.int16)
-        written = {}  # element -> its column in out
-        for c in sorted(range(len(zs)), key=lambda c: zs[c]):
-            z = int(zs[c])
+        walked, one gather on `right` per letter."""
+        out = [None] * len(zs)
+        written = {}  # element -> its column
+        for c in sorted(range(len(zs)), key=zs.__getitem__):
+            z = zs[c]
             y, word = self._walk(z, written)
-            column = out[:, written[y]] if y else np.arange(self.order)
+            column = written[y] if y else list(range(self.order))
             for k in word:
-                column = self._right[column, k]
-            out[:, c] = column
-            written[z] = c
+                column = _gather(self._right[k], column)
+            out[c] = written[z] = column
         return out
 
-    def class_of(self) -> np.ndarray:
-        """Index of each element's class in conjugacy_classes().
+    def _conjugacy(self) -> None:
+        """Fill the classes and each element's class.  Each class is the
+        orbit of its smallest member under conjugation by the generators,
+        g^-1 x g = (w^-1 g)^-1 for w = x g, found in index order, so the
+        classes come in order of their smallest member."""
+        inv, n = self.inverses, self.order
+        conj = [_gather(inv, _gather(column, _gather(inv, column))) for column in self._right]
+        class_of, classes = [-1] * n, []
+        for x in range(n):
+            if class_of[x] < 0:
+                class_of[x] = len(classes)
+                members = [x]
+                for y in members:  # grows while it is read
+                    for c in conj:
+                        z = c[y]
+                        if class_of[z] < 0:
+                            class_of[z] = len(classes)
+                            members.append(z)
+                classes.append(sorted(members))
+        self._class_of, self._classes = class_of, classes
 
-        Every element takes the smallest index reachable by conjugating with
-        the generators; that label is constant on a class and is its
-        smallest member.
-        """
+    def class_of(self) -> list[int]:
+        """Index of each element's class in conjugacy_classes()."""
         if self._class_of is None:
-            # conj[k][x] is the index of g^-1 x g for the k-th generator g:
-            # g^-1 w = (w^-1 g)^-1 for w = x g
-            inv, right = self.inverses, self._right
-            conj = [inv[right[inv[right[:, k]], k]] for k in range(right.shape[1])]
-            label = np.arange(self.order)
-            while True:
-                new = label
-                for c in conj:
-                    new = np.minimum(new, new[c])
-                new = new[new]  # labels are class members: jump along them
-                if (new == label).all():
-                    break
-                label = new
-            self._class_of = np.unique(label, return_inverse=True)[1]
+            self._conjugacy()
         return self._class_of
 
     def conjugacy_classes(self) -> list[list[int]]:
         """Orbits under conjugation, identity class first, then in order of
         the smallest member index; each class is sorted."""
-        labels = self.class_of()
-        members = np.argsort(labels, kind="stable")
-        ends = np.cumsum(np.bincount(labels))[:-1]
-        return [c.tolist() for c in np.split(members, ends)]
+        if self._classes is None:
+            self._conjugacy()
+        return [list(members) for members in self._classes]
 
-    def _generate(self, idxs) -> tuple[np.ndarray, list[int]]:
-        """Membership mask of the subgroup generated by an array-like of
-        element indices, and the generators it was grown from.
+    def _generate(self, idxs) -> tuple[list[int], list[int]]:
+        """Members of the subgroup generated by an iterable of element
+        indices, and the generators it was grown from.
 
         Only candidates outside the subgroup built so far join the
         generators, so each one at least doubles it; after each, the whole
         subgroup is multiplied by the generators' product columns, then each
         new frontier.  Each generator's column is built once, when it joins.
         """
-        wanted = np.zeros(self.order, dtype=bool)
-        wanted[np.asarray(idxs, dtype=np.intp)] = True
-        inside = np.zeros(self.order, dtype=bool)
-        inside[0] = True
-        gens = []
-        columns = np.empty((self.order, 0), dtype=np.int16)
-        while (outside := np.flatnonzero(wanted & ~inside)).size:
-            gens.append(int(outside[0]))
-            columns = np.hstack([columns, self.product_columns(gens[-1:])])
-            frontier = np.flatnonzero(inside)
-            while frontier.size:
-                # the new products, sorted and distinct, by a mask: a bare
-                # np.unique would import numpy.ma for its masked-array check
-                grown = inside.copy()
-                grown[columns[frontier]] = True
-                frontier = np.flatnonzero(grown & ~inside)
-                inside = grown
-        return inside, gens
+        inside = bytearray(self.order)
+        inside[0] = 1
+        members, gens, columns = [0], [], []
+        for z in sorted(set(idxs)):
+            if inside[z]:
+                continue
+            gens.append(z)
+            columns += self.product_columns([z])
+            frontier = members
+            while frontier:
+                grown = []
+                for column in columns:
+                    for y in map(column.__getitem__, frontier):
+                        if not inside[y]:
+                            inside[y] = 1
+                            grown.append(y)
+                members = members + grown
+                frontier = grown
+        return members, gens
 
     def subgroup_generated(self, idxs) -> frozenset[int]:
-        """Subgroup generated by an array-like of element indices."""
-        return frozenset(np.flatnonzero(self._generate(idxs)[0]).tolist())
+        """Subgroup generated by an iterable of element indices."""
+        return frozenset(self._generate(idxs)[0])
 
     def minimal_normal_subgroups(self) -> list[frozenset[int]]:
         """Minimal elements among the normal closures of nontrivial classes.
@@ -190,66 +197,83 @@ class GroupTable:
         class_of, inv = self.class_of(), self.inverses
         series, gens = [frozenset(range(self.order))], self.generators
         while True:
-            commutators = [self.mult(int(inv[self.mult(y, x)]), self.mult(x, y))
-                           for x in gens for y in gens]
-            wanted = np.zeros(class_of.max() + 1, dtype=bool)
-            wanted[class_of[commutators]] = True
-            inside, gens = self._generate(np.flatnonzero(wanted[class_of]))
-            if inside.sum() == len(series[-1]):
+            wanted = {class_of[self.mult(inv[self.mult(y, x)], self.mult(x, y))]
+                      for x in gens for y in gens}
+            members, gens = self._generate(x for x, c in enumerate(class_of) if c in wanted)
+            if len(members) == len(series[-1]):
                 return series
-            series.append(frozenset(np.flatnonzero(inside).tolist()))
+            series.append(frozenset(members))
 
     def is_solvable(self) -> bool:
         return self.derived_series()[-1] == frozenset({0})
 
 
-def _mat_products(field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products a @ b over the field of two broadcastable (..., d, d) arrays
-    of field codes: the d**3 entry products are one gather on the field's
-    multiplication table, summed by d - 1 gathers on its addition table."""
-    terms = field.mul_table[a[..., :, :, None], b[..., None, :, :]]  # [..., i, k, j]
-    out = terms[..., 0, :]
-    for k in range(1, terms.shape[-2]):
-        out = field.add_table[out, terms[..., k, :]]
-    return out
+class _RowTimes(dict):
+    """Matrix rows times one matrix N over a field, memoised: a row is the
+    code sum_j a_j q**j of its entries a_j, and self[r] is the code of the
+    row r N, computed on first use."""
+
+    def __init__(self, field, dim: int, entries):
+        super().__init__()
+        self._field, self._dim, self._entries = field, dim, entries
+
+    def __missing__(self, r: int) -> int:
+        field, d = self._field, self._dim
+        q, add = field.q, field._add
+        acc, rest = [0] * d, r
+        for i in range(d):  # add a_i times the i-th row of N
+            times_a, rest = field._mul[rest % q], rest // q
+            acc = [add[s][times_a[x]] for s, x in zip(acc, self._entries[i * d:(i + 1) * d])]
+        code = 0
+        for s in reversed(acc):
+            code = code * q + s
+        self[r] = code
+        return code
 
 
 def _rows_of_kind(gens):
-    """How the generators' kind is closed on rows of uint8 codes.
+    """How the generators' kind is closed on tuples of integer codes.
 
-    Returns the identity's row; `times`, which maps an (m, w) array of rows
-    to the (m, K, w) array of their products with each of the K generators
-    on the right; and `decode`, which turns a row (a list) into an element.
-    A Perm row is its images; a FrobMat row is its matrix entries, row-major,
-    followed by its Frobenius power, and a Mat row is that of power 0.
+    Returns the identity's tuple; `times`, which maps a tuple to the list of
+    its products with each of the K generators on the right; and `decode`,
+    which turns a tuple into an element.  A Perm tuple is its images; a Mat
+    tuple holds the codes of its rows (_RowTimes), and a FrobMat tuple the
+    codes of its matrix's rows followed by its Frobenius power.
     """
-    first, count = gens[0], len(gens)
+    first = gens[0]
     if isinstance(first, Perm):
-        images = np.array([g.images for g in gens], dtype=np.uint8)
-        # (x * g)(i) = x(g(i)): one gather of every row by every generator
-        return first.identity_like().images, lambda rows: rows[:, images], Perm
+        identity = first.identity_like().images
+        if len(identity) < 2:  # only the identity
+            return identity, lambda row: [row] * len(gens), Perm
+        # (x * g)(i) = x(g(i)): one gather of x by each generator's images
+        getters = [itemgetter(*g.images) for g in gens]
+        return identity, lambda row: [get(row) for get in getters], Perm
     twist = isinstance(first, FrobMat)
     mats = [g.mat for g in gens] if twist else gens
     field, d = mats[0].field, mats[0].dim
-    a = field.a if twist else 1
-    # (M, s)(N, t) = (M Frob^s(N), s + t): twisted[s, k] is Frob^s of the
-    # k-th generator's matrix, and each row picks its own s
-    twisted = np.array([[m.frobenius(s).entries for m in mats] for s in range(a)],
-                       dtype=np.uint8).reshape(a, count, d, d)
-    powers = np.array([g.power for g in gens] if twist else [0] * count, dtype=np.uint8)
+    q = field.q
+    identity = tuple(q**i for i in range(d))
 
-    def times(rows):
-        s = rows[:, -1]
-        out = np.empty((len(rows), count, d * d + 1), dtype=np.uint8)
-        out[:, :, :-1] = _mat_products(field, rows[:, :-1].reshape(-1, 1, d, d),
-                                       twisted[s]).reshape(len(rows), count, -1)
-        out[:, :, -1] = (s[:, None] + powers) % a
-        return out
+    def decode_mat(codes):
+        return Mat(field, d, [code // q**j % q for code in codes for j in range(d)])
 
-    identity = mats[0].identity_like().entries + (0,)
-    if twist:
-        return identity, times, lambda row: FrobMat(Mat(field, d, row[:-1]), row[-1])
-    return identity, times, lambda row: Mat(field, d, row[:-1])
+    if not twist:
+        tables = [_RowTimes(field, d, m.entries).__getitem__ for m in mats]
+        return (identity, lambda row: [tuple(map(t, row)) for t in tables], decode_mat)
+    # (M, s)(N, t) = (M Frob^s(N), s + t): tables[s][k] multiplies rows by
+    # Frob^s of the k-th generator's matrix, and each tuple picks its own s
+    a = field.a
+    tables = [[_RowTimes(field, d, m.frobenius(s).entries).__getitem__ for m in mats]
+              for s in range(a)]
+    powers = [g.power for g in gens]
+
+    def times(row):
+        s, codes = row[-1], row[:-1]
+        return [tuple(map(t, codes)) + ((s + power) % a,)
+                for t, power in zip(tables[s], powers)]
+
+    return (identity + (0,), times,
+            lambda row: FrobMat(decode_mat(row[:-1]), row[-1]))
 
 
 def close_group(generators) -> GroupTable:
@@ -259,13 +283,10 @@ def close_group(generators) -> GroupTable:
     must be invertible.  Raises ResourceLimitError when the closure exceeds
     MAX_ELEMENTS, read at each call.
 
-    Elements are closed as rows of integer codes (_rows_of_kind), one
-    breadth-first level at a time: the whole level is multiplied by every
-    generator in one batched product, and the products are walked
-    level-element-major, generator-minor, each new one taking the next
-    index.  That is the order in which a one-element-at-a-time closure
-    meets them, so the indices do not depend on the batching.  The rows
-    are handed to the GroupTable undecoded, with the products by the
+    Elements are closed as tuples of integer codes (_rows_of_kind), one
+    element at a time: each element, in index order, is multiplied by every
+    generator in turn, and each new product takes the next index.  The
+    tuples are handed to the GroupTable undecoded, with the products by the
     generators, the parents and the inverses.
     """
     gens = list(generators)
@@ -281,47 +302,38 @@ def close_group(generators) -> GroupTable:
         if hasattr(g, "mat") and not g.mat.is_invertible():
             raise ValueError(f"singular matrix generator {g!r}")
     identity, times, decode = _rows_of_kind(gens)
-    count = len(gens)
-    frontier = np.array([identity], dtype=np.uint8)
-    index = {frontier.tobytes(): 0}
-    levels = [frontier]  # rows of each level; a level's indices are consecutive
-    right = []  # per level: at position count * x + k, the index of x * gens[k]
-    parents = []  # per later level: for each y = x * gens[k], count * x + k
-    while len(frontier):
-        products = times(frontier).reshape(len(frontier) * count, -1)
-        width = products.shape[1]
-        keys = products.view(f"V{width}").ravel().tolist() if width else [b""] * len(products)
-        start = len(index)
-        found = np.array([index.setdefault(key, len(index)) for key in keys])
-        if len(index) > MAX_ELEMENTS:
-            raise ResourceLimitError(f"closure exceeded {MAX_ELEMENTS} elements")
-        # new elements are numbered in order of first occurrence
-        values, first_at = np.unique(found, return_index=True)
-        first_at = first_at[values >= start]
-        right.append(found)
-        parents.append(first_at + count * (start - len(frontier)))
-        frontier = products[first_at]
-        levels.append(frontier)
-    n = len(index)
-    right = np.concatenate(right).reshape(n, count)
-    # left[k, z] is the index of gens[k] * z, from g (x h) = (g x) h, and
+    count, limit = len(gens), MAX_ELEMENTS
+    rows = [identity]
+    index = {identity: 0}
+    products = []  # at position count * x + k, the index of x * gens[k]
+    parents = []  # for each y > 0 with y = x * gens[k], count * x + k
+    for row in rows:  # rows grows while it is read
+        for product in times(row):
+            y = index.setdefault(product, len(rows))
+            if y == len(rows):
+                rows.append(product)
+                parents.append(len(products))
+            products.append(y)
+        if len(rows) > limit:
+            raise ResourceLimitError(f"closure exceeded {limit} elements")
+    n = len(rows)
+    right = [products[k::count] for k in range(count)]
+    # left[k][z] is the index of gens[k] * z, from g (x h) = (g x) h, and
     # unleft[k] is its inverse permutation, z -> gens[k]**-1 * z; both serve
     # only to find the inverses
-    left = np.empty((count, n), dtype=np.intp)
-    left[:, 0] = right[0]
-    y = 1
-    for level in parents:
-        xs, ks = divmod(level, count)
-        left[:, y:y + len(level)] = right[left[:, xs], ks]
-        y += len(level)
-    unleft = np.empty_like(left)
-    np.put_along_axis(unleft, left, np.arange(n), axis=1)
-    # level by level, from (x g)^-1 = g^-1 x^-1
-    inverses = np.zeros(n, dtype=np.intp)
-    y = 1
-    for level in parents:
-        xs, ks = divmod(level, count)
-        inverses[y:y + len(level)] = unleft[ks, inverses[xs]]
-        y += len(level)
-    return GroupTable(np.concatenate(levels), decode, right, np.concatenate(parents),
-                      inverses)
+    left = [[column[0]] for column in right]
+    for parent in parents:
+        x, k = divmod(parent, count)
+        column = right[k]
+        for out in left:
+            out.append(column[out[x]])
+    unleft = [[0] * n for _ in range(count)]
+    for out, lk in zip(unleft, left):
+        for z, y in enumerate(lk):
+            out[y] = z
+    # in index order, from (x g)^-1 = g^-1 x^-1
+    inverses = [0]
+    for parent in parents:
+        x, k = divmod(parent, count)
+        inverses.append(unleft[k][inverses[x]])
+    return GroupTable(rows, decode, right, parents, inverses)

@@ -138,17 +138,14 @@ def test_out_of_range_input_is_named_in_its_error(argv, message, capsys):
     assert capsys.readouterr() == ("", message + "\n")
 
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 TASKS = Path("/proc/self/task")
 
 
-def _fresh(code: str, **env: str):
-    """The JSON that `code` prints last in a fresh interpreter, whose
-    environment has no BLAS thread variable but those in `env`, so that no
-    other test's imports or settings count."""
-    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+def _fresh(code: str):
+    """The JSON that `code` prints last in a fresh interpreter, so that no
+    other test's imports count."""
     done = subprocess.run([sys.executable, "-c", code],
-                          env={**base, "PYTHONPATH": str(SRC), **env},
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
@@ -200,41 +197,51 @@ def test_a_command_that_runs_no_claim_loads_neither_the_claims_nor_json():
     assert "chardeg.claims" not in loaded and "json" not in loaded
 
 
-def test_gagola_loads_numpy_and_the_group_engine():
+def test_gagola_loads_the_group_engine_without_numpy():
     loaded = _modules_after("from chardeg import cli; cli.main(['gagola'])")
-    assert {"numpy", "chardeg.groupengine"} <= loaded
+    assert "chardeg.groupengine" in loaded and "numpy" not in loaded
 
 
-@pytest.mark.skipif(not TASKS.is_dir() or (os.cpu_count() or 1) < 2,
-                    reason="counts threads in /proc/self/task on 2 or more CPUs")
-def test_group_engine_loads_numpy_with_one_blas_thread():
-    # chardeg makes no BLAS call, so an OpenBLAS worker thread would only spin
-    threads, value = _fresh(
-        "import json, os\n"
-        "from chardeg import groupengine\n"
-        "print(json.dumps([len(os.listdir('/proc/self/task')),"
-        " os.environ.get('OPENBLAS_NUM_THREADS')]))")
-    assert (threads, value) == (1, "1")
-
-
-def test_a_callers_blas_thread_count_is_kept():
-    assert _fresh("import json, os, chardeg\n"
-                  "print(json.dumps(os.environ['OPENBLAS_NUM_THREADS']))",
-                  OPENBLAS_NUM_THREADS="2") == "2"
+@pytest.mark.parametrize("code", [
+    # verify-all with the benchmark's flags, serial and with a worker pool
+    "import run\n"
+    "inputs = run.Inputs('verify-all', 7, TMP)\n"
+    "assert cli.main(inputs.cli_args(inputs.output_path('cli'))) == 0\n",
+    "import run\n"
+    "inputs = run.Inputs('verify-all', 7, TMP)\n"
+    "args = inputs.cli_args(inputs.output_path('cli'))\n"
+    "args[args.index('--jobs') + 1] = '2'\n"
+    "assert cli.main(args) == 0\n",
+    # analyze-group on a file, and the char-tables workload on every group
+    "spec = TMP / 'd8.json'\n"
+    "spec.write_text(json.dumps({'name': 'D8', 'kind': 'permutation', 'degree': 4,\n"
+    "                            'generators': [[1, 2, 3, 0], [3, 2, 1, 0]]}))\n"
+    "assert cli.main(['analyze-group', '--group-spec', str(spec)]) == 0\n",
+    "import groups\n"
+    "from chardeg import groupengine\n"
+    "for spec in groups.group_specs(groups.CHAR_TABLE_GROUPS, 7):\n"
+    "    groupengine.dixon_character_table(groupengine.group_from_dict(spec))\n",
+], ids=["verify-all-jobs-1", "verify-all-jobs-2", "analyze-group", "char-tables"])
+def test_benchmark_workloads_run_without_numpy(code, tmp_path):
+    # chardeg has no runtime dependency: an import of numpy anywhere on
+    # these paths would add about 12 MB to every benchmark process
+    loaded = _modules_after(
+        f"import json, sys\nfrom pathlib import Path\nsys.path.insert(0, {str(PERFBENCH)!r})\n"
+        f"TMP = Path({str(tmp_path)!r})\nfrom chardeg import cli\n" + code)
+    assert "numpy" not in loaded
 
 
 @pytest.mark.skipif(not TASKS.is_dir(), reason="counts threads in /proc/self/task")
-def test_worker_pool_forks_after_numpy_is_loaded():
-    # with a claim that builds groups selected, the workers then share the
-    # parent's numpy instead of each importing it, and fork a process that
-    # runs one thread
+def test_worker_pool_forks_a_single_threaded_process():
+    # with a claim that builds groups selected, the pool is created once the
+    # group engine is loaded, by a process that runs one thread
     code = (
         "import concurrent.futures, os, sys\n"
         "from chardeg import claims\n"
         "seen = []\n"
         "class Pool:\n"
         "    def __init__(self, max_workers):\n"
-        "        seen.append(('numpy' in sys.modules,"
+        "        seen.append(('chardeg.groupengine' in sys.modules,"
         " len(os.listdir('/proc/self/task'))))\n"
         "    def __enter__(self): return self\n"
         "    def __exit__(self, *exc): return False\n"
@@ -243,7 +250,7 @@ def test_worker_pool_forks_after_numpy_is_loaded():
         "claims.run_claims(['lem3.2/euler-tail', 'thm7.2/equality-family'],\n"
         "                  claims.RunConfig(jobs=2))\n"
         "assert seen == [(True, 1)], seen\n")
-    assert "numpy" in _modules_after(code)
+    assert "numpy" not in _modules_after(code)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="runs each claim in a forked child")
@@ -738,7 +745,8 @@ def test_claim_registry_is_consistent():
 
 
 def test_parallel_jobs_agree_with_serial(capsys):
-    # equality-family builds groups, so the pool forks after numpy loads
+    # equality-family builds groups, so the pool forks after the group
+    # engine loads
     claims = ["lem3.2/euler-tail", "lem3.5/composition-bound", "thm7.2/equality-family"]
     serial = run_claims(claims, RunConfig(jobs=1))
     parallel = run_claims(claims, RunConfig(jobs=2))
@@ -784,6 +792,18 @@ def test_gagola_claims_build_each_witness_group_once(monkeypatch):
     reports = run_claims(cli.SUBCOMMAND_CLAIMS["gagola"], RunConfig())
     assert [r.status for r in reports] == ["pass", "pass"]
     assert built == [("isaacs_K", q) for q in WITNESS_QS]
+
+
+def test_equality_family_evaluates_each_table_once(monkeypatch):
+    # the gagola analysis reads the evaluation that the table's own checks
+    # used, so each witness table is evaluated once
+    from chardeg.groupengine import CharacterTable
+
+    evaluations, count = CharacterTable.evaluations, []
+    monkeypatch.setattr(CharacterTable, "evaluations",
+                        lambda self: count.append(1) or evaluations(self))
+    [report] = run_claims(["thm7.2/equality-family"], RunConfig())
+    assert report.status == "pass" and len(count) == len(WITNESS_QS) == 4
 
 
 def test_run_claims_rejects_fewer_than_one_job():

@@ -7,7 +7,7 @@ from chardeg.errors import ResourceLimitError
 from chardeg.gf2poly import (
     count_irreducible_monic, count_self_reciprocal, irreducible_polys,
     poly_degree, poly_is_irreducible, poly_mod, poly_mul,
-    poly_square, reciprocal_pair_count, srim_count_of_degree, SIEVE_MAX_D,
+    poly_square, reciprocal_pair_count, srim_count_of_degree, SIEVE_MAX_D, _sieve,
 )
 
 
@@ -50,8 +50,7 @@ def test_sieve_agrees_with_rabin_test():
 
 
 def test_sieve_holds_one_row_of_products_at_a_time():
-    import numpy  # noqa: F401 -- loaded before tracing starts, so not counted
-
+    _sieve.cache_clear()  # so that every degree the sieve needs is sieved here
     tracemalloc.start()
     try:
         count = sum(1 for _ in irreducible_polys(16))
@@ -59,9 +58,16 @@ def test_sieve_holds_one_row_of_products_at_a_time():
     finally:
         tracemalloc.stop()
     assert count == count_irreducible_monic(16)
-    # 2**16 flags and three rows of 2**15 uint32 products take 0.44 MB; a
-    # 2**e x 2**(16-e) table of int64 products would take 1.57 MB
+    # 2**16 flags and at most 2**10 + 2**5 products at a time take about
+    # 0.25 MB; the 2**15 products of x + 1 in one list would take 1.5 MB
     assert peak < 2**20
+
+
+def test_sieve_sieves_each_degree_once():
+    _sieve.cache_clear()
+    for d in range(1, 17):
+        assert len(list(irreducible_polys(d))) == count_irreducible_monic(d)
+    assert _sieve.cache_info().misses == 16
 
 
 def test_sieve_resource_limit():

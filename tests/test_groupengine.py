@@ -3,9 +3,9 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from math import lcm
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from chardeg import groupengine as ge
@@ -195,21 +195,25 @@ def test_cayley_table_matches_element_products():
         index = {x: i for i, x in enumerate(elts)}
         products = [[index[elts[i] * y] for y in elts] for i in rows]
         for i, row in zip(rows, products):
-            inverse = int(g.inverses[i])
+            inverse = g.inverses[i]
             assert g.mult(i, inverse) == g.mult(inverse, i) == 0
             assert [g.mult(i, j) for j in range(g.order)] == row
-        assert g.product_columns(list(rows)).T.tolist() == [
+        assert g.product_columns(list(rows)) == [
             [index[x * elts[j]] for x in elts] for j in rows]
         identity = list(range(g.order))
-        assert g.product_columns([0])[:, 0].tolist() == identity
+        assert g.product_columns([0]) == [identity]
         assert [g.mult(0, j) for j in identity] == identity
 
 
 class _CountedGathers:
-    """A stand-in for GroupTable._right that counts its gathers."""
+    """A stand-in for GroupTable._right that counts the generator columns
+    read, one per gather."""
 
     def __init__(self, right):
-        self.right, self.shape, self.gathers = right, right.shape, 0
+        self.right, self.gathers = right, 0
+
+    def __len__(self):
+        return len(self.right)
 
     def __getitem__(self, key):
         self.gathers += 1
@@ -224,13 +228,11 @@ def test_product_columns_start_from_the_nearest_written_column():
     g._right = _CountedGathers(g._right)
     columns = g.product_columns(reps)
     assert g._right.gathers <= 60
-    assert columns.T.tolist() == [[(x + z) % 60 for x in range(60)] for z in reps]
+    assert columns == [[(x + z) % 60 for x in range(60)] for z in reps]
     # any order and repeats: each column is the one built alone
     for g in (ge.symmetric_group(4), ge.build_example_group("heisenberg", 9)):
         zs = [g.order - 1, 5, 0, g.order - 1, 1, 17, 5]
-        alone = np.hstack([g.product_columns([z]) for z in zs])
-        assert (g.product_columns(zs) == alone).all()
-        assert g.product_columns(np.array(zs)).dtype == np.int16
+        assert g.product_columns(zs) == [g.product_columns([z])[0] for z in zs]
 
 
 def test_generated_subgroups_build_each_generator_column_once(monkeypatch):
@@ -239,20 +241,20 @@ def test_generated_subgroups_build_each_generator_column_once(monkeypatch):
     product_columns = ge.GroupTable.product_columns
 
     def counted(self, zs):
-        built.extend(int(z) for z in zs)
+        built.extend(zs)
         return product_columns(self, zs)
 
     monkeypatch.setattr(ge.GroupTable, "product_columns", counted)
     for idxs in (g.conjugacy_classes()[1], range(g.order)):
         built.clear()
-        inside, gens = g._generate(idxs)
-        assert built == gens and inside.sum() == g.order
+        members, gens = g._generate(idxs)
+        assert built == gens and sorted(members) == list(range(g.order))
 
 
 def test_character_table_holds_no_order_squared_array():
     # closure, Dixon, the gagola analysis (minimal normal subgroups) and the
-    # derived series together stay below the n**2 * 2 bytes of one int16
-    # Cayley table
+    # derived series together stay below 2 n**2 bytes, a quarter of the
+    # pointers alone of one order-squared list of products
     for model in (ge.alternating_group(7), ge.build_example_group("isaacs_K", 7)):
         n, gens = model.order, [model.elements[i] for i in model.generators]
         del model
@@ -315,7 +317,7 @@ def test_group_engine_loads_only_the_modules_it_uses():
     assert "chardeg.groupengine.dixon" in loaded
     for name in ("lie", "symalt", "psl2", "bounds", "partitions", "gf2poly"):
         assert f"chardeg.{name}" not in loaded
-    assert "numpy.ma" not in loaded
+    assert "numpy" not in loaded
 
 
 # --- conjugacy classes and subgroup machinery ------------------------------
@@ -374,7 +376,7 @@ def test_table_queries_match_element_arithmetic():
               ge.build_example_group("isaacs_K", 3)):
         classes = _conjugacy_orbits(g)
         assert g.conjugacy_classes() == classes
-        assert g.class_of().tolist() == [
+        assert g.class_of() == [
             next(c for c, members in enumerate(classes) if i in members)
             for i in range(g.order)]
 
@@ -433,22 +435,27 @@ def test_structure_queries_match_element_arithmetic(name, build, lengths, minima
 
 # --- character tables ------------------------------------------------------
 
+def _values_at_every_root(table):
+    """(p, at_roots): at_roots[j][t][c] is the value of character t on class
+    c at the j-th primitive root, which is ev[t][galois[j][c]]."""
+    p, ev = table.evaluations()
+    return p, [[[row[c] for c in classes] for row in ev] for classes in table.galois]
+
+
 def test_cyclic_3_table_values_are_cube_roots():
     g = ge.cyclic_group(3)
     table = ge.dixon_character_table(g)
     assert table.degrees == [1, 1, 1]
     # at each of the two primitive cube roots mod p, the two nontrivial rows
     # take each primitive cube root exactly once on the nontrivial classes
-    p, ev = table.evaluations()
-    # at the j-th primitive root the values are ev[:, table.galois[j]]
-    ev = np.stack([ev[:, classes] for classes in table.galois])
-    assert len(ev) == 2
+    p, at_roots = _values_at_every_root(table)
+    assert len(at_roots) == 2
     roots = [x for x in range(2, p) if pow(x, 3, p) == 1]
-    nontrivial = [t for t in range(3) if (ev[:, t] != 1).any()]
+    nontrivial = [t for t in range(3) if any(x != 1 for ev in at_roots for x in ev[t])]
     assert len(nontrivial) == 2
-    for at_root in ev:
+    for ev in at_roots:
         for t in nontrivial:
-            assert sorted(at_root[t, 1:].tolist()) == roots
+            assert sorted(ev[t][1:]) == roots
 
 
 def test_heisenberg_gf2_table():
@@ -487,14 +494,12 @@ def test_a5_values_on_five_cycles_are_golden_ratio_pair():
     orders = _element_orders(g)
     five_cycle_classes = [c for c, rep in enumerate(table.class_reps) if orders[rep] == 5]
     assert len(five_cycle_classes) == 2
-    p, ev = table.evaluations()
-    # at the j-th primitive root the values are ev[:, table.galois[j]]
-    ev = np.stack([ev[:, classes] for classes in table.galois])
+    p, at_roots = _values_at_every_root(table)
     for c in five_cycle_classes:
-        u, v = ev[:, rows[0], c], ev[:, rows[1], c]
-        assert ((u + v) % p == 1).all()
-        assert (u * v % p == p - 1).all()
-        assert len(set(u.tolist())) == 2  # genuinely irrational values
+        u, v = [ev[rows[0]][c] for ev in at_roots], [ev[rows[1]][c] for ev in at_roots]
+        assert all((x + y) % p == 1 for x, y in zip(u, v))
+        assert all(x * y % p == p - 1 for x, y in zip(u, v))
+        assert len(set(u)) == 2  # genuinely irrational values
 
 
 def test_table_invariants_on_assorted_groups():
@@ -509,22 +514,31 @@ def test_table_invariants_on_assorted_groups():
 
 def _full_lift(group, values_mod, ell, m):
     """Reference lift over all m powers of every class representative:
-    c_u = (1/m) sum_{v<m} X(g**v) lambda**(-uv), one (k*k, m) @ (m, m)
-    product, with no use of the element orders."""
+    c_u = (1/m) sum_{v<m} X(g**v) lambda**(-uv), with no use of the element
+    orders, as {u: c_u} for the nonzero c_u.  Row v of the transform is one
+    integer of m 8-byte entries lambda**(-uv)/m, so the coefficients of one
+    value are one sum of m multiples of those integers."""
     class_of = group.class_of()
     reps = [c[0] for c in group.conjugacy_classes()]
-    k = len(reps)
-    columns = group.product_columns(reps)
-    power_class = np.zeros((k, m), dtype=np.int64)
-    powers = np.zeros(k, dtype=np.intp)
-    for v in range(m):
-        power_class[:, v] = class_of[powers]
-        powers = columns[powers, np.arange(k)]
-    exps = np.arange(m)
-    transform = (dixon._root_powers(ell, m)[-np.outer(exps, exps) % m]
-                 * pow(m, -1, ell) % ell)
-    values = values_mod[:, power_class].reshape(k * k, m) @ transform % ell
-    return values.reshape(k, k, m)
+    power_class = []
+    for column in group.product_columns(reps):
+        x, classes = 0, []
+        for _ in range(m):
+            classes.append(class_of[x])
+            x = column[x]
+        power_class.append(classes)
+    root, scale = dixon._root_powers(ell, m), pow(m, -1, ell)
+    assert m * (ell - 1) ** 2 < 2**64
+    transform = [int.from_bytes(b"".join((root[-u * v % m] * scale % ell).to_bytes(8, "little")
+                                         for u in range(m)), "little") for v in range(m)]
+    out = []
+    for row in values_mod:
+        out.append([])
+        for classes in power_class:
+            total = sum(row[j] * t for j, t in zip(classes, transform)).to_bytes(8 * m, "little")
+            coeffs = [int.from_bytes(total[8 * u:8 * u + 8], "little") % ell for u in range(m)]
+            out[-1].append({u: c for u, c in enumerate(coeffs) if c})
+    return out
 
 
 def test_eigen_split_tries_the_central_classes_first(monkeypatch):
@@ -539,11 +553,15 @@ def test_eigen_split_tries_the_central_classes_first(monkeypatch):
     assert len(calls) <= 10
 
 
+def _items(row):
+    return [sorted(value.items()) for value in row]
+
+
 def test_lift_by_element_order_matches_the_full_lift(monkeypatch):
     calls = []
 
-    def recorded(values_mod, power_class, orders, ell, m):
-        out = lift(values_mod, power_class, orders, ell, m)
+    def recorded(values_mod, degrees, power_class, orders, ell, m):
+        out = lift(values_mod, degrees, power_class, orders, ell, m)
         calls.append((values_mod, ell, m, out))
         return out
 
@@ -556,30 +574,31 @@ def test_lift_by_element_order_matches_the_full_lift(monkeypatch):
     for g in groups:
         table = ge.dixon_character_table(g)
         values_mod, ell, m, out = calls.pop()
-        assert m == table.exponent == int(np.lcm.reduce(_element_orders(g)))
+        assert m == table.exponent == lcm(*_element_orders(g))
         full = _full_lift(g, values_mod, ell, m)
-        assert out.dtype == np.int8 and (full == out).all(), g.order
-        assert sorted(map(np.ndarray.tolist, full)) == sorted(map(np.ndarray.tolist,
-                                                                  table.values))
+        assert full == out, g.order
+        assert sorted(map(_items, full)) == sorted(map(_items, table.values))
         # rows come out by degree, then by the flattened coefficient list
-        keys = [(d, row.tolist()) for d, row in zip(table.degrees, table.values)]
+        keys = [(d, [value.get(u, 0) for value in row for u in range(m)])
+                for d, row in zip(table.degrees, table.values)]
         assert sorted(range(len(keys)), key=keys.__getitem__) == list(range(len(keys)))
 
 
-def test_lift_refuses_a_coefficient_that_does_not_fit_int8():
-    # one character on the trivial group: the lift of X(1) is c_0 = X(1),
-    # and 128 or 255 would wrap to -128 or -1 in int8
+def test_lift_refuses_a_multiplicity_above_the_degree():
+    # one character of degree 2 on the trivial group: the lift of X(1) is
+    # c_0 = X(1), a multiplicity of 1 among the eigenvalues, so at most 2
     ell = 257
-    one = (np.zeros((1, 1), dtype=np.intp), np.ones(1, dtype=np.int64), ell, 1)
-    assert dixon._lift(np.array([[127]]), *one).tolist() == [[[127]]]
-    for x in (128, 255):
-        with pytest.raises(AssertionError, match="int8"):
-            dixon._lift(np.array([[x]]), *one)
+    one = ([2], [[0]], [1], ell, 1)
+    assert dixon._lift([[2]], *one) == [[{0: 2}]]
+    for x in (3, 255):
+        with pytest.raises(AssertionError, match="exceeds the degree"):
+            dixon._lift([[x]], *one)
 
 
 def test_dixon_peak_memory_is_a_few_bytes_per_coefficient():
-    # the int8 table, its int64 lift blocks and one (k, k) orthogonality
-    # product at a time stay below 12 bytes per (character, class, root)
+    # the modular table, the packed lift transforms, the dicts of nonzero
+    # multiplicities and one packed orthogonality sum at a time stay below
+    # 12 bytes per (character, class, root)
     for g in (ge.cyclic_group(60), ge.dihedral_group(63)):
         tracemalloc.start()
         try:
@@ -618,13 +637,13 @@ def test_orthogonality_refuses_coefficients_that_are_not_multiplicities():
     # rows: non-negative coefficients summing to the degree
     table = ge.dixon_character_table(ge.cyclic_group(3))
     good = table.values
-    too_big = np.zeros(good.shape, dtype=np.int64)
-    too_big[:, :, 0] = 2**30
-    extra_unit = good.copy()
-    extra_unit[0, 0, 0] += 1
-    negative = good.copy()
-    negative[1, 1] += [1, 1, -2]
-    assert (negative.sum(axis=2) == good.sum(axis=2)).all()
+    too_big = [[{0: 2**30} for _ in row] for row in good]
+    extra_unit = [[dict(value) for value in row] for row in good]
+    extra_unit[0][0][0] += 1
+    negative = [[dict(value) for value in row] for row in good]
+    negative[1][1] = {u: negative[1][1].get(u, 0) + a for u, a in enumerate([1, 1, -2])}
+    assert [list(map(sum, map(dict.values, row))) for row in negative] == \
+        [list(map(sum, map(dict.values, row))) for row in good]
     for values in (too_big, extra_unit, negative):
         table.values = values
         for check in (table.verify_row_orthogonality,
@@ -640,11 +659,11 @@ def test_moved_multiplicity_breaks_both_relations():
     for g in (ge.alternating_group(5), ge.cyclic_group(60),
               ge.build_example_group("isaacs_K", 5)):
         table = ge.dixon_character_table(g)
-        t = next(t for t, row in enumerate(table.values) if (row[:, 0] != 1).any())
-        c = table.num_classes - 1
-        u = int(np.flatnonzero(table.values[t, c])[0])
-        table.values[t, c, u] -= 1
-        table.values[t, c, (u + 1) % table.exponent] += 1
+        t = next(t for t, row in enumerate(table.values) if any(v.get(0) != 1 for v in row))
+        value = table.values[t][table.num_classes - 1]
+        u = min(value)
+        value[u] -= 1
+        value[(u + 1) % table.exponent] = value.get((u + 1) % table.exponent, 0) + 1
         assert not table.verify_row_orthogonality()
         assert not table.verify_column_orthogonality()
 
@@ -657,9 +676,9 @@ def test_galois_stable_but_wrong_table_fails_at_one_root():
     table = ge.dixon_character_table(ge.symmetric_group(4))
     linear = [t for t, d in enumerate(table.degrees) if d == 1]
     c = table.class_sizes.index(6)
-    assert sorted(np.flatnonzero(table.values[t, c]).tolist() for t in linear) == [
-        [0], [table.exponent // 2]]
-    table.values[linear, c] = table.values[linear[::-1], c]
+    assert sorted(sorted(table.values[t][c]) for t in linear) == [[0], [table.exponent // 2]]
+    (a, b), values = linear, table.values
+    values[a][c], values[b][c] = values[b][c], values[a][c]
     table.evaluations()  # still Galois-stable: nothing raised
     assert not table.verify_row_orthogonality()
     assert not table.verify_column_orthogonality()
@@ -669,13 +688,33 @@ def test_table_that_is_not_galois_stable_is_refused():
     # on C3, a faithful character given zeta on both nontrivial classes
     # keeps its row sums, but sigma_2 chi(g) = zeta**2 is not chi(g**2)
     table = ge.dixon_character_table(ge.cyclic_group(3))
-    t = next(t for t, row in enumerate(table.values) if (row[:, 0] != 1).any())
-    table.values[t, 2] = table.values[t, 1]
+    t = next(t for t, row in enumerate(table.values) if any(v.get(0) != 1 for v in row))
+    table.values[t][2] = dict(table.values[t][1])
     assert not table.verify_row_orthogonality()
     assert not table.verify_column_orthogonality()
     for check in (table.evaluations, table.nonzero_class_counts):
         with pytest.raises(AssertionError, match="Galois-stable"):
             check()
+
+
+def test_gagola_analysis_reads_the_current_values():
+    # the build's evaluation is dropped when the values are assigned, or by
+    # hand after an edit in place; either way the analysis sees the edit
+    g = ge.cyclic_group(3)
+    for in_place in (False, True):
+        table = ge.dixon_character_table(g)
+        assert table.evaluated is not None
+        t = next(t for t, row in enumerate(table.values) if any(v.get(0) != 1 for v in row))
+        if in_place:
+            table.values[t][2] = dict(table.values[t][1])
+            table.evaluated = None
+        else:
+            values = [list(row) for row in table.values]
+            values[t][2] = dict(values[t][1])
+            table.values = values
+            assert table.evaluated is None
+        with pytest.raises(AssertionError, match="Galois-stable"):
+            ge.gagola_analyze(g, table)
 
 
 def test_unit_generators_generate_every_unit_group():
@@ -706,8 +745,9 @@ def test_evaluation_and_relations_peak_at_a_few_bytes_per_coefficient():
 
 
 def test_evaluation_builds_nothing_of_the_tables_shape():
-    # the sign test is one minimum and the stability check compares a few
-    # classes at a time: the peak stays below two int8 copies of values
+    # the sign test streams the coefficients and the stability check holds
+    # one row's nonzero coefficients at a time: the peak stays below 2 bytes
+    # per (character, class, root)
     for g in (ge.cyclic_group(60), ge.dihedral_group(63)):
         table = ge.dixon_character_table(g)
         tracemalloc.start()
@@ -725,14 +765,12 @@ def test_evaluations_run_over_every_primitive_root():
     # primitive 60th root of unity mod p once on a generating class
     g = ge.cyclic_group(60)
     table = ge.dixon_character_table(g)
-    p, ev = table.evaluations()
-    # at the j-th primitive root the values are ev[:, table.galois[j]]
-    ev = np.stack([ev[:, classes] for classes in table.galois])
+    p, at_roots = _values_at_every_root(table)
     primitive = [x for x in range(1, p) if pow(x, 60, p) == 1
                  and all(pow(x, 60 // q, p) != 1 for q in (2, 3, 5))]
     orders = _element_orders(g)
     c = next(c for c, rep in enumerate(table.class_reps) if orders[rep] == 60)
-    faithful = [t for t in range(60) if sorted(ev[:, t, c].tolist()) == primitive]
+    faithful = [t for t in range(60) if sorted(ev[t][c] for ev in at_roots) == primitive]
     assert len(primitive) == len(faithful) == 16
 
 
@@ -742,7 +780,7 @@ def test_evaluation_prime_exceeds_the_norm_bound():
     # prime above B = |G| d**2 + |G| = 17 is certain to see it
     table = ge.dixon_character_table(ge.cyclic_group(1))
     table.degrees = [4]
-    table.values = np.array([[[4]]])
+    table.values = [[{0: 4}]]
     assert table.evaluations()[0] > 17
     assert not table.verify_row_orthogonality()
     assert not table.verify_column_orthogonality()
@@ -756,43 +794,22 @@ def test_roots_are_exactly_the_linear_factors():
     ell = 10007
     poly = [1, 0, 1]
     for root in (9999, 2, 5000):
-        poly = [c % ell for c in np.convolve(poly, [-root, 1]).tolist()]
+        # times (x - root)
+        poly = [(shifted - root * c) % ell for shifted, c in zip([0] + poly, poly + [0])]
     assert _roots(poly, ell) == [2, 5000, 9999]
     assert _roots([1, 0, 1], ell) == []
 
 
-def test_int64_products_are_exact_for_every_accepted_group():
-    # the lift sums at most m products mod ell, the eigen-split k products
-    # mod ell and the orthogonality checks k products mod p, with k, m and
-    # d**2 at most |G|; ell and p never shrink as the order grows, so the
-    # largest accepted order bounds every group the engine takes
-    from math import isqrt
-
-    from chardeg.groupengine.dixon import _split_prime
-    from chardeg.groupengine.table import MAX_ELEMENTS as N
-
-    for m in range(1, N + 1):
-        ell = _split_prime(2 * isqrt(N) + 1, m)
-        p = _split_prime(N * N + N, m)
-        assert N * (ell - 1) ** 2 < 2**63, m
-        assert N * (p - 1) ** 2 < 2**63, m
-
-
-def test_every_multiplicity_of_an_accepted_group_fits_int8():
-    # a root multiplicity is at most the degree, and d**2 <= |G|
-    from math import isqrt
-
-    from chardeg.groupengine.table import MAX_ELEMENTS
-
-    assert isqrt(MAX_ELEMENTS) <= np.iinfo(np.int8).max
-
-
-def test_every_element_index_of_an_accepted_group_fits_int16():
-    # product columns hold element indices, below the closure limit
-    from chardeg.groupengine.table import MAX_ELEMENTS
-
-    assert MAX_ELEMENTS < 2**15
-    assert ge.cyclic_group(12).product_columns([0, 1]).dtype == np.int16
+def test_packed_sums_are_exact_at_every_width():
+    # 8-byte entries take the struct path; a bound past 2**64 takes wider
+    # entries, as a table with a huge degree would for its relations
+    for terms, modulus, width in ((60, 61, 8), (5000, 25_000_207, 8), (3, 2**40 + 15, 16)):
+        assert dixon._width(terms, modulus) == width
+        vectors = [[(i * j + terms) % modulus for i in range(7)] for j in range(terms)]
+        coeffs = [(modulus - 1 - j) % modulus for j in range(terms)]
+        total = sum(a * dixon._pack(v, width) for a, v in zip(coeffs, vectors))
+        assert dixon._unpack(total, 7, width, modulus) == [
+            sum(a * v[i] for a, v in zip(coeffs, vectors)) % modulus for i in range(7)]
 
 
 def test_table_resource_limit():
