@@ -6,16 +6,15 @@ the arithmetic of groups with a character vanishing off two classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .degrees import DegreeMultiset
 from .errors import OutOfHypothesisError
 from .exactmath import is_prime, p_part, prime_power
 
 
-@dataclass(frozen=True)
-class EDecomposition:
+class EDecomposition(NamedTuple):
     """|G| = d (d + e) for a character degree d; e is the slack above d."""
 
     order: int
@@ -36,8 +35,7 @@ def e_of(order: int, d: int) -> EDecomposition:
     return EDecomposition(order, d, order // d - d)
 
 
-@dataclass(frozen=True)
-class E4BoundReport:
+class E4BoundReport(NamedTuple):
     holds: bool
     slack: int
 
@@ -60,8 +58,7 @@ def epsilon_of(ds: DegreeMultiset) -> Fraction:
     return Fraction(below, b * b)
 
 
-@dataclass(frozen=True)
-class SimpleBoundReport:
+class SimpleBoundReport(NamedTuple):
     """Two-sided bounds recovered from a complete degree multiset.
 
     epsilon > 1 forces e > b, which yields both order > 2b**2 and
@@ -93,8 +90,7 @@ def simple_bound_report(ds: DegreeMultiset) -> SimpleBoundReport:
     return SimpleBoundReport(b, order, gt_2b2, e, lt_2e2, eps_gt_1, chain_ok)
 
 
-@dataclass(frozen=True)
-class CompositionBoundReport:
+class CompositionBoundReport(NamedTuple):
     order: int
     e_min: int
     exceeds_2sqrt: bool
@@ -113,8 +109,7 @@ def composition_bound(bN: int, eN: int, bQ: int, eQ: int) -> CompositionBoundRep
     return CompositionBoundReport(order, e_min, e_min * e_min > 4 * bN * bQ)
 
 
-@dataclass(frozen=True)
-class GagolaArithmeticReport:
+class GagolaArithmeticReport(NamedTuple):
     """Arithmetic consequences for a group with a character vanishing off
     two classes: with N the unique minimal normal subgroup and P a Sylow
     subgroup for its prime, |P : N| = e**2, d = e(|N| - 1), |G : P| = |N| - 1,

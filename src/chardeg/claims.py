@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from functools import partial
 from math import factorial
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .degrees import DegreeMultiset
@@ -31,8 +30,7 @@ PASS, FAIL, OUT_OF_SCOPE = "pass", "fail", "out-of-scope"
 ERROR = "error"
 
 
-@dataclass(frozen=True)
-class DegreeRecord:
+class DegreeRecord(NamedTuple):
     """Named degree data supplied by the user: order plus (degree, mult) pairs."""
 
     name: str
@@ -83,8 +81,7 @@ def ingest_degree_records(path) -> list[DegreeRecord]:
     return records
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """The inputs a caller can set; every range is a constant beside the
     claim that reads it."""
 
@@ -92,8 +89,7 @@ class RunConfig:
     jobs: int = 1
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     claim: str
     status: str
     witnesses: list
@@ -112,40 +108,40 @@ TABLEAUX_MAX_N = 8
 BRANCHING_MAX_N = 10
 
 
+# the sec2 checks call the unchecked cores of chardeg.partitions, on the
+# partitions that partitions_of yields and the nodes _boundary_nodes gives
+
 def _check_hook_sum(cfg: RunConfig):
-    from . import partitions
+    from .partitions import _hook_degree, partitions_of
 
     bad = [n for n in range(1, HOOK_SUM_MAX_N + 1)
-           if sum(partitions.hook_degree(lam) ** 2
-                  for lam in partitions.partitions_of(n)) != factorial(n)]
+           if sum(_hook_degree(lam) ** 2 for lam in partitions_of(n)) != factorial(n)]
     return (FAIL if bad else PASS), [f"n=1..{HOOK_SUM_MAX_N}", f"failures={bad}"]
 
 
 def _check_hook_tableaux(cfg: RunConfig):
-    from . import partitions
+    from .partitions import _hook_degree, partitions_of, standard_tableaux_count
 
-    bad = [lam for n in range(1, TABLEAUX_MAX_N + 1)
-           for lam in partitions.partitions_of(n)
-           if partitions.hook_degree(lam) != partitions.standard_tableaux_count(lam)]
+    bad = [lam for n in range(1, TABLEAUX_MAX_N + 1) for lam in partitions_of(n)
+           if _hook_degree(lam) != standard_tableaux_count(lam)]
     return (FAIL if bad else PASS), [f"n=1..{TABLEAUX_MAX_N}", f"failures={len(bad)}"]
 
 
 def _check_branching(cfg: RunConfig):
-    from . import partitions
+    from .partitions import (
+        _add_node, _boundary_nodes, _hook_degree, _remove_node, partitions_of,
+    )
 
     bad = []
     for n in range(1, BRANCHING_MAX_N + 1):
-        for lam in partitions.partitions_of(n):
-            addable, removable = partitions.boundary_nodes(lam)
-            up = sum(partitions.hook_degree(partitions.add_node(lam, node))
-                     for node in addable)
-            if up != (n + 1) * partitions.hook_degree(lam):
+        for lam in partitions_of(n):
+            addable, removable = _boundary_nodes(lam)
+            d = _hook_degree(lam)
+            if sum(_hook_degree(_add_node(lam, node)) for node in addable) != (n + 1) * d:
                 bad.append(("up", lam))
-            if n > 1:
-                down = sum(partitions.hook_degree(partitions.remove_node(lam, node))
-                           for node in removable)
-                if down != partitions.hook_degree(lam):
-                    bad.append(("down", lam))
+            if n > 1 and sum(_hook_degree(_remove_node(lam, node))
+                             for node in removable) != d:
+                bad.append(("down", lam))
     return (FAIL if bad else PASS), [f"n<={BRANCHING_MAX_N}", f"failures={len(bad)}"]
 
 

@@ -5,10 +5,13 @@ x**i, so the constant term is the lowest bit and a monic polynomial has its
 top bit set.
 
 Besides the ring operations, among them squaring by spreading the bits of
-a polynomial apart, the module provides Rabin's irreducibility test for a
-single polynomial (its repeated squarings use that spreading), the list of
-all irreducibles of one degree by a product sieve (exact: only shifts and
-XOR), Moebius counting of irreducibles, and the count of self-reciprocal
+a polynomial apart, the module provides Ben-Or's irreducibility test for a
+single polynomial (its repeated squarings use that spreading; it stops at
+the first factor degree it finds), the list of all irreducibles of one
+degree by a wheel sieve (exact: only shifts and XOR; the multiples of x and
+of x + 1 go by one slice and one parity row, and the other products are
+struck only where the cofactor has constant term 1 and an odd number of
+terms), Moebius counting of irreducibles, and the count of self-reciprocal
 irreducibles of a given even degree in both a closed form and a
 brute-force mode that must agree; the brute force builds only the
 palindromes with an odd number of terms, since x + 1 divides the others.
@@ -28,7 +31,7 @@ ONE = 0b1
 
 _BRUTE_FORCE_MAX = 10
 # the sieve of degree d holds 2**d flags (1 MB at d = 20) and at most
-# 2**_SPAN_LOW + 2**(d - 1 - _SPAN_LOW) products at a time, and keeps its
+# 2**_SPAN_LOW + 2**(d - 4 - _SPAN_LOW) products at a time, and keeps its
 # list for every degree it sieved
 SIEVE_MAX_D = 20
 _SPAN_LOW = 10
@@ -72,8 +75,12 @@ def poly_gcd(a: int, b: int) -> int:
 
 
 def poly_is_irreducible(f: int) -> bool:
-    """Exact irreducibility test (Rabin): x**(2**d) = x mod f and, for every
-    prime divisor p of d, gcd(x**(2**(d/p)) - x, f) = 1."""
+    """Exact irreducibility test (Ben-Or): f of degree d is irreducible
+    exactly when gcd(x**(2**i) - x, f) = 1 for every i <= d/2, since
+    x**(2**i) - x is the product of the irreducibles of degree dividing i
+    and a reducible f has a factor of degree at most d/2.  It returns False
+    at the first i with a common factor, so a polynomial with a factor of
+    small degree is rejected after few squarings."""
     d = poly_degree(f)
     if d < 1:
         raise ValueError("irreducibility needs degree >= 1")
@@ -81,15 +88,10 @@ def poly_is_irreducible(f: int) -> bool:
         return True
     if not f & 1:
         return False  # divisible by x
-    powers = {}
     t = X
-    for i in range(1, d + 1):
+    for _ in range(d // 2):
         t = poly_mod(poly_square(t), f)
-        powers[i] = t
-    if powers[d] != poly_mod(X, f):
-        return False
-    for p, _ in factorize(d):
-        if poly_gcd(powers[d // p] ^ X, f) != ONE:
+        if poly_gcd(t ^ X, f) != ONE:
             return False
     return True
 
@@ -111,21 +113,39 @@ def _span(vectors: list[int], start: int) -> list[int]:
     return out
 
 
+# swaps the flags 0 and 1, so that a row of parities doubles by translation
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
 @lru_cache(maxsize=None)
 def _sieve(d: int) -> tuple[int, ...]:
-    """The monic irreducibles of degree d, by a sieve over the 2**d monic
-    polynomials of degree d that strikes out every product g*h of a monic
-    irreducible g with 1 <= e = deg g <= d/2 and a monic h.  What is left is
-    irreducible, since a reducible polynomial has such a factor g.  The
-    products are g x**(d-e) plus the span of g x**j, j < d - e: the first
+    """The monic irreducibles of degree d, by a wheel sieve over the 2**d
+    monic polynomials of degree d.  The wheel strikes the multiples of x
+    (constant term 0) with one slice and those of x + 1 (an even number of
+    terms) with one parity row, built by doubling.  What is left has
+    constant term 1 and an odd number of terms, so a product g*h of a monic
+    irreducible g with 2 <= e = deg g <= d/2 and a monic h left by the
+    wheel has h of the same kind: h = x**n + x + 1 plus the span of
+    (1 + x) x**j, 1 <= j <= n - 2, where n = d - e >= 2.  So the products
+    struck are g (x**n + x + 1) plus the span of (g + g x) x**j: the first
     _SPAN_LOW of those span one list, and each sum of the others is XORed
-    onto it in turn.  Each degree is sieved once."""
+    onto it in turn.  What is left is irreducible, since a reducible
+    polynomial has an irreducible factor of degree at most d/2.  Each
+    degree is sieved once."""
+    if d == 1:
+        return (X, X | ONE)
     top = 1 << d
-    irreducible = bytearray(b"\x01") * top  # indexed by f - x**d
-    for e in range(1, d // 2 + 1):
+    # indexed by f - x**d: 1 where f has an odd number of terms
+    irreducible = bytearray(b"\x01")
+    for _ in range(d):
+        irreducible += irreducible.translate(_FLIP)
+    irreducible[::2] = bytes(top >> 1)
+    for e in range(2, d // 2 + 1):
+        n = d - e
         for g in _sieve(e):
-            shifts = [g << j for j in range(d - e)]
-            low = _span(shifts[:_SPAN_LOW], (g << (d - e)) ^ top)
+            wheel = g ^ (g << 1)
+            shifts = [wheel << j for j in range(1, n - 1)]
+            low = _span(shifts[:_SPAN_LOW], (g << n) ^ (g << 1) ^ g ^ top)
             for high in _span(shifts[_SPAN_LOW:], 0):
                 for product in map(high.__xor__, low):
                     irreducible[product] = 0
@@ -166,7 +186,7 @@ def count_self_reciprocal(d: int, mode: str = "formula") -> int:
     degree 2d with an even number of terms has f(1) = 0, so x + 1 divides
     it and it is reducible.  Its terms other than x**d pair up around x**d,
     so it has an odd number of terms exactly when its x**d coefficient is 1.
-    The brute force therefore decides by Rabin's test exactly the 2**(d-1)
+    The brute force therefore decides by Ben-Or's test exactly the 2**(d-1)
     candidates low + x**d + mirror(low), for each odd low of degree below d,
     where mirror sends x**i to x**(2d-i).
     """

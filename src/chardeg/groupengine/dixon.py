@@ -48,7 +48,6 @@ from __future__ import annotations
 import itertools
 import struct
 from collections import Counter
-from dataclasses import dataclass, field
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -207,7 +206,6 @@ class NotGaloisStable(AssertionError):
     permute the classes, so they are no character table."""
 
 
-@dataclass
 class CharacterTable:
     """Exact character table: cyclotomic values indexed by class.
 
@@ -220,21 +218,35 @@ class CharacterTable:
     evaluations() on which dixon_character_table checked both relations.
     Assigning any other field drops it to None; a caller that edits the
     values in place sets it to None, so that they are evaluated again.
+    Two tables are equal when every field is.
     """
 
-    group: GroupTable
-    class_reps: list[int]
-    class_sizes: list[int]
-    exponent: int
-    degrees: list[int]
-    values: list[list[dict[int, int]]]
-    galois: list[list[int]]
-    evaluated: tuple[int, list[list[int]]] | None = field(default=None, repr=False)
+    __slots__ = ("group", "class_reps", "class_sizes", "exponent", "degrees",
+                 "values", "galois", "evaluated")
+
+    def __init__(self, group: GroupTable, class_reps: list[int], class_sizes: list[int],
+                 exponent: int, degrees: list[int], values: list[list[dict[int, int]]],
+                 galois: list[list[int]],
+                 evaluated: tuple[int, list[list[int]]] | None = None):
+        self.group, self.class_reps, self.class_sizes = group, class_reps, class_sizes
+        self.exponent, self.degrees, self.values = exponent, degrees, values
+        self.galois = galois
+        self.evaluated = evaluated
 
     def __setattr__(self, name, value):
         object.__setattr__(self, name, value)
         if name != "evaluated":
             object.__setattr__(self, "evaluated", None)
+
+    def __eq__(self, other):
+        if type(other) is not CharacterTable:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self):
+        # evaluated is derived from the other fields, so it is left out
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__[:-1])
+        return f"CharacterTable({shown})"
 
     @property
     def num_classes(self) -> int:

@@ -3,14 +3,13 @@ subgroup data that such a character forces."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dixon import CharacterTable, dixon_character_table
 from .table import GroupTable
 
 
-@dataclass
-class GagolaReport:
+class GagolaReport(NamedTuple):
     """Outcome of scanning a character table for a character that is nonzero
     on exactly two conjugacy classes.
 

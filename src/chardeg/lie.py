@@ -18,12 +18,12 @@ comes from one deterministic enumerator, `iter_shapes`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from bisect import insort
 from fractions import Fraction
 from functools import cache
 from math import gcd, prod
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import gf2poly
 from .errors import ExcludedCaseError
@@ -85,22 +85,27 @@ def not_simple_reason(family: str, rank: int, q: int) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class SimpleGroupId:
-    """Symbolic name (family, rank, q) of a finite simple group of Lie type.
-
-    A combination that names no simple group is rejected at construction
-    with the reason that `not_simple_reason` gives.
-    """
-
+class _SimpleGroupFields(NamedTuple):
     family: str
     rank: int
     q: int
 
-    def __post_init__(self):
-        reason = not_simple_reason(self.family, self.rank, self.q)
+
+class SimpleGroupId(_SimpleGroupFields):
+    """Symbolic name (family, rank, q) of a finite simple group of Lie type.
+
+    A combination that names no simple group is rejected at construction
+    with the reason that `not_simple_reason` gives.  `_make` builds an id
+    without that check, for an enumerator that has just made it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int, q: int):
+        reason = not_simple_reason(family, rank, q)
         if reason is not None:
             raise ValueError(reason)
+        return super().__new__(cls, family, rank, q)
 
     @property
     def characteristic(self) -> int:
@@ -166,7 +171,10 @@ def simply_connected_order(gid: SimpleGroupId) -> int:
 
 
 def simple_order(gid: SimpleGroupId) -> int:
-    qpart, factors, center = _order_parts(gid.family, gid.rank, gid.q)
+    return _simple_order(*_order_parts(gid.family, gid.rank, gid.q))
+
+
+def _simple_order(qpart: int, factors: list[int], center: int) -> int:
     total = qpart * prod(factors)
     if total % center:
         raise AssertionError("center does not divide the group order")
@@ -187,7 +195,9 @@ def verify_lie_38(gid: SimpleGroupId) -> bool:
     """
     if gid.family == "A" and gid.rank == 1:
         raise ExcludedCaseError("rank-one type A is excluded from this check")
-    return pow_compare(steinberg_degree(gid), 8, simple_order(gid), 3) == GREATER
+    parts = _order_parts(gid.family, gid.rank, gid.q)
+    # the Steinberg degree is the q-power part
+    return pow_compare(parts[0], 8, _simple_order(*parts), 3) == GREATER
 
 
 def prime_powers_up_to(limit: int) -> list[int]:
@@ -206,7 +216,7 @@ def iter_simple_ids(max_rank: int, q_limit: int) -> Iterator[SimpleGroupId]:
                 continue
             for q in qs:
                 if not_simple_reason(fam, n, q) is None:
-                    yield SimpleGroupId(fam, n, q)
+                    yield SimpleGroupId._make((fam, n, q))
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +265,7 @@ def minimal_torus_order(gid: SimpleGroupId) -> int:
     raise ValueError(f"{fam} is not a classical family")
 
 
-@dataclass(frozen=True)
-class SeitzReport:
+class SeitzReport(NamedTuple):
     gid: SimpleGroupId
     torus_order: int
     bound: int
@@ -305,6 +314,7 @@ def load_torus_table(path) -> dict[tuple[str, int, int], int]:
 # Semisimple centralizer shapes over GF(2).
 
 AMBIENTS = ("SL", "Sp", "O+", "O-")
+_MIN_N = {"SL": 3, "Sp": 2, "O+": 3, "O-": 3}
 
 
 # SL_n, Sp_2n and the orthogonal groups O+-_2n as Lie-type families of rank
@@ -328,18 +338,22 @@ def ambient_order(kind: str, n: int) -> int:
     return _simply_connected(_AMBIENT_FAMILY[kind], n - 1 if kind == "SL" else n, 2)
 
 
-@dataclass(frozen=True)
-class ClassicalFactor:
-    """One GL-type factor of a semisimple centralizer: GL_k(2**d) when
-    eps = +1, the unitary group on k points over GF(2**d) when eps = -1."""
-
+class _FactorFields(NamedTuple):
     d: int
     k: int
     eps: int
 
-    def __post_init__(self):
-        if self.d < 1 or self.k < 1 or self.eps not in (1, -1):
-            raise ValueError(f"bad factor ({self.d}, {self.k}, {self.eps})")
+
+class ClassicalFactor(_FactorFields):
+    """One GL-type factor of a semisimple centralizer: GL_k(2**d) when
+    eps = +1, the unitary group on k points over GF(2**d) when eps = -1."""
+
+    __slots__ = ()
+
+    def __new__(cls, d: int, k: int, eps: int):
+        if d < 1 or k < 1 or eps not in (1, -1):
+            raise ValueError(f"bad factor ({d}, {k}, {eps})")
+        return super().__new__(cls, d, k, eps)
 
     @property
     def ndim(self) -> int:
@@ -359,8 +373,15 @@ class ClassicalFactor:
         return (-self.ndim, -self.d, -self.eps)
 
 
-@dataclass(frozen=True)
-class CentralizerShape:
+class _ShapeFields(NamedTuple):
+    ambient: str
+    n: int
+    m: int
+    beta: int | None
+    factors: tuple[ClassicalFactor, ...]
+
+
+class CentralizerShape(_ShapeFields):
     """Factor decomposition K x GL-factors of a semisimple centralizer.
 
     ambient is one of SL, Sp, O+, O- with dimension parameter n (dimension n
@@ -369,55 +390,55 @@ class CentralizerShape:
     The dimension budget satisfies m + sum of d*k over factors = n, and for
     orthogonal ambients the factor signs must multiply to the ambient sign.
     The factors come in `ClassicalFactor.sort_key` order, so equal shapes
-    compare equal; `make_shape` puts them in that order.
+    compare equal; `make_shape` puts them in that order.  The enumerators
+    of this module build their shapes in canonical form by `_make`, which
+    skips these checks; a test checks their shapes against `make_shape`.
     """
 
-    ambient: str
-    n: int
-    m: int
-    beta: int | None
-    factors: tuple[ClassicalFactor, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.ambient not in AMBIENTS:
-            raise ValueError(f"unknown ambient {self.ambient!r}")
-        minimum = {"SL": 3, "Sp": 2, "O+": 3, "O-": 3}[self.ambient]
-        if self.n < minimum:
-            raise ValueError(f"{self.ambient} ambient needs n >= {minimum}")
-        if self.m < 0:
+    def __new__(cls, ambient: str, n: int, m: int, beta: int | None,
+                factors: tuple[ClassicalFactor, ...]):
+        if ambient not in AMBIENTS:
+            raise ValueError(f"unknown ambient {ambient!r}")
+        if n < _MIN_N[ambient]:
+            raise ValueError(f"{ambient} ambient needs n >= {_MIN_N[ambient]}")
+        if m < 0:
             raise ValueError("m must be nonnegative")
-        if self.ambient == "SL":
-            if self.m != 0 or self.beta is not None:
+        if ambient == "SL":
+            if m != 0 or beta is not None:
                 raise ValueError("SL ambient has no eigenvalue-one block")
-            if any(f.eps != 1 for f in self.factors):
+            if any(f.eps != 1 for f in factors):
                 raise ValueError("SL ambient admits only linear factors")
-        elif self.ambient == "Sp":
-            if self.beta is not None:
+        elif ambient == "Sp":
+            if beta is not None:
                 raise ValueError("Sp block carries no sign")
         else:
-            if self.m == 0 and self.beta is not None:
+            if m == 0 and beta is not None:
                 raise ValueError("beta requires m >= 1")
-            if self.m >= 1 and self.beta not in (1, -1):
+            if m >= 1 and beta not in (1, -1):
                 raise ValueError("orthogonal block needs beta = +-1")
-            ambient_sign = 1 if self.ambient == "O+" else -1
-            block_sign = self.beta if self.m >= 1 else 1
-            if block_sign * prod(f.sign for f in self.factors) != ambient_sign:
+            ambient_sign = 1 if ambient == "O+" else -1
+            block_sign = beta if m >= 1 else 1
+            if block_sign * prod(f.sign for f in factors) != ambient_sign:
                 raise ValueError("factor signs do not multiply to the ambient sign")
-        if self.m + sum(f.ndim for f in self.factors) != self.n:
+        if m + sum(f.ndim for f in factors) != n:
             raise ValueError("dimension budget m + sum(d*k) != n")
-        if sum(1 for f in self.factors if f.d == 1 and f.eps == 1) > 1:
+        if sum(1 for f in factors if f.d == 1 and f.eps == 1) > 1:
             raise ValueError("a (d, eps) = (1, +) factor may occur at most once")
-        keys = [f.sort_key() for f in self.factors]
+        keys = [f.sort_key() for f in factors]
         if keys != sorted(keys):
             raise ValueError("factors are not in canonical order")
+        return super().__new__(cls, ambient, n, m, beta, factors)
 
 
 def make_shape(ambient: str, n: int, m: int, beta: int | None,
                factors) -> CentralizerShape:
-    """The one way to build a shape: factors, each a `ClassicalFactor` or a
-    (d, k, eps) tuple, in any order, sorted into canonical order."""
+    """The one checked way to build a shape: factors, each a
+    `ClassicalFactor` or a (d, k, eps) tuple, in any order, sorted into
+    canonical order."""
     return CentralizerShape(ambient, n, m, beta, tuple(sorted(
-        (ClassicalFactor(*f) if isinstance(f, tuple) else f for f in factors),
+        (f if isinstance(f, ClassicalFactor) else ClassicalFactor(*f) for f in factors),
         key=ClassicalFactor.sort_key)))
 
 
@@ -478,15 +499,17 @@ def comparison_shapes(shape: CentralizerShape, i: int,
     d0 = fi.ndim + fj.ndim
     if d0 % 2 or d0 < 4:
         return []
+    # rest is in canonical order, and so stays with each factor put in its place
     rest = [f for t, f in enumerate(factors, start=1) if t not in (i, j)]
     head = (shape.ambient, shape.n, shape.m, shape.beta)
 
     def merge(d: int, eps: int, fresh: str, fold: str, width: int):
-        pos = next((t for t, f in enumerate(rest) if (f.d, f.eps) == (d, eps)), None)
-        if pos is None:
-            return fresh, make_shape(*head, rest + [(d, width, eps)])
-        grown = (d, rest[pos].k + width, eps)
-        return fold, make_shape(*head, rest[:pos] + [grown] + rest[pos + 1:])
+        pos = next((t for t, f in enumerate(rest) if f.d == d and f.eps == eps), None)
+        merged = rest.copy()
+        if pos is not None:
+            width += merged.pop(pos).k
+        insort(merged, ClassicalFactor._make((d, width, eps)), key=ClassicalFactor.sort_key)
+        return (fresh if pos is None else fold), CentralizerShape._make((*head, tuple(merged)))
 
     eps = fi.sign * fj.sign
     out = [merge(d0, eps, "i", "ii", 1)]
@@ -544,12 +567,19 @@ def iter_shapes(ns, ambients, r: int, max_dk: int) -> Iterator[CentralizerShape]
     twice.  Shapes come factor combination by combination in lexicographic
     order, then n in the order of ns, then Sp, then the orthogonal ambient
     of block sign beta = +1, then -1."""
+    # the shapes skip CentralizerShape's checks; only n comes unchecked
+    for amb in set(ambients) & {"Sp", "O+", "O-"}:
+        if any(n < _MIN_N[amb] for n in ns):
+            raise ValueError(f"{amb} ambient needs n >= {_MIN_N[amb]}")
     top = max(ns, default=0)
     # each (d, eps) availability is a Moebius sum: look it up, never redo it
     avail = {(d, eps): factor_availability("Sp", d, eps)
              for d in range(1, max_dk + 1) for eps in (1, -1)}
-    base_types = sorted((d, k, eps) for (d, eps), count in avail.items() if count
+    base_types = sorted(ClassicalFactor._make((d, k, eps))
+                        for (d, eps), count in avail.items() if count
                         for k in range(1, max_dk // d + 1))
+    # a combination's factors go in canonical order by each one's rank in it
+    rank = {f: t for t, f in enumerate(sorted(base_types, key=ClassicalFactor.sort_key))}
 
     def multisets(start: int, count: int, chosen: list, dims: int):
         if count == 0:
@@ -570,17 +600,18 @@ def iter_shapes(ns, ambients, r: int, max_dk: int) -> Iterator[CentralizerShape]
     for combo in multisets(0, r, [], 0):
         dims = sum(d * k for d, k, _ in combo)
         sign = prod(e**k for _, k, e in combo)
+        factors = tuple(sorted(combo, key=rank.__getitem__))
         for n in ns:
             m = n - dims
             if m < 0:
                 continue
             if "Sp" in ambients:
-                yield make_shape("Sp", n, m, None, combo)
+                yield CentralizerShape._make(("Sp", n, m, None, factors))
             # an absent block (m = 0) carries no sign
             for beta in ((None,) if m == 0 else (1, -1)):
                 amb = "O+" if (beta or 1) * sign == 1 else "O-"
                 if amb in ambients:
-                    yield make_shape(amb, n, m, beta, combo)
+                    yield CentralizerShape._make((amb, n, m, beta, factors))
 
 
 def iter_situation_instances(ns, ambients, r: int, max_dk: int):

@@ -13,7 +13,7 @@ hook lengths.
 
 from __future__ import annotations
 
-from math import factorial, prod
+from math import factorial
 from typing import Iterator
 
 Partition = tuple[int, ...]
@@ -83,22 +83,22 @@ def _conjugate(lam: Partition) -> Partition:
 
 def _hook_product(lam: Partition, conj: Partition) -> int:
     """Product of all hook lengths of lam, whose conjugate is conj."""
-    return prod(
-        lam_j - i + conj[i - 1] - j + 1
-        for j, lam_j in enumerate(lam, start=1)
-        for i in range(1, lam_j + 1)
-    )
+    out = 1
+    for j, lam_j in enumerate(lam, start=1):
+        for i in range(1, lam_j + 1):
+            out *= lam_j - i + conj[i - 1] - j + 1
+    return out
 
 
 def hook_degree(lam: Partition) -> int:
     """Degree n! / prod(hooks) attached to a partition of n; always an integer."""
-    lam = check_partition(lam)
-    return _hook_degree(lam, _conjugate(lam))
+    return _hook_degree(check_partition(lam))
 
 
-def _hook_degree(lam: Partition, conj: Partition) -> int:
+def _hook_degree(lam: Partition, conj: Partition | None = None) -> int:
+    # conj, when given, is the conjugate of lam
     n = sum(lam)
-    denom = _hook_product(lam, conj)
+    denom = _hook_product(lam, _conjugate(lam) if conj is None else conj)
     num = factorial(n)
     if num % denom:
         raise AssertionError(f"hook product {denom} does not divide {n}! for {lam}")
@@ -112,7 +112,10 @@ def boundary_nodes(lam: Partition) -> tuple[frozenset[Node], frozenset[Node]]:
     removable node yields a partition of n-1; there is always exactly one
     more addable node than removable ones.
     """
-    lam = check_partition(lam)
+    return _boundary_nodes(check_partition(lam))
+
+
+def _boundary_nodes(lam: Partition) -> tuple[frozenset[Node], frozenset[Node]]:
     if not lam:
         return frozenset({(1, 1)}), frozenset()
     k = len(lam)
@@ -129,9 +132,14 @@ def boundary_nodes(lam: Partition) -> tuple[frozenset[Node], frozenset[Node]]:
 
 def add_node(lam: Partition, node: Node) -> Partition:
     lam = check_partition(lam)
-    addable, _ = boundary_nodes(lam)
-    if node not in addable:
+    if node not in _boundary_nodes(lam)[0]:
         raise ValueError(f"{node} is not addable to {lam}")
+    return _add_node(lam, node)
+
+
+def _add_node(lam: Partition, node: Node) -> Partition:
+    # the unchecked cores of add_node and remove_node take a node of the
+    # kind that _boundary_nodes gives for lam
     i, j = node
     if j == len(lam) + 1:
         return lam + (1,)
@@ -140,9 +148,12 @@ def add_node(lam: Partition, node: Node) -> Partition:
 
 def remove_node(lam: Partition, node: Node) -> Partition:
     lam = check_partition(lam)
-    _, removable = boundary_nodes(lam)
-    if node not in removable:
+    if node not in _boundary_nodes(lam)[1]:
         raise ValueError(f"{node} is not removable from {lam}")
+    return _remove_node(lam, node)
+
+
+def _remove_node(lam: Partition, node: Node) -> Partition:
     i, j = node
     if lam[j - 1] == 1:
         return lam[: j - 1] + lam[j:]

@@ -12,8 +12,8 @@ gives the per-q degree lists and the polynomials that decide a whole class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .degrees import DegreeMultiset
 from .errors import UnsupportedFamilyError
@@ -75,20 +75,24 @@ def class_polynomials(cls: str) -> dict:
             "margins": margins}
 
 
-@dataclass(frozen=True)
-class Psl2Char:
-    """One irreducible character of PSL2(q), identified by series and index."""
-
+class _Psl2CharFields(NamedTuple):
     q: int
     family: str
     index: int | None = None
 
-    def __post_init__(self):
-        series = _series(self.q)
-        if self.family not in series:
-            raise ValueError(f"no {self.family!r} series for q = {self.q}")
-        if self.index not in series[self.family][1]:
-            raise ValueError(f"{self.family} index {self.index!r} out of range for q = {self.q}")
+
+class Psl2Char(_Psl2CharFields):
+    """One irreducible character of PSL2(q), identified by series and index."""
+
+    __slots__ = ()
+
+    def __new__(cls, q: int, family: str, index: int | None = None):
+        series = _series(q)
+        if family not in series:
+            raise ValueError(f"no {family!r} series for q = {q}")
+        if index not in series[family][1]:
+            raise ValueError(f"{family} index {index!r} out of range for q = {q}")
+        return super().__new__(cls, q, family, index)
 
     @property
     def degree(self) -> int:
@@ -141,8 +145,7 @@ def extendible_witness_even(q: int) -> Psl2Char:
     return Psl2Char(q, "chi", (q - 1) // 3)
 
 
-@dataclass
-class Theta2StabilizerReport:
+class Theta2StabilizerReport(NamedTuple):
     """Divisibility evidence that no proper field-automorphism power fixes
     the first even-index theta character of PSL2(q), q odd.
 

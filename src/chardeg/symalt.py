@@ -27,8 +27,8 @@ from .errors import ResourceLimitError
 # through these two names, so they stay until the tracer drops them
 from .exactmath import positive_from, root_interval, sqrt_interval
 from .partitions import (
-    _conjugate, _hook_degree, add_node, boundary_nodes, conjugate, hook_degree,
-    is_partition, partitions_of,
+    _add_node, _boundary_nodes, _conjugate, _hook_degree, _hook_product, conjugate,
+    hook_degree, is_partition, partitions_of,
 )
 
 MAX_N = 60
@@ -99,9 +99,15 @@ def rho_certificates() -> list[tuple[int, tuple[int, ...]]]:
     """
     lam, out = (3, 1, 1), []
     for n in range(6, TAIL_START + 1):
-        grown = (add_node(lam, node) for node in boundary_nodes(lam)[0])
-        lam = max((c for c in grown if c != conjugate(c)),
-                  key=lambda c: (hook_degree(c), c))
+        # the chain grows on the unchecked cores; the partitions of one n
+        # share n!, so the largest degree is the least hook product
+        candidates = []
+        for node in _boundary_nodes(lam)[0]:
+            c = _add_node(lam, node)
+            conj = _conjugate(c)
+            if c != conj:
+                candidates.append((-_hook_product(c, conj), c))
+        lam = max(candidates)[1]
         if n >= 7:
             out.append((n, lam))
     return out

@@ -58,8 +58,10 @@ def test_sieve_holds_one_row_of_products_at_a_time():
     finally:
         tracemalloc.stop()
     assert count == count_irreducible_monic(16)
-    # 2**16 flags and at most 2**10 + 2**5 products at a time take about
-    # 0.25 MB; the 2**15 products of x + 1 in one list would take 1.5 MB
+    # 2**16 flags, the lists of the lower degrees and at most 2**10 + 2**2
+    # products at a time (the 2**12 struck for x**2 + x + 1, the most for
+    # one g, since the wheel takes x and x + 1) take about 0.25 MB; the
+    # 2**15 products of x + 1 in one list would take 1.5 MB
     assert peak < 2**20
 
 

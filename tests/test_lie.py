@@ -8,7 +8,7 @@ import pytest
 
 from chardeg import lie
 from chardeg.claims import (
-    LIE_MAX_Q, LIE_MAX_RANK, SEITZ_TWISTED, SEITZ_UNTWISTED, SITUATION_AMBIENTS,
+    LIE_MAX_Q, LIE_MAX_RANK, PART3_NS, SEITZ_TWISTED, SEITZ_UNTWISTED, SITUATION_AMBIENTS,
     SITUATION_MAX_DK, SITUATION_NS, SITUATION_R,
 )
 from chardeg.errors import ExcludedCaseError
@@ -272,6 +272,50 @@ def test_shape_validation():
         CentralizerShape("Sp", 7, 1, None, tuple(ClassicalFactor(*f) for f in factors))
     assert make_shape("Sp", 7, 1, None, factors) == \
         make_shape("Sp", 7, 1, None, factors[::-1])
+    # the constructor refuses the same cases with its factors in canonical order
+    for args in (("SL", 3, 0, None, [(1, 1, -1)]), ("Sp", 3, 1, None, [(1, 1, 1)] * 2),
+                 ("O+", 9, 2, 1, [(3, 2, 1)]), ("O+", 8, 2, 1, [(3, 1, -1), (3, 1, 1)])):
+        canonical = sorted((ClassicalFactor(*f) for f in args[-1]),
+                           key=ClassicalFactor.sort_key)
+        with pytest.raises(ValueError):
+            CentralizerShape(*args[:-1], tuple(canonical))
+    with pytest.raises(ValueError):
+        ClassicalFactor(1, 0, 1)
+
+
+def _enumerated_shapes():
+    """Every shape the part-3 and part-4 enumerators build over the claims'
+    ranges, comparison shapes included."""
+    for r in range(4):
+        yield from iter_shapes(PART3_NS, ("O+", "O-"), r, max(PART3_NS))
+    for shape in iter_shapes(SITUATION_NS, SITUATION_AMBIENTS, SITUATION_R, SITUATION_MAX_DK):
+        yield shape
+        for i, j in combinations(range(1, SITUATION_R + 1), 2):
+            for _, t_shape in comparison_shapes(shape, i, j):
+                yield t_shape
+
+
+def test_enumerated_shapes_pass_the_checked_constructor():
+    # the enumerators build their shapes unchecked; each must be the shape
+    # that make_shape, which checks and sorts, builds from its own fields
+    count = 0
+    for shape in _enumerated_shapes():
+        count += 1
+        assert type(shape) is CentralizerShape
+        assert all(type(f) is ClassicalFactor for f in shape.factors)
+        assert shape == make_shape(*shape)
+        assert shape == CentralizerShape(*shape)
+    assert count > 1000
+
+
+def test_iter_shapes_refuses_an_n_below_its_ambient():
+    with pytest.raises(ValueError, match="O- ambient needs n >= 3"):
+        list(iter_shapes((9, 2), ("Sp", "O-"), 0, 9))
+
+
+def test_enumerated_ids_pass_the_checked_constructor():
+    ids = list(iter_simple_ids(LIE_MAX_RANK, LIE_MAX_Q))
+    assert ids and all(type(gid) is SimpleGroupId and gid == SimpleGroupId(*gid) for gid in ids)
 
 
 def test_situation_worked_example():

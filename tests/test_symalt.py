@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from chardeg import symalt
 from chardeg.errors import ResourceLimitError
 from chardeg.exactmath import root_interval, sqrt_interval
-from chardeg.partitions import conjugate, hook_degree, partitions_of
+from chardeg.partitions import add_node, boundary_nodes, conjugate, hook_degree, partitions_of
 from chardeg.symalt import (
     TAIL_START, an_degrees, certifies_rho_bound, rho_an, rho_certificates, rho_tail_polynomials,
     rho_witness, sn_degrees, verify_rho_growth,
@@ -50,6 +50,19 @@ def test_certificates_never_exceed_rho():
     for n in range(7, 21):
         assert sum(certs[n]) == n
         assert hook_degree(certs[n]) <= rho_an(n)
+
+
+def test_certificate_chain_matches_the_checked_api():
+    # the chain grows on the unchecked cores; grown again through the
+    # public API, which checks every partition, it must be the same chain
+    lam, chain = (3, 1, 1), []
+    for n in range(6, TAIL_START + 1):
+        grown = (add_node(lam, node) for node in boundary_nodes(lam)[0])
+        lam = max((c for c in grown if c != conjugate(c)),
+                  key=lambda c: (hook_degree(c), c))
+        if n >= 7:
+            chain.append((n, lam))
+    assert rho_certificates() == chain
 
 
 def test_rho_witness_attains_value():
