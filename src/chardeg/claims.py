@@ -1,17 +1,16 @@
 """The claims that `chardeg verify-all` checks, each defined once, in one
-row of `CLAIMS`: its id, its check and the chardeg modules the check reads.
-`verify-all` runs `CLAIMS` in its order, and every other subcommand and
-the tests name claims by their ids in it.
+row of `CLAIMS`: its id and its check.  `verify-all` runs `CLAIMS` in its
+order, one claim after another in one process, and every other subcommand
+and the tests name claims by their ids in it.
 
 Each check returns pass, fail or out-of-scope together with the witnesses
 it examined; `run_claims` reports a claim that raises as error and still
 runs the others.  Every range is a constant beside the check that reads
 it.  Each check imports the chardeg modules it reads at its top, so a
-claim's seconds include the import of every module it is the first to use,
-and `--jobs` loads the selected claims' modules, read from their rows,
-before the pool forks.  This module never imports `chardeg.cli`: run as
-`python -m chardeg.cli`, that module is `__main__`, and importing it again
-would compile it a second time.
+claim's seconds include the import of every module it is the first to use.
+This module never imports `chardeg.cli`: run as `python -m chardeg.cli`,
+that module is `__main__`, and importing it again would compile it a
+second time.
 """
 
 from __future__ import annotations
@@ -86,7 +85,6 @@ class RunConfig(NamedTuple):
     claim that reads it."""
 
     degree_records: tuple[DegreeRecord, ...] | None = None
-    jobs: int = 1
 
 
 class VerificationReport(NamedTuple):
@@ -482,57 +480,41 @@ def _check_degree_records(cfg: RunConfig):
         f"e4-bound pairs checked={checked} skipped_e_le_1={skipped}", f"failures={bad}"]
 
 
-# claim id: (check, the chardeg modules it imports at its top), in verify-all
-# order; run_claims loads the modules before a --jobs pool forks, so the
-# workers share them, and a test runs each claim alone to check its modules.
-CLAIMS: dict[str, tuple[object, tuple[str, ...]]] = {
-    "sec2/hook-sum-squares": (_check_hook_sum, ("partitions",)),
-    "sec2/hook-vs-tableaux": (_check_hook_tableaux, ("partitions",)),
-    "sec2/branching": (_check_branching, ("partitions",)),
-    "thm2.1/rho-direct": (_check_rho_direct, ("symalt",)),
-    "thm2.1/rho-induction": (_check_rho_induction, ("exactmath", "symalt")),
-    "thm2.1/lie-38": (_check_lie_38, ("lie",)),
-    "sec5-6/psl2-degree-sums": (_check_psl2_sums, ("psl2",)),
-    "lem5.1/extendible-witness": (_check_extendible_witness, ()),
-    "lem6.2/theta2-stabilizer": (_check_theta2_stabilizer, ("exactmath",)),
-    "thm3.1/epsilon-psl2": (_check_epsilon_psl2, ("bounds", "psl2")),
-    "thm3.1/epsilon-an": (_check_epsilon_an, ("bounds", "symalt")),
-    "lem3.2/euler-tail": (_check_euler_tail, ("lie",)),
-    "lem3.3/srim-table": (_check_srim_table, ("gf2poly",)),
-    "sec3/nd-counts": (_check_nd_counts, ("gf2poly",)),
-    "sec3/seitz-untwisted": (partial(_check_seitz, table=SEITZ_UNTWISTED), ("lie",)),
-    "sec3/seitz-twisted": (partial(_check_seitz, table=SEITZ_TWISTED), ("lie",)),
-    "sec3/part3-r-le-3": (_check_part3, ("lie",)),
-    "sec3/part4-situations": (_check_situations, ("lie",)),
-    "thm7.2/equality-family": (_check_equality_family, ("bounds", "groupengine")),
-    "lem7.1/gagola-arithmetic": (_check_gagola_arithmetic, ("bounds",)),
-    "lem3.5/composition-bound": (_check_composition, ("bounds",)),
-    "user/degree-records": (_check_degree_records, ("bounds",)),
+# claim id: its check, in verify-all order
+CLAIMS: dict[str, object] = {
+    "sec2/hook-sum-squares": _check_hook_sum,
+    "sec2/hook-vs-tableaux": _check_hook_tableaux,
+    "sec2/branching": _check_branching,
+    "thm2.1/rho-direct": _check_rho_direct,
+    "thm2.1/rho-induction": _check_rho_induction,
+    "thm2.1/lie-38": _check_lie_38,
+    "sec5-6/psl2-degree-sums": _check_psl2_sums,
+    "lem5.1/extendible-witness": _check_extendible_witness,
+    "lem6.2/theta2-stabilizer": _check_theta2_stabilizer,
+    "thm3.1/epsilon-psl2": _check_epsilon_psl2,
+    "thm3.1/epsilon-an": _check_epsilon_an,
+    "lem3.2/euler-tail": _check_euler_tail,
+    "lem3.3/srim-table": _check_srim_table,
+    "sec3/nd-counts": _check_nd_counts,
+    "sec3/seitz-untwisted": partial(_check_seitz, table=SEITZ_UNTWISTED),
+    "sec3/seitz-twisted": partial(_check_seitz, table=SEITZ_TWISTED),
+    "sec3/part3-r-le-3": _check_part3,
+    "sec3/part4-situations": _check_situations,
+    "thm7.2/equality-family": _check_equality_family,
+    "lem7.1/gagola-arithmetic": _check_gagola_arithmetic,
+    "lem3.5/composition-bound": _check_composition,
+    "user/degree-records": _check_degree_records,
 }
 
 
-def _run_claim(args: tuple[str, RunConfig]) -> VerificationReport:
-    claim, cfg = args
-    start = time.perf_counter()
-    try:
-        status, witnesses = CLAIMS[claim][0](cfg)
-    except Exception as exc:  # one broken claim must not hide the others
-        status, witnesses = ERROR, [f"{type(exc).__name__}: {exc}"]
-    return VerificationReport(claim, status, witnesses, time.perf_counter() - start)
-
-
 def run_claims(claims: list[str], cfg: RunConfig) -> list[VerificationReport]:
-    if cfg.jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {cfg.jobs}")
-    # the fork start method starts every worker up front: none may be idle
-    jobs = min(cfg.jobs, len(claims))
-    if jobs <= 1:
-        return [_run_claim((c, cfg)) for c in claims]
-    import importlib
-    from concurrent.futures import ProcessPoolExecutor
-
-    for name in sorted({m for c in claims for m in CLAIMS[c][1]}):
-        importlib.import_module(f"{__package__}.{name}")
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_claim, [(c, cfg) for c in claims]))
+    reports = []
+    for claim in claims:
+        start = time.perf_counter()
+        try:
+            status, witnesses = CLAIMS[claim](cfg)
+        except Exception as exc:  # one broken claim must not hide the others
+            status, witnesses = ERROR, [f"{type(exc).__name__}: {exc}"]
+        reports.append(VerificationReport(claim, status, witnesses,
+                                          time.perf_counter() - start))
+    return reports

@@ -72,9 +72,11 @@ def _check_report_path(path) -> None:
     """Reject a --report path that cannot be written before any claim runs."""
     from pathlib import Path
 
-    if path and Path(path).is_dir():
+    if path is None:
+        return
+    if Path(path).is_dir():
         _abort(f"configuration error: report path {path!r} is a directory")
-    if path and not Path(path).parent.is_dir():
+    if not Path(path).parent.is_dir():
         _abort(f"configuration error: report path {path!r} "
                "is not in an existing directory")
 
@@ -90,21 +92,21 @@ def _config_from_args(args):
         if not 7 <= args.max_n <= symalt.MAX_N:
             _abort(f"configuration error: --max-n {args.max_n} "
                    f"outside 7..{symalt.MAX_N}")
-    # a torus table is checked as a path, then ignored
+    # a torus table is checked as a path, and --jobs as a count, then ignored
     for what, path in (("torus table", args.torus_table), ("degree file", args.degrees)):
-        if path and not Path(path).is_file():
+        if path is not None and not Path(path).is_file():
             problem = "is not a file" if Path(path).exists() else "does not exist"
             _abort(f"configuration error: {what} {path!r} {problem}")
     if args.jobs < 1:
         _abort(f"configuration error: --jobs {args.jobs} is below 1")
     _check_report_path(args.report)
     records = None
-    if args.degrees:
+    if args.degrees is not None:
         try:
             records = tuple(ingest_degree_records(args.degrees))
         except (OSError, ValueError) as exc:
             _abort(f"input error: {exc}")
-    return RunConfig(degree_records=records, jobs=args.jobs)
+    return RunConfig(degree_records=records)
 
 
 def main(argv=None) -> int:
@@ -118,7 +120,9 @@ def main(argv=None) -> int:
     def common(p):
         p.add_argument("--report", help="write a JSON report to this path")
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for independent claims")
+                       help="accepted for old command lines and ignored: "
+                            "every claim runs in this process; "
+                            "values below 1 are still rejected")
         p.add_argument("--max-n", type=int, dest="max_n",
                        help="accepted for old command lines and ignored: "
                             "rho-direct always certifies n=7..87 and "
@@ -182,7 +186,7 @@ def main(argv=None) -> int:
         print(f"  minimal normal subgroups: {rep.minimal_normal_count}"
               + (f", unique of order {rep.minimal_normal_order}"
                  if rep.has_unique_minimal_normal else ""))
-        if args.report:
+        if args.report is not None:
             _write_report([VerificationReport(
                 f"user/{name}", PASS if rep.is_gagola else FAIL,
                 [f"order={group.order}", f"degree={rep.character_degree}",
@@ -195,7 +199,7 @@ def main(argv=None) -> int:
 
     reports = run_claims(SUBCOMMAND_CLAIMS[args.command] or list(CLAIMS), cfg)
     _print_reports(reports)
-    if args.report:
+    if args.report is not None:
         _write_report(reports, args.report)
     return _exit_code(reports)
 

@@ -1,4 +1,3 @@
-import concurrent.futures
 import importlib.util
 import json
 import os
@@ -138,9 +137,6 @@ def test_out_of_range_input_is_named_in_its_error(argv, message, capsys):
     assert capsys.readouterr() == ("", message + "\n")
 
 
-TASKS = Path("/proc/self/task")
-
-
 def _fresh(code: str):
     """The JSON that `code` prints last in a fresh interpreter, so that no
     other test's imports count."""
@@ -158,7 +154,7 @@ def _modules_after(code: str) -> set[str]:
                       "import json; print(json.dumps(modules))"))
 
 
-HEAVY_MODULES = ("numpy", "chardeg.groupengine", "concurrent.futures", "multiprocessing")
+HEAVY_MODULES = ("numpy", "chardeg.groupengine", "concurrent", "multiprocessing")
 
 
 @pytest.mark.parametrize("code", [
@@ -203,15 +199,10 @@ def test_gagola_loads_the_group_engine_without_numpy():
 
 
 @pytest.mark.parametrize("code", [
-    # verify-all with the benchmark's flags, serial and with a worker pool
+    # verify-all with the benchmark's flags
     "import run\n"
     "inputs = run.Inputs('verify-all', 7, TMP)\n"
     "assert cli.main(inputs.cli_args(inputs.output_path('cli'))) == 0\n",
-    "import run\n"
-    "inputs = run.Inputs('verify-all', 7, TMP)\n"
-    "args = inputs.cli_args(inputs.output_path('cli'))\n"
-    "args[args.index('--jobs') + 1] = '2'\n"
-    "assert cli.main(args) == 0\n",
     # analyze-group on a file, and the char-tables workload on every group
     "spec = TMP / 'd8.json'\n"
     "spec.write_text(json.dumps({'name': 'D8', 'kind': 'permutation', 'degree': 4,\n"
@@ -221,7 +212,7 @@ def test_gagola_loads_the_group_engine_without_numpy():
     "from chardeg import groupengine\n"
     "for spec in groups.group_specs(groups.CHAR_TABLE_GROUPS, 7):\n"
     "    groupengine.dixon_character_table(groupengine.group_from_dict(spec))\n",
-], ids=["verify-all-jobs-1", "verify-all-jobs-2", "analyze-group", "char-tables"])
+], ids=["verify-all-jobs-1", "analyze-group", "char-tables"])
 def test_benchmark_workloads_run_without_numpy(code, tmp_path):
     # chardeg has no runtime dependency: an import of numpy anywhere on
     # these paths would add about 12 MB to every benchmark process.  Its
@@ -233,76 +224,22 @@ def test_benchmark_workloads_run_without_numpy(code, tmp_path):
     assert not loaded & {"numpy", "dataclasses", "inspect"}
 
 
-@pytest.mark.skipif(not TASKS.is_dir(), reason="counts threads in /proc/self/task")
-def test_worker_pool_forks_a_single_threaded_process():
-    # with a claim that builds groups selected, the pool is created once the
-    # group engine is loaded, by a process that runs one thread
-    code = (
-        "import concurrent.futures, os, sys\n"
-        "from chardeg import claims\n"
-        "seen = []\n"
-        "class Pool:\n"
-        "    def __init__(self, max_workers):\n"
-        "        seen.append(('chardeg.groupengine' in sys.modules,"
-        " len(os.listdir('/proc/self/task'))))\n"
-        "    def __enter__(self): return self\n"
-        "    def __exit__(self, *exc): return False\n"
-        "    def map(self, fn, items): return map(fn, items)\n"
-        "concurrent.futures.ProcessPoolExecutor = Pool\n"
-        "claims.run_claims(['lem3.2/euler-tail', 'thm7.2/equality-family'],\n"
-        "                  claims.RunConfig(jobs=2))\n"
-        "assert seen == [(True, 1)], seen\n")
-    assert "numpy" not in _modules_after(code)
+def test_jobs_is_accepted_and_ignored(tmp_path, capsys):
+    # kept for old command lines: one process runs every claim, and the
+    # report is the one without the flag
+    jobs, plain = tmp_path / "jobs.json", tmp_path / "plain.json"
+    loaded = _modules_after(
+        "from chardeg import cli\n"
+        f"assert cli.main(['psl2', '--jobs', '2', '--report', {str(jobs)!r}]) == 0\n")
+    assert not loaded & {"concurrent", "multiprocessing"}
+    assert cli.main(["psl2", "--report", str(plain)]) == 0
+    capsys.readouterr()
 
+    def entries(path):
+        return [{k: v for k, v in e.items() if k != "seconds"}
+                for e in json.loads(path.read_text())]
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="runs each claim in a forked child")
-def test_worker_pool_forks_after_the_claims_modules_are_loaded(tmp_path):
-    # each claim runs in a child forked from a process that has loaded only
-    # chardeg.claims, beside a claim that imports nothing; every chardeg module
-    # it loads must already be loaded when the stand-in pool is created
-    degrees = tmp_path / "records.jsonl"
-    degrees.write_text('{"name": "C2", "order": 2, "degrees": [[1, 2]]}\n')
-    code = (
-        "import concurrent.futures, json, os, sys\n"
-        "from chardeg import claims\n"
-        "def chardeg_modules():\n"
-        "    return {m for m in sys.modules if m.startswith('chardeg.')}\n"
-        "seen = []\n"
-        "class Pool:\n"
-        "    def __init__(self, max_workers): seen.append(chardeg_modules())\n"
-        "    def __enter__(self): return self\n"
-        "    def __exit__(self, *exc): return False\n"
-        "    def map(self, fn, items): return map(fn, items)\n"
-        "concurrent.futures.ProcessPoolExecutor = Pool\n"
-        f"records = tuple(claims.ingest_degree_records({str(degrees)!r}))\n"
-        "cfg = claims.RunConfig(degree_records=records, jobs=2)\n"
-        "late = {}\n"
-        "for claim in claims.CLAIMS:\n"
-        "    read, write = os.pipe()\n"
-        "    if os.fork() == 0:\n"
-        "        try:\n"
-        "            reports = claims.run_claims([claim, 'lem5.1/extendible-witness'], cfg)\n"
-        "            result = [[r.status for r in reports],\n"
-        "                      sorted(chardeg_modules() - seen[0])]\n"
-        "        except Exception as exc:\n"
-        "            result = repr(exc)\n"
-        "        os.write(write, json.dumps(result).encode())\n"
-        "        os._exit(0)\n"
-        "    os.close(write)\n"
-        "    with os.fdopen(read) as pipe:\n"
-        "        late[claim] = json.loads(pipe.read())\n"
-        "    os.wait()\n"
-        "print(json.dumps(late))\n")
-    assert _fresh(code) == {claim: [["pass", "pass"], []]
-                            for claim in CLAIMS}
-
-
-def test_worker_pool_leaves_numpy_unloaded_without_group_claims():
-    # no psl2 claim builds a group, so the group engine is not loaded
-    # before the fork
-    loaded = _modules_after("from chardeg import cli; cli.main(['psl2', '--jobs', '2'])")
-    assert "concurrent.futures" in loaded
-    assert "numpy" not in loaded and "chardeg.groupengine" not in loaded
+    assert entries(jobs) == entries(plain) and len(entries(plain)) == 4
 
 
 def test_seitz_passes_both_claims_without_flags(capsys):
@@ -404,6 +341,11 @@ def test_part3_checks_every_shape_and_names_each_failure(monkeypatch):
     ["psl2", "--report", "missing/dir/r.json"],
     ["verify-all", "--report", "."],
     ["analyze-group", "--group-spec", "c2.json", "--report", "c2.json/r.json"],
+    # an empty path is a path, not the absence of one
+    ["psl2", "--report", ""],
+    ["epsilon", "--degrees", ""],
+    ["seitz", "--torus-table", ""],
+    ["analyze-group", "--group-spec", "c2.json", "--report", ""],
 ])
 def test_bad_input_aborts_before_running(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -474,7 +416,7 @@ def test_claim_exception_is_reported_and_the_rest_still_run(tmp_path, monkeypatc
     def broken(cfg):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(CLAIMS, "lem5.1/extendible-witness", (broken, ()))
+    monkeypatch.setitem(CLAIMS, "lem5.1/extendible-witness", broken)
     report = tmp_path / "psl2.json"
     assert cli.main(["psl2", "--report", str(report)]) == 1
     assert "ERROR" in capsys.readouterr().out
@@ -746,44 +688,6 @@ def test_claim_registry_is_consistent():
         assert name == "verify-all" or set(subset) <= set(CLAIMS), name
 
 
-def test_parallel_jobs_agree_with_serial(capsys):
-    # equality-family builds groups, so the pool forks after the group
-    # engine loads
-    claims = ["lem3.2/euler-tail", "lem3.5/composition-bound", "thm7.2/equality-family"]
-    serial = run_claims(claims, RunConfig(jobs=1))
-    parallel = run_claims(claims, RunConfig(jobs=2))
-    assert [(r.claim, r.status, r.witnesses) for r in serial] == \
-        [(r.claim, r.status, r.witnesses) for r in parallel]
-
-
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, starts nothing
-    and maps in this process."""
-
-    def __init__(self, sizes, max_workers):
-        sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-@pytest.mark.parametrize("jobs, pool_sizes", [(1000, [3]), (2, [2]), (1, [])])
-def test_worker_pool_is_capped_at_the_number_of_claims(jobs, pool_sizes, monkeypatch):
-    sizes = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        lambda max_workers: _RecordingPool(sizes, max_workers))
-    claims = ["lem3.2/euler-tail", "lem3.5/composition-bound", "lem5.1/extendible-witness"]
-    reports = run_claims(claims, RunConfig(jobs=jobs))
-    assert sizes == pool_sizes
-    assert [(r.claim, r.status) for r in reports] == [(c, "pass") for c in claims]
-
-
 def test_gagola_claims_build_each_witness_group_once(monkeypatch):
     from chardeg import groupengine
 
@@ -806,8 +710,3 @@ def test_equality_family_evaluates_each_table_once(monkeypatch):
                         lambda self: count.append(1) or evaluations(self))
     [report] = run_claims(["thm7.2/equality-family"], RunConfig())
     assert report.status == "pass" and len(count) == len(WITNESS_QS) == 4
-
-
-def test_run_claims_rejects_fewer_than_one_job():
-    with pytest.raises(ValueError, match="jobs"):
-        run_claims(["lem3.2/euler-tail"], RunConfig(jobs=0))

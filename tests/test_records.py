@@ -1,6 +1,6 @@
 """Contracts of chardeg's record types: the frozen ones refuse assignment,
-every one survives a pickle round trip (the `--jobs` pool pickles the run
-configuration, the reports and their witnesses), and a character table
+every one survives a pickle round trip (so `pickle` and `copy` rebuild even
+the classes whose `__setattr__` refuses assignment), and a character table
 still drops its checked evaluation when a field is assigned."""
 
 import pickle
@@ -9,7 +9,7 @@ import pytest
 
 from chardeg import bounds, groupengine, lie, psl2
 from chardeg.claims import (
-    DegreeRecord, RunConfig, VerificationReport, _run_claim, ingest_degree_records,
+    DegreeRecord, RunConfig, VerificationReport, ingest_degree_records, run_claims,
 )
 from chardeg.degrees import DegreeMultiset
 
@@ -26,7 +26,7 @@ def _frozen_records():
         dec, bounds.verify_e4_bound(dec), bounds.simple_bound_report(ds),
         bounds.composition_bound(5, 7, 5, 7), bounds.gagola_arithmetic(24, 2, 4, 2, 8),
         ds, psl2.Psl2Char(8, "theta", 3), DegreeRecord("A5", 60, ds),
-        RunConfig(degree_records=(DegreeRecord("A5", 60, ds),), jobs=2),
+        RunConfig(degree_records=(DegreeRecord("A5", 60, ds),)),
         gid, lie.seitz_check(gid), shape.factors[0], shape,
     ]
 
@@ -54,8 +54,8 @@ def test_records_survive_a_pickle_round_trip(record):
     assert type(copy) is type(record) and copy == record and repr(copy) == repr(record)
 
 
-def test_reports_cross_a_process_boundary_as_they_were():
-    report = _run_claim(("lem3.5/composition-bound", RunConfig()))
+def test_claim_reports_survive_a_pickle_round_trip():
+    [report] = run_claims(["lem3.5/composition-bound"], RunConfig())
     copy = pickle.loads(pickle.dumps(report))
     assert copy.to_json() == report.to_json() and copy.status == "pass"
 
@@ -63,7 +63,7 @@ def test_reports_cross_a_process_boundary_as_they_were():
 def test_degree_records_pickle_with_their_multisets(tmp_path):
     path = tmp_path / "records.jsonl"
     path.write_text('{"name": "S3", "order": 6, "degrees": [[1, 2], [2, 1]]}\n')
-    cfg = RunConfig(degree_records=tuple(ingest_degree_records(path)), jobs=2)
+    cfg = RunConfig(degree_records=tuple(ingest_degree_records(path)))
     copy = pickle.loads(pickle.dumps(cfg))
     assert copy == cfg and copy.degree_records[0].degrees == DegreeMultiset(((2, 1), (1, 2)))
 
